@@ -30,7 +30,7 @@
 //! `chrome://tracing`.
 
 use ff_bench::traceview;
-use ff_core::{Baseline, CycleClass, JsonlSink, MachineConfig, Runahead, TraceEvent, TwoPass};
+use ff_core::{run_model, CycleClass, JsonlSink, MachineConfig, ModelKind, TraceEvent};
 use ff_workloads::Scale;
 use std::fs::File;
 use std::io::BufReader;
@@ -110,20 +110,10 @@ fn record(args: &[String]) -> Result<(), String> {
     let budget = max.unwrap_or(w.budget);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut sink = JsonlSink::new(file);
+    let kind: ModelKind = model.parse().map_err(|e| format!("{e}\n{USAGE}"))?;
     let cfg = MachineConfig::paper_table1();
-    let report = match model.as_str() {
-        "base" => Baseline::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink),
-        "2p" => TwoPass::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink),
-        "2pre" => {
-            let mut cfg = cfg;
-            cfg.two_pass.regroup = true;
-            TwoPass::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink)
-        }
-        "runahead" => {
-            Runahead::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink)
-        }
-        other => return Err(format!("unknown model `{other}`\n{USAGE}")),
-    };
+    let (report, _, _) =
+        run_model(kind, &w.program, w.memory.clone(), cfg, budget, Some(&mut sink));
     if sink.errored() {
         return Err(format!("write error while streaming to {out}"));
     }

@@ -11,7 +11,7 @@
 
 use ff_bench::selfprof::{PerfSnapshot, SelfProfiler};
 use ff_bench::{experiments, fmt};
-use ff_core::{MachineConfig, Runahead, TwoPass};
+use ff_core::{run_model, MachineConfig, ModelKind, TwoPass};
 use ff_workloads::{paper_benchmarks, Scale};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -73,21 +73,16 @@ fn measure(scale: Scale) -> SelfProfiler {
     let mut p = SelfProfiler::new();
     let workloads = p.time("workload.build", || paper_benchmarks(scale));
 
-    for model in experiments::MODELS {
-        let section = format!("sim.{}", model.to_lowercase());
+    let cfg = MachineConfig::paper_table1();
+    for kind in ModelKind::ALL {
+        let section = format!("sim.{}", kind.to_string().to_lowercase());
         for w in &workloads {
             p.time_work(&section, || {
-                let r = experiments::run_model(w, model);
+                let (r, _, _) =
+                    run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, None);
                 ((), r.retired)
             });
         }
-    }
-    let cfg = MachineConfig::paper_table1();
-    for w in &workloads {
-        p.time_work("sim.runahead", || {
-            let r = Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget);
-            ((), r.retired)
-        });
     }
 
     // Trace-sink overhead: the same 2P run, streaming every event to a

@@ -52,17 +52,8 @@ pub fn run_model(w: &Workload, model: &str) -> SimReport {
 /// [`run_model`] with the event-driven fast-forward knob explicit.
 #[must_use]
 pub fn run_model_ff(w: &Workload, model: &str, fast_forward: bool) -> SimReport {
-    let cfg = machine(fast_forward);
-    match model {
-        "base" => Baseline::new(&w.program, w.memory.clone(), cfg).run(w.budget),
-        "2P" => TwoPass::new(&w.program, w.memory.clone(), cfg).run(w.budget),
-        "2Pre" => {
-            let mut re_cfg = cfg;
-            re_cfg.two_pass.regroup = true;
-            TwoPass::new(&w.program, w.memory.clone(), re_cfg).run(w.budget)
-        }
-        other => panic!("unknown model `{other}`"),
-    }
+    let kind = model.parse().unwrap_or_else(|e| panic!("{e}"));
+    ff_core::run_model(kind, &w.program, w.memory.clone(), machine(fast_forward), w.budget, None).0
 }
 
 /// Benchmark-name list for grid building (kernels are constructed

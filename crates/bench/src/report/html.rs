@@ -66,34 +66,13 @@ pub fn compute_bounds_rows() -> Vec<BoundsRow> {
         .map(|w| {
             let replay = w.budget.saturating_mul(cfg.issue_width as u64);
             let b = ff_verify::cycle_bounds(&w.program, &w.memory, &cfg, replay);
-            let mut measured: Vec<(&'static str, u64)> = Vec::new();
-            measured.push((
-                "Base",
-                ff_core::Baseline::new(&w.program, w.memory.clone(), cfg.clone())
-                    .run(w.budget)
-                    .cycles,
-            ));
-            for (label, regroup) in [("2P", false), ("2Pre", true)] {
-                let mut c = cfg.clone();
-                c.two_pass.regroup = regroup;
-                measured.push((
-                    label,
-                    ff_core::TwoPass::new(&w.program, w.memory.clone(), c).run(w.budget).cycles,
-                ));
-            }
-            measured.push((
-                "Ra",
-                ff_core::Runahead::new(&w.program, w.memory.clone(), cfg.clone())
-                    .run(w.budget)
-                    .cycles,
-            ));
             BoundsRow {
                 kernel: w.name.to_string(),
                 retired: b.retired,
                 dep_height: b.dep_height_all_hit,
                 resource_bound: b.resource_bound(),
                 lower_bound: b.lower_bound(),
-                measured,
+                measured: ff_verify::measured_cycles(&w.program, &w.memory, &cfg, w.budget),
             }
         })
         .collect()

@@ -13,19 +13,13 @@
 //! state, and the final registers/memory match the golden interpreter
 //! exactly — a property the test suite checks differentially.
 
-use crate::accounting::{
-    CauseBreakdown, CycleBreakdown, CycleClass, StallAttr, StallCause, StallProfile,
-};
+use crate::accounting::{CycleClass, StallAttr, StallCause};
 use crate::config::MachineConfig;
-use crate::decoded::DecodedProgram;
-use crate::exec_common::fitting_prefix_classes;
-use crate::frontend::{Frontend, FrontendConfig};
-use crate::report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport};
-use crate::sink::{SinkHandle, TraceSink};
-use crate::trace::{Trace, TraceEvent};
-use ff_isa::reg::TOTAL_REGS;
-use ff_isa::{evaluate, load_write, Effect, MemoryImage, Program, RegId};
-use ff_mem::{DataHierarchy, MemLevel, MshrFile};
+use crate::engine::{Core, Engine, Policy, Step};
+use crate::report::{ModelKind, Pipe};
+use crate::sink::SinkHandle;
+use crate::trace::TraceEvent;
+use ff_isa::{evaluate, Effect};
 
 /// The baseline in-order pipeline simulator.
 ///
@@ -48,250 +42,96 @@ use ff_mem::{DataHierarchy, MemLevel, MshrFile};
 /// assert!(report.cycles > 0);
 /// # Ok::<(), ff_isa::BuildProgramError>(())
 /// ```
-#[derive(Debug)]
-pub struct Baseline<'p> {
-    cfg: MachineConfig,
-    frontend: Frontend<'p>,
-    /// Per-pc pre-decoded metadata (sources, dests, FU class, latency).
-    code: DecodedProgram,
-    /// Architectural register file, raw bits.
-    regs: [u64; TOTAL_REGS],
-    /// Cycle at which each register's latest value becomes readable.
-    ready_at: [u64; TOTAL_REGS],
-    /// Whether the pending producer of each register is a load.
-    pending_load: [bool; TOTAL_REGS],
-    /// Refined stall cause charged if a consumer blocks on the register.
-    reg_cause: [StallCause; TOTAL_REGS],
-    /// Static pc of the register's pending producer (stall blame).
-    reg_pc: [usize; TOTAL_REGS],
-    mem_img: MemoryImage,
-    hier: DataHierarchy,
-    mshrs: MshrFile,
-    cycle: u64,
-    retired: u64,
-    halted: bool,
-    /// In-flight fills awaiting a `MissEnd` event, as `(fill_at, addr,
-    /// level)`. Populated only while a trace sink is attached.
-    pending_misses: Vec<(u64, u64, MemLevel)>,
-    breakdown: CycleBreakdown,
-    breakdown2: CauseBreakdown,
-    profile: StallProfile,
-    mem_stats: MemAccessStats,
-    branches: BranchStats,
-}
+pub type Baseline<'p> = Engine<'p, BaselinePolicy>;
 
-impl<'p> Baseline<'p> {
-    /// Creates a baseline machine over `program` with initial data
-    /// memory `mem`.
-    #[must_use]
-    pub fn new(program: &'p Program, mem: MemoryImage, cfg: MachineConfig) -> Self {
-        let fe_cfg = FrontendConfig {
-            fetch_width: cfg.issue_width,
-            buffer_capacity: cfg.fetch_buffer,
-            icache_miss_latency: cfg.icache_miss_latency,
-            icache: ff_mem::CacheGeometry::new(16 * 1024, 4, 64),
-        };
-        let frontend = Frontend::new(program, cfg.predictor.build(), fe_cfg);
-        let code = DecodedProgram::new(program, &cfg.latencies);
-        let hier = DataHierarchy::new(cfg.hierarchy).expect("valid hierarchy");
-        let mshrs = MshrFile::new(cfg.max_outstanding_loads);
-        Baseline {
-            cfg,
-            frontend,
-            code,
-            regs: [0; TOTAL_REGS],
-            ready_at: [0; TOTAL_REGS],
-            pending_load: [false; TOTAL_REGS],
-            reg_cause: [StallCause::DepOther; TOTAL_REGS],
-            reg_pc: [0; TOTAL_REGS],
-            mem_img: mem,
-            hier,
-            mshrs,
-            cycle: 0,
-            retired: 0,
-            halted: false,
-            pending_misses: Vec::new(),
-            breakdown: CycleBreakdown::new(),
-            breakdown2: CauseBreakdown::new(),
-            profile: StallProfile::new(),
-            mem_stats: MemAccessStats::default(),
-            branches: BranchStats::default(),
-        }
-    }
+/// The baseline issue stage: one pipe in which an instruction issues,
+/// executes and retires in the same cycle.
+#[derive(Debug, Default)]
+pub struct BaselinePolicy;
 
-    /// Pre-sets an integer register (e.g. to pass kernel arguments).
-    pub fn set_int(&mut self, r: ff_isa::IntReg, value: u64) {
-        self.regs[RegId::Int(r).index()] = value;
-    }
-
-    /// Runs until `halt` retires or `max_instrs` instructions retire.
-    #[must_use]
-    pub fn run(self, max_instrs: u64) -> SimReport {
-        self.run_with_state(max_instrs).0
-    }
-
-    /// Runs with every pipeline event streamed into `sink` (see
-    /// [`crate::sink`] for bounded and streaming sinks).
-    #[must_use]
-    pub fn run_with_sink(mut self, max_instrs: u64, sink: &mut dyn TraceSink) -> SimReport {
-        let mut handle = SinkHandle::on(sink);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        self.into_report()
-    }
-
-    /// Runs with event tracing enabled, returning the report and the
-    /// recorded in-memory [`Trace`].
-    #[must_use]
-    pub fn run_traced(mut self, max_instrs: u64) -> (SimReport, Trace) {
-        let mut trace = Trace::new();
-        let mut handle = SinkHandle::on(&mut trace);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        (self.into_report(), trace)
-    }
-
-    /// Classifies a block on register index `idx`: the Figure-6 class
-    /// from the pending-producer kind, plus the refined cause and the
-    /// producer's pc recorded when the register was written.
-    fn reg_block(&self, idx: usize) -> (CycleClass, StallAttr) {
-        let class = if self.pending_load[idx] {
-            CycleClass::LoadStall
-        } else {
-            CycleClass::NonLoadDepStall
-        };
-        let attr = StallAttr::at(self.reg_cause[idx], self.reg_pc[idx]);
-        debug_assert_eq!(attr.cause.class(), class);
-        (class, attr)
-    }
-
-    /// First blocking register of the group at cycle `now`, if any:
-    /// returns the stall class implied by its pending producer, the
-    /// refined attribution of the blocking producer, and the cycle the
-    /// blocking register becomes readable (the fast-forward wake hint).
-    fn group_block_at(&self, len: usize, now: u64) -> Option<(CycleClass, StallAttr, u64)> {
-        for i in 0..len {
-            let d = self.code.at(self.frontend.peek(i).pc);
-            for src in d.srcs.iter() {
-                if self.ready_at[src.index()] > now {
-                    let (class, attr) = self.reg_block(src.index());
-                    return Some((class, attr, self.ready_at[src.index()]));
-                }
-            }
-            // EPIC WAW: a destination still being produced stalls too.
-            for dst in d.dests.iter() {
-                if self.ready_at[dst.index()] > now {
-                    let (class, attr) = self.reg_block(dst.index());
-                    return Some((class, attr, self.ready_at[dst.index()]));
-                }
-            }
-        }
-        None
-    }
-
-    /// The refined front-end attribution for a cycle with no complete
-    /// issue group: refill penalty vs. fetch starvation.
-    fn frontend_attr(&self) -> StallAttr {
-        StallAttr::new(if self.frontend.is_refilling(self.cycle) {
-            StallCause::FeRefill
-        } else {
-            StallCause::FeEmpty
-        })
-    }
-
-    /// One issue attempt. On a stall, the third element is the
-    /// fast-forward wake hint: the earliest cycle at which the blocking
-    /// condition can change (`None` when no such cycle is known — e.g.
-    /// fetch is still actively filling the buffer).
-    fn step_issue(&mut self, sink: &mut SinkHandle) -> (CycleClass, StallAttr, Option<u64>) {
-        let Some(group_len) = self.frontend.complete_group_len() else {
+impl BaselinePolicy {
+    /// Classifies the issue group at the head of the fetch buffer as of
+    /// cycle `at`: either the stall (with its fast-forward wake hint) or
+    /// how many group members issue now. Side-effect free, so the audit
+    /// probe re-runs it on a skipped cycle.
+    fn classify(core: &Core<'_>, at: u64) -> Result<usize, Step> {
+        let fe = &core.frontend;
+        let Some(group_len) = fe.complete_group_len() else {
             // A refill penalty expires at a known cycle; a merely-empty
             // buffer can complete a group on any fetch tick.
-            let wake = self.frontend.is_refilling(self.cycle).then(|| self.frontend.resume_at());
-            return (CycleClass::FrontEndStall, self.frontend_attr(), wake);
+            let wake = fe.is_refilling(at).then(|| fe.resume_at());
+            return Err((CycleClass::FrontEndStall, core.frontend_attr(at), wake));
         };
-
-        // Structural: split oversubscribed groups; the prefix issues now.
-        let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
-        );
 
         // Dependence check over the whole architectural group: EPIC
         // stalls the group if *any* member is unready, even one that
-        // would issue in a later split chunk.
-        if let Some((class, attr, ready)) = self.group_block_at(group_len, self.cycle) {
-            return (class, attr, Some(ready));
-        }
-
-        // Conservative MSHR gate: a group containing a load needs room
-        // for a possible fill.
-        let first_load = (0..n).find(|&i| self.code.at(self.frontend.peek(i).pc).is_load);
-        if let Some(i) = first_load {
-            if !self.mshrs.has_room(self.cycle) {
-                let pc = self.frontend.peek(i).pc;
-                return (
-                    CycleClass::ResourceStall,
-                    StallAttr::at(StallCause::ResMshr, pc),
-                    self.mshrs.next_wakeup(self.cycle),
-                );
+        // would issue in a later split chunk. A destination still being
+        // produced stalls too (EPIC WAW).
+        for i in 0..group_len {
+            let d = core.code.at(fe.peek(i).pc);
+            for reg in d.srcs.iter().chain(d.dests.iter()) {
+                let ready = core.arch.ready_at[reg.index()];
+                if ready > at {
+                    let (class, attr) = core.arch.block(reg.index());
+                    return Err((class, attr, Some(ready)));
+                }
             }
         }
 
-        // Issue the prefix in order.
-        let head_seq = self.frontend.peek(0).seq;
+        // Structural: split oversubscribed groups; the prefix issues now.
+        let n = core.fitting_prefix((0..group_len).map(|i| fe.peek(i).pc));
+
+        // Conservative MSHR gate: a group containing a load needs room
+        // for a possible fill.
+        if let Some(i) = (0..n).find(|&i| core.code.at(fe.peek(i).pc).is_load) {
+            if !core.mshrs.has_room(at) {
+                let attr = StallAttr::at(StallCause::ResMshr, fe.peek(i).pc);
+                return Err((CycleClass::ResourceStall, attr, core.mshrs.next_wakeup(at)));
+            }
+        }
+        Ok(n)
+    }
+
+    /// Issues the first `n` members of the head group in order.
+    fn issue(core: &mut Core<'_>, n: usize, sink: &mut SinkHandle) {
+        let head_seq = core.frontend.peek(0).seq;
         let mut issued = 0;
         let mut redirect: Option<(usize, u64)> = None;
         for i in 0..n {
-            let f = *self.frontend.peek(i);
-            self.retired += 1;
+            let f = *core.frontend.peek(i);
+            core.retired += 1;
             issued += 1;
             // One pipe: fetch, dispatch, and retire are the same event here.
-            sink.emit_with(|| TraceEvent::Fetch { cycle: self.cycle, seq: f.seq, pc: f.pc });
+            sink.emit_with(|| TraceEvent::Fetch { cycle: core.cycle, seq: f.seq, pc: f.pc });
             sink.emit_with(|| TraceEvent::BRetire {
-                cycle: self.cycle,
+                cycle: core.cycle,
                 seq: f.seq,
                 pc: f.pc,
                 was_deferred: false,
             });
-            let d = self.code.at(f.pc);
-            let lat = d.latency;
-            let cause = d.dep_cause;
-            let conditional = d.insn.qp.is_some();
-            let effect = evaluate(&d.insn, &self.regs);
-            match effect {
+            let d = core.code.at(f.pc);
+            let (lat, cause, conditional) = (d.latency, d.dep_cause, d.insn.qp.is_some());
+            match evaluate(&d.insn, &core.arch.regs) {
                 Effect::Nullified | Effect::Nop => {}
                 Effect::Write(writes) => {
                     for w in writes.iter() {
-                        self.regs[w.reg.index()] = w.bits;
-                        self.ready_at[w.reg.index()] = self.cycle + lat;
-                        self.pending_load[w.reg.index()] = false;
-                        self.reg_cause[w.reg.index()] = cause;
-                        self.reg_pc[w.reg.index()] = f.pc;
+                        core.arch.write(w.reg, w.bits, core.cycle + lat, cause, f.pc);
                     }
                 }
                 Effect::Load { addr, size, signed, dest } => {
-                    let raw = self.mem_img.load(addr, size);
-                    let out = self.hier.load(addr);
-                    let (done, eff_level) = self.finish_load(addr, out.level, out.latency, sink);
-                    self.mem_stats.record_load(Pipe::B, out.level, out.latency);
-                    self.regs[dest.index()] = load_write(raw, size, signed);
-                    self.ready_at[dest.index()] = done;
-                    self.pending_load[dest.index()] = true;
-                    self.reg_cause[dest.index()] = StallCause::load(eff_level);
-                    self.reg_pc[dest.index()] = f.pc;
+                    let (bits, done, level) = core.load(addr, size, signed, Pipe::B, sink);
+                    core.arch.write_load(dest, bits, done, level, f.pc);
                 }
-                Effect::Store { addr, size, bits } => {
-                    self.mem_img.write(addr, size, bits);
-                    let _ = self.hier.store(addr);
-                }
+                Effect::Store { addr, size, bits } => core.store(addr, size, bits),
                 Effect::Branch { taken, target } => {
-                    let mispredicted =
-                        self.resolve_branch(f.pc, f.predicted_taken, conditional, taken);
+                    // Unconditional branches: fetch already followed them.
+                    let mispredicted = conditional && taken != f.predicted_taken;
+                    if conditional {
+                        core.retire_branch(f.pc, taken, mispredicted, Pipe::A);
+                    }
                     if mispredicted {
                         let correct = if taken { target } else { f.pc + 1 };
-                        redirect = Some((correct, self.cycle + self.cfg.adet_penalty()));
+                        redirect = Some((correct, core.cycle + core.cfg.adet_penalty()));
                         break; // younger same-group instructions squash
                     }
                     if taken {
@@ -299,306 +139,61 @@ impl<'p> Baseline<'p> {
                     }
                 }
                 Effect::Halt => {
-                    self.halted = true;
+                    core.halted = true;
                     break;
                 }
             }
         }
 
-        self.frontend.consume(issued);
+        core.frontend.consume(issued);
         if issued > 0 {
             sink.emit_with(|| TraceEvent::GroupDispatch {
-                cycle: self.cycle,
+                cycle: core.cycle,
                 pipe: Pipe::B,
                 head_seq,
                 len: issued as u32,
             });
         }
         if let Some((pc, at)) = redirect {
-            sink.emit_with(|| TraceEvent::ARedirect { cycle: self.cycle, pc });
-            self.frontend.redirect(pc, at);
+            sink.emit_with(|| TraceEvent::ARedirect { cycle: core.cycle, pc });
+            core.frontend.redirect(pc, at);
         }
-        (CycleClass::Unstalled, StallAttr::new(StallCause::Issue), None)
+    }
+}
+
+impl Policy for BaselinePolicy {
+    fn new(_cfg: &MachineConfig) -> Self {
+        BaselinePolicy
     }
 
-    /// Audit probe: re-runs the (side-effect-free) stall classification
-    /// of [`Baseline::step_issue`] as of cycle `at`, without issuing.
-    /// Used to check that a fast-forwarded span truly had no enabled
-    /// event on its final skipped cycle.
+    fn kind(&self) -> ModelKind {
+        ModelKind::Baseline
+    }
+
+    fn step(&mut self, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
+        match Self::classify(core, core.cycle) {
+            Ok(n) => {
+                Self::issue(core, n, sink);
+                (CycleClass::Unstalled, StallAttr::new(StallCause::Issue), None)
+            }
+            Err(stall) => stall,
+        }
+    }
+
+    #[inline]
+    fn drained(&self, core: &Core<'_>) -> bool {
+        core.frontend.is_drained() && core.frontend.complete_group_len().is_none()
+    }
+
     #[cfg(feature = "audit")]
-    fn probe_stall(&self, at: u64) -> Option<(CycleClass, StallAttr)> {
-        let Some(group_len) = self.frontend.complete_group_len() else {
-            let cause = if self.frontend.is_refilling(at) {
-                StallCause::FeRefill
-            } else {
-                StallCause::FeEmpty
-            };
-            return Some((CycleClass::FrontEndStall, StallAttr::new(cause)));
-        };
-        if let Some((class, attr, _)) = self.group_block_at(group_len, at) {
-            return Some((class, attr));
-        }
-        let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
-        );
-        let first_load = (0..n).find(|&i| self.code.at(self.frontend.peek(i).pc).is_load);
-        if let Some(i) = first_load {
-            if !self.mshrs.has_room(at) {
-                let pc = self.frontend.peek(i).pc;
-                return Some((CycleClass::ResourceStall, StallAttr::at(StallCause::ResMshr, pc)));
-            }
-        }
-        None
-    }
-
-    /// Books a load's fill: L1 hits bypass the MSHRs; misses allocate or
-    /// merge. Returns the data-ready cycle and the hierarchy level the
-    /// data is *effectively* waiting on (a fill-clamped L1 hit reports
-    /// the in-flight fill's level, for stall attribution).
-    fn finish_load(
-        &mut self,
-        addr: u64,
-        level: MemLevel,
-        latency: u64,
-        sink: &mut SinkHandle,
-    ) -> (u64, MemLevel) {
-        let done = self.cycle + latency;
-        let line = self.cfg.hierarchy.l2.line_of(addr);
-        if level == MemLevel::L1 {
-            // Tags fill at access time, so a "hit" may name a line whose
-            // fill is still in flight: complete no earlier than the fill.
-            return match self.mshrs.pending_fill(self.cycle, line) {
-                Some((fill_done, fill_level)) if fill_done > done => (fill_done, fill_level),
-                _ => (done, MemLevel::L1),
-            };
-        }
-        let fill_at = self.mshrs.request(self.cycle, line, done, level).unwrap_or(done).max(done);
-        if sink.is_on() {
-            sink.emit_with(|| TraceEvent::MissBegin {
-                cycle: self.cycle,
-                pipe: Pipe::B,
-                level,
-                addr,
-                fill_at,
-            });
-            self.pending_misses.push((fill_at, addr, level));
-        }
-        (fill_at, level)
-    }
-
-    /// Updates branch statistics and the predictor; returns whether the
-    /// branch was mispredicted.
-    fn resolve_branch(
-        &mut self,
-        pc: usize,
-        predicted_taken: bool,
-        conditional: bool,
-        taken: bool,
-    ) -> bool {
-        if !conditional {
-            return false; // unconditional: fetch already followed it
-        }
-        self.branches.retired += 1;
-        self.frontend.predictor_mut().update(pc as u64, taken);
-        let mispredicted = taken != predicted_taken;
-        if mispredicted {
-            self.branches.mispredicted += 1;
-            self.branches.repaired_in_a += 1;
-        }
-        mispredicted
-    }
-
-    /// Final architectural register bits (for differential testing).
-    #[must_use]
-    pub fn reg_bits(&self) -> &[u64; TOTAL_REGS] {
-        &self.regs
-    }
-
-    /// Final data memory (for differential testing).
-    #[must_use]
-    pub fn mem(&self) -> &MemoryImage {
-        &self.mem_img
-    }
-
-    fn into_report(self) -> SimReport {
-        let mut report = SimReport {
-            model: ModelKind::Baseline,
-            cycles: self.cycle,
-            retired: self.retired,
-            breakdown: self.breakdown,
-            breakdown2: self.breakdown2,
-            stall_profile: self.profile,
-            mem: self.mem_stats,
-            branches: self.branches,
-            hierarchy: *self.hier.stats(),
-            mshr: self.mshrs.stats(),
-            two_pass: None,
-            metrics: crate::metrics::MetricsSnapshot::default(),
-        };
-        report.collect_metrics();
-        report
-    }
-
-    /// Emits `MissEnd` for every booked fill that has completed.
-    fn drain_pending_misses(&mut self, sink: &mut SinkHandle) {
-        let now = self.cycle;
-        let mut i = 0;
-        while i < self.pending_misses.len() {
-            if self.pending_misses[i].0 <= now {
-                let (fill_at, addr, level) = self.pending_misses.swap_remove(i);
-                sink.emit_with(|| TraceEvent::MissEnd { cycle: fill_at, addr, level });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn run_loop(&mut self, max_instrs: u64, sink: &mut SinkHandle) {
-        let cycle_cap = max_instrs.saturating_mul(500).max(1_000_000);
-        let mut last_class: Option<CycleClass> = None;
-        let mut last_attr: Option<StallAttr> = None;
-        while !self.halted && self.retired < max_instrs {
-            assert!(
-                self.cycle < cycle_cap,
-                "baseline simulation livelocked at cycle {} (retired {})",
-                self.cycle,
-                self.retired
-            );
-            self.frontend.tick(self.cycle);
-            if sink.is_on() {
-                self.drain_pending_misses(sink);
-            }
-            let (class, attr, wake) = self.step_issue(sink);
-            self.breakdown.charge(class);
-            self.breakdown2.charge(attr.cause);
-            if let Some(pc) = attr.pc {
-                self.profile.record(pc, attr.cause);
-            }
-            if sink.is_on() {
-                if last_class != Some(class) {
-                    let from = last_class.unwrap_or(class);
-                    sink.emit_with(|| TraceEvent::ClassTransition {
-                        cycle: self.cycle,
-                        from,
-                        to: class,
-                    });
-                    last_class = Some(class);
-                }
-                if last_attr != Some(attr) {
-                    sink.emit_with(|| TraceEvent::CauseTransition {
-                        cycle: self.cycle,
-                        cause: attr.cause,
-                        pc: attr.pc.map(|p| p as u64),
-                    });
-                    last_attr = Some(attr);
-                }
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: self.cycle,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(self.cycle) as u32,
-                });
-            }
-            self.cycle += 1;
-            if self.frontend.is_drained()
-                && self.frontend.complete_group_len().is_none()
-                && !self.halted
-            {
-                break;
-            }
-            if self.cfg.fast_forward && class != CycleClass::Unstalled {
-                self.fast_forward(class, attr, wake, sink);
-            }
-        }
-    }
-
-    /// Event-driven fast-forward: having just charged a stall cycle with
-    /// wake hint `wake`, jump the clock across the provably identical
-    /// stall span `[self.cycle, target)`, bulk-charging the attribution
-    /// and replaying the per-cycle trace stream so results are
-    /// byte-identical to ticking every cycle.
-    fn fast_forward(
-        &mut self,
-        class: CycleClass,
-        attr: StallAttr,
-        wake: Option<u64>,
-        sink: &mut SinkHandle,
-    ) {
-        let Some(wake) = wake else { return };
-        // The front end must be inert across the span: either stopped /
-        // buffer-full (inert until the engine itself makes progress) or
-        // refilling, which caps the jump at the refill arrival. An
-        // actively fetching front end yields `resume_at <= now`, making
-        // the span empty.
-        let target = if self.frontend.is_stopped_or_full() {
-            wake
-        } else {
-            wake.min(self.frontend.resume_at())
-        };
-        if target <= self.cycle {
-            return;
-        }
-        #[cfg(feature = "audit")]
+    fn audit_span(&mut self, core: &mut Core<'_>, class: CycleClass, attr: StallAttr, target: u64) {
+        let probed = Self::classify(core, target - 1).err().map(|(class, attr, _)| (class, attr));
         assert_eq!(
-            self.probe_stall(target - 1),
+            probed,
             Some((class, attr)),
             "fast-forwarded span [{}, {target}) had an enabled event",
-            self.cycle,
+            core.cycle,
         );
-        let span = target - self.cycle;
-        self.breakdown.charge_n(class, span);
-        self.breakdown2.charge_n(attr.cause, span);
-        if let Some(pc) = attr.pc {
-            self.profile.record_n(pc, attr.cause, span);
-        }
-        if sink.is_on() {
-            // Replay the skipped cycles' trace output exactly: the class
-            // and cause are unchanged (no transitions fire), so each
-            // cycle contributes its completed-fill events and its
-            // occupancy sample, in per-cycle order.
-            for c in self.cycle..target {
-                self.cycle = c;
-                self.drain_pending_misses(sink);
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: c,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(c) as u32,
-                });
-            }
-        }
-        self.cycle = target;
-    }
-
-    /// Runs to completion and returns both the report and the final
-    /// architectural state (register bits and memory) for differential
-    /// testing against the golden interpreter.
-    #[must_use]
-    pub fn run_with_state(
-        mut self,
-        max_instrs: u64,
-    ) -> (SimReport, [u64; TOTAL_REGS], MemoryImage) {
-        self.run_loop(max_instrs, &mut SinkHandle::off());
-        let regs = self.regs;
-        let mem = self.mem_img.clone();
-        (self.into_report(), regs, mem)
-    }
-
-    /// Runs with tracing *and* returns the final architectural state —
-    /// one simulation serving both the retirement-order and final-state
-    /// halves of a differential check (see `ff-verify`).
-    #[must_use]
-    pub fn run_traced_with_state(
-        mut self,
-        max_instrs: u64,
-    ) -> (SimReport, Trace, [u64; TOTAL_REGS], MemoryImage) {
-        let mut trace = Trace::new();
-        let mut handle = SinkHandle::on(&mut trace);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        let regs = self.regs;
-        let mem = self.mem_img.clone();
-        (self.into_report(), trace, regs, mem)
     }
 }
 
@@ -606,7 +201,7 @@ impl<'p> Baseline<'p> {
 mod tests {
     use super::*;
     use ff_isa::reg::{IntReg, PredReg};
-    use ff_isa::{ArchState, CmpKind, ProgramBuilder};
+    use ff_isa::{ArchState, CmpKind, MemoryImage, Program, ProgramBuilder};
 
     fn r(i: u8) -> IntReg {
         IntReg::n(i)

@@ -1,108 +1,31 @@
 //! Helpers shared by the pipeline engines.
 
-use crate::config::{FuSlots, OpLatencies};
-use ff_isa::{FuClass, LatencyClass, Opcode};
+use crate::config::FuSlots;
+use ff_isa::FuClass;
 
-/// Fixed execution latency of a non-load operation.
-///
-/// Loads are variable latency (the hierarchy decides); this returns the
-/// L1-hit-independent portion, i.e. callers must not pass loads here.
-///
-/// # Panics
-///
-/// Panics (debug) if called with a load.
-#[must_use]
-pub fn op_latency(op: &Opcode, lat: &OpLatencies) -> u64 {
-    let lc = op.latency_class();
-    debug_assert!(lc != LatencyClass::Load, "loads have no fixed latency");
-    lat.for_class(lc, lat.int)
-}
-
-/// Per-cycle functional-unit slot usage tracker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlotUsage {
-    /// ALU slots consumed.
-    pub alu: usize,
-    /// Memory slots consumed.
-    pub mem: usize,
-    /// FP slots consumed.
-    pub fp: usize,
-    /// Branch slots consumed.
-    pub branch: usize,
-}
-
-impl SlotUsage {
-    /// Total operations counted.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.alu + self.mem + self.fp + self.branch
-    }
-
-    /// Whether `op` would still fit under `slots` and `issue_width` after
-    /// the usage so far.
-    #[must_use]
-    pub fn fits(&self, op: &Opcode, slots: &FuSlots, issue_width: usize) -> bool {
-        self.fits_class(op.fu_class(), slots, issue_width)
-    }
-
-    /// Whether one more operation of class `fu` would still fit.
-    #[must_use]
-    pub fn fits_class(&self, fu: FuClass, slots: &FuSlots, issue_width: usize) -> bool {
-        if self.total() >= issue_width {
-            return false;
-        }
-        match fu {
-            FuClass::Alu => self.alu < slots.alu,
-            FuClass::Mem => self.mem < slots.mem,
-            FuClass::Fp => self.fp < slots.fp,
-            FuClass::Branch => self.branch < slots.branch,
-        }
-    }
-
-    /// Records `op` as issued.
-    pub fn take(&mut self, op: &Opcode) {
-        self.take_class(op.fu_class());
-    }
-
-    /// Records one operation of class `fu` as issued.
-    pub fn take_class(&mut self, fu: FuClass) {
-        match fu {
-            FuClass::Alu => self.alu += 1,
-            FuClass::Mem => self.mem += 1,
-            FuClass::Fp => self.fp += 1,
-            FuClass::Branch => self.branch += 1,
-        }
-    }
-}
-
-/// Length of the longest prefix of `ops` that fits one cycle's slots.
-/// Always at least 1 when `ops` is non-empty (an oversized single
-/// instruction still issues alone).
-#[must_use]
-pub fn fitting_prefix<'a, I>(ops: I, slots: &FuSlots, issue_width: usize) -> usize
-where
-    I: IntoIterator<Item = &'a Opcode>,
-{
-    fitting_prefix_classes(ops.into_iter().map(Opcode::fu_class), slots, issue_width)
-}
-
-/// [`fitting_prefix`] over pre-decoded FU classes, for engines that keep
-/// a [`crate::decoded::DecodedProgram`] and never touch the opcodes on
-/// the slot-packing path.
+/// Length of the longest prefix of the FU `classes` that fits one
+/// cycle's slots and `issue_width`. Always at least 1 when `classes` is
+/// non-empty (an oversized single instruction still issues alone).
 #[must_use]
 pub fn fitting_prefix_classes<I>(classes: I, slots: &FuSlots, issue_width: usize) -> usize
 where
     I: IntoIterator<Item = FuClass>,
 {
-    let mut usage = SlotUsage::default();
+    // Slots taken so far per class: ALU, memory, FP, branch.
+    let mut used = [0usize; 4];
     let mut n = 0;
     for fu in classes {
-        if usage.fits_class(fu, slots, issue_width) {
-            usage.take_class(fu);
-            n += 1;
-        } else {
+        let (class, cap) = match fu {
+            FuClass::Alu => (0, slots.alu),
+            FuClass::Mem => (1, slots.mem),
+            FuClass::Fp => (2, slots.fp),
+            FuClass::Branch => (3, slots.branch),
+        };
+        if n >= issue_width || used[class] >= cap {
             break;
         }
+        used[class] += 1;
+        n += 1;
     }
     n.max(1)
 }
@@ -110,69 +33,31 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_isa::reg::IntReg;
-
-    fn alu() -> Opcode {
-        Opcode::AddI { d: IntReg::n(1), a: IntReg::n(1), imm: 1 }
-    }
-
-    fn ld() -> Opcode {
-        Opcode::Ld {
-            d: IntReg::n(1),
-            base: IntReg::n(2),
-            off: 0,
-            size: ff_isa::MemSize::B8,
-            signed: false,
-        }
-    }
-
-    #[test]
-    fn latency_mapping() {
-        let lat = OpLatencies::defaults();
-        assert_eq!(op_latency(&alu(), &lat), 1);
-        assert_eq!(
-            op_latency(&Opcode::Mul { d: IntReg::n(1), a: IntReg::n(1), b: IntReg::n(1) }, &lat),
-            3
-        );
-        assert_eq!(
-            op_latency(
-                &Opcode::FDiv {
-                    d: ff_isa::FpReg::n(1),
-                    a: ff_isa::FpReg::n(1),
-                    b: ff_isa::FpReg::n(1)
-                },
-                &lat
-            ),
-            16
-        );
-    }
+    use FuClass::{Alu, Branch, Mem};
 
     #[test]
     fn slot_limits_respected() {
         let slots = FuSlots::paper_table1();
-        let ops: Vec<Opcode> = (0..4).map(|_| ld()).collect();
         // Only 3 memory slots per cycle.
-        assert_eq!(fitting_prefix(ops.iter(), &slots, 8), 3);
+        assert_eq!(fitting_prefix_classes([Mem; 4], &slots, 8), 3);
     }
 
     #[test]
     fn issue_width_caps_group() {
         let slots = FuSlots { alu: 16, mem: 16, fp: 16, branch: 16 };
-        let ops: Vec<Opcode> = (0..12).map(|_| alu()).collect();
-        assert_eq!(fitting_prefix(ops.iter(), &slots, 8), 8);
+        assert_eq!(fitting_prefix_classes([Alu; 12], &slots, 8), 8);
     }
 
     #[test]
     fn single_instruction_always_issues() {
         let slots = FuSlots { alu: 0, mem: 0, fp: 0, branch: 0 };
-        let ops = [alu()];
-        assert_eq!(fitting_prefix(ops.iter(), &slots, 8), 1);
+        assert_eq!(fitting_prefix_classes([Alu], &slots, 8), 1);
     }
 
     #[test]
     fn mixed_group_fits_paper_slots() {
         let slots = FuSlots::paper_table1();
-        let ops = [alu(), alu(), alu(), alu(), alu(), ld(), ld(), Opcode::Br { target: 0 }];
-        assert_eq!(fitting_prefix(ops.iter(), &slots, 8), 8);
+        let group = [Alu, Alu, Alu, Alu, Alu, Mem, Mem, Branch];
+        assert_eq!(fitting_prefix_classes(group, &slots, 8), 8);
     }
 }

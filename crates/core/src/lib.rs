@@ -3,16 +3,21 @@
 //! Cycle-level simulators reproducing Barnes et al., *"Beating in-order
 //! stalls with 'flea-flicker' two-pass pipelining"* (MICRO 2003):
 //!
-//! * [`baseline`] — the traditional in-order EPIC machine (`base`)
-//! * [`two_pass`] — the paper's contribution: A-pipe + coupling queue +
-//!   B-pipe (`2P`, and `2Pre` with regrouping)
-//! * [`runahead`] — a checkpoint-based runahead comparator (§2)
+//! * [`engine`] — the one clock engine every model runs on: shared
+//!   machine state, the cycle loop, fast-forward, tracing hooks and
+//!   report assembly, generic over an issue [`engine::Policy`]
+//! * three policies — [`baseline`], the traditional in-order EPIC
+//!   machine (`base`); [`two_pass`], the paper's contribution: A-pipe +
+//!   coupling queue + B-pipe (`2P`, and `2Pre` with regrouping); and
+//!   [`runahead`], the baseline issue stage plus checkpointed runahead
+//!   episodes (the §2 comparator)
+//! * [`run_model`] — builds and runs any [`ModelKind`]
 //! * [`config`], [`accounting`], [`report`] — machine configuration,
 //!   the six-class cycle accounting of Figure 6, and run reports
 //!
-//! All engines execute programs *functionally* while modeling timing, so
+//! All models execute programs *functionally* while modeling timing, so
 //! caches see real addresses and predictors real outcomes, and every
-//! engine's final architectural state is differentially checked against
+//! model's final architectural state is differentially checked against
 //! the `ff-isa` golden interpreter.
 
 #![warn(missing_docs)]
@@ -23,6 +28,7 @@ pub mod accounting;
 pub mod baseline;
 pub mod config;
 pub mod decoded;
+pub mod engine;
 pub mod exec_common;
 pub mod frontend;
 pub mod metrics;
@@ -40,6 +46,7 @@ pub use baseline::Baseline;
 pub use config::{
     FeedbackLatency, FuSlots, MachineConfig, OpLatencies, ThrottleConfig, TwoPassConfig,
 };
+pub use engine::run_model;
 pub use metrics::{
     CounterEntry, Histogram, HistogramEntry, MetricSource, MetricsBuilder, MetricsSnapshot,
 };

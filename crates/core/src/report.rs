@@ -55,6 +55,12 @@ pub enum ModelKind {
     Runahead,
 }
 
+impl ModelKind {
+    /// Every model, in display order.
+    pub const ALL: [ModelKind; 4] =
+        [ModelKind::Baseline, ModelKind::TwoPass, ModelKind::TwoPassRegroup, ModelKind::Runahead];
+}
+
 impl fmt::Display for ModelKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -63,6 +69,19 @@ impl fmt::Display for ModelKind {
             ModelKind::TwoPassRegroup => "2Pre",
             ModelKind::Runahead => "runahead",
         })
+    }
+}
+
+/// Parses a display name case-insensitively (`base`, `2p`, `2Pre`,
+/// `runahead`, ...).
+impl std::str::FromStr for ModelKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        ModelKind::ALL
+            .into_iter()
+            .find(|kind| kind.to_string().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown model `{s}` (expected base, 2p, 2pre or runahead)"))
     }
 }
 
@@ -485,6 +504,19 @@ mod tests {
         assert_eq!(ModelKind::Baseline.to_string(), "base");
         assert_eq!(ModelKind::TwoPass.to_string(), "2P");
         assert_eq!(ModelKind::TwoPassRegroup.to_string(), "2Pre");
+    }
+
+    #[test]
+    fn model_kind_round_trips_through_its_names() {
+        for kind in ModelKind::ALL {
+            assert_eq!(kind.to_string().parse::<ModelKind>(), Ok(kind));
+        }
+        let cli = ["base", "2p", "2pre", "runahead"];
+        for (name, kind) in cli.into_iter().zip(ModelKind::ALL) {
+            assert_eq!(name.parse::<ModelKind>(), Ok(kind), "{name}");
+        }
+        assert!("2q".parse::<ModelKind>().is_err());
+        assert!("".parse::<ModelKind>().is_err());
     }
 
     #[test]

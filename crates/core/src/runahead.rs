@@ -9,25 +9,25 @@
 //! **all runahead results are discarded** (the contrast the paper draws:
 //! two-pass pipelining *keeps* its pre-executed work).
 //!
+//! Outside an episode the machine *is* the baseline: [`RunaheadPolicy`]
+//! wraps [`BaselinePolicy`] and only reacts when it reports a load stall.
+//!
 //! Modeling choices (documented in DESIGN.md): runahead stores write a
 //! private overlay (forwarded to runahead loads, discarded at exit);
 //! branches with INV conditions follow the predictor; the predictor is
 //! trained only by architectural execution; exit charges a small
 //! restart penalty plus a front-end refill.
 
-use crate::accounting::{
-    CauseBreakdown, CycleBreakdown, CycleClass, StallAttr, StallCause, StallProfile,
-};
+use crate::accounting::{CycleClass, StallAttr};
+use crate::baseline::BaselinePolicy;
 use crate::config::MachineConfig;
-use crate::decoded::DecodedProgram;
-use crate::exec_common::fitting_prefix_classes;
-use crate::frontend::{Frontend, FrontendConfig};
-use crate::report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport};
-use crate::sink::{SinkHandle, TraceSink};
-use crate::trace::{Trace, TraceEvent};
+use crate::engine::{Core, Engine, Policy, RegBits, Step};
+use crate::metrics::{MetricSource, MetricsBuilder};
+use crate::report::{ModelKind, Pipe, SimReport};
+use crate::sink::SinkHandle;
+use crate::trace::TraceEvent;
 use ff_isa::reg::TOTAL_REGS;
-use ff_isa::{evaluate, load_write, Effect, MemoryImage, Program};
-use ff_mem::{DataHierarchy, MemLevel, MshrFile};
+use ff_isa::{evaluate, load_write, Effect, MemoryImage};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -42,6 +42,15 @@ pub struct RunaheadStats {
     pub runahead_loads: u64,
     /// Runahead instructions whose results were discarded.
     pub discarded_instrs: u64,
+}
+
+impl MetricSource for RunaheadStats {
+    fn export_metrics(&self, m: &mut MetricsBuilder) {
+        m.counter("episodes", self.episodes)
+            .counter("cycles", self.runahead_cycles)
+            .counter("loads", self.runahead_loads)
+            .counter("discarded_instrs", self.discarded_instrs);
+    }
 }
 
 /// Cycles charged when leaving runahead mode (checkpoint restore).
@@ -66,37 +75,14 @@ const EXIT_PENALTY: u64 = 2;
 /// assert_eq!(report.retired, 2);
 /// # Ok::<(), ff_isa::BuildProgramError>(())
 /// ```
-#[derive(Debug)]
-pub struct Runahead<'p> {
-    cfg: MachineConfig,
-    frontend: Frontend<'p>,
-    /// Per-pc pre-decoded metadata (sources, dests, FU class, latency).
-    code: DecodedProgram,
-    regs: [u64; TOTAL_REGS],
-    ready_at: [u64; TOTAL_REGS],
-    pending_load: [bool; TOTAL_REGS],
-    mem_img: MemoryImage,
-    hier: DataHierarchy,
-    mshrs: MshrFile,
-    cycle: u64,
-    retired: u64,
-    halted: bool,
-    /// In-flight fills awaiting a `MissEnd` event, as `(fill_at, addr,
-    /// level)`. Populated only while a trace sink is attached.
-    pending_misses: Vec<(u64, u64, MemLevel)>,
-    breakdown: CycleBreakdown,
-    /// Refined per-cause accounting (collapses onto `breakdown`).
-    breakdown2: CauseBreakdown,
-    /// Per-PC stall attribution for the profile table.
-    profile: StallProfile,
-    /// Refined stall cause most recently charged to each register.
-    reg_cause: [StallCause; TOTAL_REGS],
-    /// PC of the instruction that last wrote each register.
-    reg_pc: [usize; TOTAL_REGS],
-    mem_stats: MemAccessStats,
-    branches: BranchStats,
+pub type Runahead<'p> = Engine<'p, RunaheadPolicy>;
+
+/// The runahead issue policy: the baseline issue stage plus episodes.
+#[derive(Debug, Default)]
+pub struct RunaheadPolicy {
+    base: BaselinePolicy,
     ra: Option<RaMode>,
-    ra_stats: RunaheadStats,
+    stats: RunaheadStats,
 }
 
 /// Speculative state alive only during a runahead episode.
@@ -107,7 +93,7 @@ struct RaMode {
     /// PC of the stalled group, to refetch at exit.
     resume_pc: usize,
     /// Speculative register bits.
-    regs: [u64; TOTAL_REGS],
+    regs: RegBits,
     /// INV marks.
     inv: [bool; TOTAL_REGS],
     /// Per-register availability within runahead.
@@ -142,536 +128,102 @@ impl RaMode {
     }
 }
 
-impl<'p> Runahead<'p> {
-    /// Creates a runahead machine over `program` with initial memory.
-    #[must_use]
-    pub fn new(program: &'p Program, mem: MemoryImage, cfg: MachineConfig) -> Self {
-        let fe_cfg = FrontendConfig {
-            fetch_width: cfg.issue_width,
-            buffer_capacity: cfg.fetch_buffer,
-            icache_miss_latency: cfg.icache_miss_latency,
-            icache: ff_mem::CacheGeometry::new(16 * 1024, 4, 64),
-        };
-        let frontend = Frontend::new(program, cfg.predictor.build(), fe_cfg);
-        let code = DecodedProgram::new(program, &cfg.latencies);
-        let hier = DataHierarchy::new(cfg.hierarchy).expect("valid hierarchy");
-        let mshrs = MshrFile::new(cfg.max_outstanding_loads);
-        Runahead {
-            cfg,
-            frontend,
-            code,
-            regs: [0; TOTAL_REGS],
-            ready_at: [0; TOTAL_REGS],
-            pending_load: [false; TOTAL_REGS],
-            mem_img: mem,
-            hier,
-            mshrs,
-            cycle: 0,
-            retired: 0,
-            halted: false,
-            pending_misses: Vec::new(),
-            breakdown: CycleBreakdown::new(),
-            breakdown2: CauseBreakdown::new(),
-            profile: StallProfile::new(),
-            reg_cause: [StallCause::DepOther; TOTAL_REGS],
-            reg_pc: [0; TOTAL_REGS],
-            mem_stats: MemAccessStats::default(),
-            branches: BranchStats::default(),
-            ra: None,
-            ra_stats: RunaheadStats::default(),
-        }
-    }
-
-    /// Runs until `halt` retires or `max_instrs` instructions retire.
-    #[must_use]
-    pub fn run(self, max_instrs: u64) -> SimReport {
-        self.run_with_state(max_instrs).0
-    }
-
-    /// Runs with every pipeline event streamed into `sink` (see
-    /// [`crate::sink`] for bounded and streaming sinks).
-    #[must_use]
-    pub fn run_with_sink(mut self, max_instrs: u64, sink: &mut dyn TraceSink) -> SimReport {
-        let mut handle = SinkHandle::on(sink);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        self.into_report()
-    }
-
-    /// Runs with event tracing enabled, returning the report and the
-    /// recorded in-memory [`Trace`].
-    #[must_use]
-    pub fn run_traced(mut self, max_instrs: u64) -> (SimReport, Trace) {
-        let mut trace = Trace::new();
-        let mut handle = SinkHandle::on(&mut trace);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        (self.into_report(), trace)
-    }
-
-    /// Runs to completion, returning final architectural state as well.
-    #[must_use]
-    pub fn run_with_state(
-        mut self,
-        max_instrs: u64,
-    ) -> (SimReport, [u64; TOTAL_REGS], MemoryImage) {
-        self.run_loop(max_instrs, &mut SinkHandle::off());
-        let regs = self.regs;
-        let mem = self.mem_img.clone();
-        (self.into_report(), regs, mem)
-    }
-
-    /// Runs with tracing *and* returns the final architectural state —
-    /// one simulation serving both the retirement-order and final-state
-    /// halves of a differential check (see `ff-verify`).
-    #[must_use]
-    pub fn run_traced_with_state(
-        mut self,
-        max_instrs: u64,
-    ) -> (SimReport, Trace, [u64; TOTAL_REGS], MemoryImage) {
-        let mut trace = Trace::new();
-        let mut handle = SinkHandle::on(&mut trace);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        let regs = self.regs;
-        let mem = self.mem_img.clone();
-        (self.into_report(), trace, regs, mem)
-    }
-
-    fn run_loop(&mut self, max_instrs: u64, sink: &mut SinkHandle) {
-        let cycle_cap = max_instrs.saturating_mul(500).max(1_000_000);
-        let mut last_class: Option<CycleClass> = None;
-        let mut last_attr: Option<StallAttr> = None;
-        while !self.halted && self.retired < max_instrs {
-            assert!(
-                self.cycle < cycle_cap,
-                "runahead simulation livelocked at cycle {} (retired {})",
-                self.cycle,
-                self.retired
-            );
-            self.frontend.tick(self.cycle);
-            if sink.is_on() {
-                self.drain_pending_misses(sink);
-            }
-            let (class, attr, wake) =
-                if self.ra.is_some() { self.ra_step(sink) } else { self.normal_step(sink) };
-            self.breakdown.charge(class);
-            self.breakdown2.charge(attr.cause);
-            if let Some(pc) = attr.pc {
-                self.profile.record(pc, attr.cause);
-            }
-            if sink.is_on() {
-                if last_class != Some(class) {
-                    let from = last_class.unwrap_or(class);
-                    sink.emit_with(|| TraceEvent::ClassTransition {
-                        cycle: self.cycle,
-                        from,
-                        to: class,
-                    });
-                    last_class = Some(class);
-                }
-                if last_attr != Some(attr) {
-                    sink.emit_with(|| TraceEvent::CauseTransition {
-                        cycle: self.cycle,
-                        cause: attr.cause,
-                        pc: attr.pc.map(|p| p as u64),
-                    });
-                    last_attr = Some(attr);
-                }
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: self.cycle,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(self.cycle) as u32,
-                });
-            }
-            self.cycle += 1;
-            if self.ra.is_none()
-                && self.frontend.is_drained()
-                && self.frontend.complete_group_len().is_none()
-                && !self.halted
-            {
-                break;
-            }
-            if self.cfg.fast_forward && class != CycleClass::Unstalled {
-                self.fast_forward(class, attr, wake, sink);
-            }
-        }
-    }
-
-    /// Event-driven fast-forward across a provably identical idle span
-    /// (see [`crate::Baseline`] for the scheme). Skipped runahead-mode
-    /// cycles also bulk-charge `runahead_cycles`, exactly as ticking
-    /// each idle episode cycle would.
-    fn fast_forward(
-        &mut self,
-        class: CycleClass,
-        attr: StallAttr,
-        wake: Option<u64>,
-        sink: &mut SinkHandle,
-    ) {
-        let Some(wake) = wake else { return };
-        let target = if self.frontend.is_stopped_or_full() {
-            wake
-        } else {
-            wake.min(self.frontend.resume_at())
-        };
-        if target <= self.cycle {
-            return;
-        }
-        #[cfg(feature = "audit")]
-        assert_eq!(
-            self.probe_stall(target - 1),
-            Some((class, attr)),
-            "fast-forwarded span [{}, {target}) had an enabled event",
-            self.cycle,
-        );
-        let span = target - self.cycle;
-        self.breakdown.charge_n(class, span);
-        self.breakdown2.charge_n(attr.cause, span);
-        if let Some(pc) = attr.pc {
-            self.profile.record_n(pc, attr.cause, span);
-        }
-        if self.ra.is_some() {
-            self.ra_stats.runahead_cycles += span;
-        }
-        if sink.is_on() {
-            for c in self.cycle..target {
-                self.cycle = c;
-                self.drain_pending_misses(sink);
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: c,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(c) as u32,
-                });
-            }
-        }
-        self.cycle = target;
-    }
-
-    /// Emits `MissEnd` for every booked fill that has completed.
-    fn drain_pending_misses(&mut self, sink: &mut SinkHandle) {
-        let now = self.cycle;
-        let mut i = 0;
-        while i < self.pending_misses.len() {
-            if self.pending_misses[i].0 <= now {
-                let (fill_at, addr, level) = self.pending_misses.swap_remove(i);
-                sink.emit_with(|| TraceEvent::MissEnd { cycle: fill_at, addr, level });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Refined attribution for a front-end stall cycle: an in-progress
-    /// refill (redirect / icache miss) versus a simply empty buffer.
-    fn frontend_attr(&self) -> StallAttr {
-        if self.frontend.is_refilling(self.cycle) {
-            StallAttr::new(StallCause::FeRefill)
-        } else {
-            StallAttr::new(StallCause::FeEmpty)
-        }
-    }
-
-    /// Normal-mode issue: identical to the baseline, except a load-use
-    /// stall flips the machine into runahead instead of idling. On a
-    /// stall, the third element is the fast-forward wake hint (`None`
-    /// when the next cycle may differ — e.g. a runahead episode just
-    /// opened, or fetch is actively filling the buffer).
-    fn normal_step(&mut self, sink: &mut SinkHandle) -> (CycleClass, StallAttr, Option<u64>) {
-        let Some(group_len) = self.frontend.complete_group_len() else {
-            let wake = self.frontend.is_refilling(self.cycle).then(|| self.frontend.resume_at());
-            return (CycleClass::FrontEndStall, self.frontend_attr(), wake);
-        };
-
-        // Dependence check at issue-group granularity.
-        let mut block: Option<(CycleClass, usize, u64, StallAttr)> = None;
-        'outer: for i in 0..group_len {
-            let pc = self.frontend.peek(i).pc;
-            let d = self.code.at(pc);
-            for reg in d.srcs.iter().chain(d.dests.iter()) {
-                let idx = reg.index();
-                if self.ready_at[idx] > self.cycle {
-                    let class = if self.pending_load[idx] {
-                        CycleClass::LoadStall
-                    } else {
-                        CycleClass::NonLoadDepStall
-                    };
-                    let attr = StallAttr::at(self.reg_cause[idx], self.reg_pc[idx]);
-                    debug_assert_eq!(attr.cause.class(), class);
-                    block = Some((class, pc, self.ready_at[idx], attr));
-                    break 'outer;
-                }
-            }
-        }
-        if let Some((class, _stall_pc, until, attr)) = block {
-            if class == CycleClass::LoadStall {
-                // The whole group stalls (EPIC group-at-once issue), so
-                // the episode must refetch from the group *head*: the
-                // blocked instruction may be a later member, and any
-                // members before it have not executed architecturally.
-                let head_pc = self.frontend.peek(0).pc;
-                self.enter_runahead(head_pc, until, attr, sink);
-                // The next cycle runs in runahead mode — never skip it.
-                return (class, attr, None);
-            }
-            return (class, attr, Some(until));
-        }
-
-        let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
-        );
-        if let Some(i) = (0..n).find(|&i| self.code.at(self.frontend.peek(i).pc).is_load) {
-            if !self.mshrs.has_room(self.cycle) {
-                let pc = self.frontend.peek(i).pc;
-                return (
-                    CycleClass::ResourceStall,
-                    StallAttr::at(StallCause::ResMshr, pc),
-                    self.mshrs.next_wakeup(self.cycle),
-                );
-            }
-        }
-
-        let head_seq = self.frontend.peek(0).seq;
-        let mut issued = 0;
-        let mut redirect: Option<(usize, u64)> = None;
-        for i in 0..n {
-            let f = *self.frontend.peek(i);
-            self.retired += 1;
-            issued += 1;
-            // Single-pipe normal mode: fetch and retire share the cycle.
-            // Speculative runahead-episode instructions get no lifecycle
-            // events (their seqs are reused after the checkpoint restore);
-            // `RunaheadEnter`/`RunaheadExit` bound those spans instead.
-            sink.emit_with(|| TraceEvent::Fetch { cycle: self.cycle, seq: f.seq, pc: f.pc });
-            sink.emit_with(|| TraceEvent::BRetire {
-                cycle: self.cycle,
-                seq: f.seq,
-                pc: f.pc,
-                was_deferred: false,
-            });
-            let d = self.code.at(f.pc);
-            let lat = d.latency;
-            let cause = d.dep_cause;
-            let conditional = d.insn.qp.is_some();
-            let effect = evaluate(&d.insn, &self.regs);
-            match effect {
-                Effect::Nullified | Effect::Nop => {}
-                Effect::Write(writes) => {
-                    for w in writes.iter() {
-                        self.regs[w.reg.index()] = w.bits;
-                        self.ready_at[w.reg.index()] = self.cycle + lat;
-                        self.pending_load[w.reg.index()] = false;
-                        self.reg_cause[w.reg.index()] = cause;
-                        self.reg_pc[w.reg.index()] = f.pc;
-                    }
-                }
-                Effect::Load { addr, size, signed, dest } => {
-                    let raw = self.mem_img.load(addr, size);
-                    let out = self.hier.load(addr);
-                    let (done, eff_level) =
-                        self.book_load(addr, out.level, out.latency, Pipe::B, sink);
-                    self.mem_stats.record_load(Pipe::B, out.level, out.latency);
-                    self.regs[dest.index()] = load_write(raw, size, signed);
-                    self.ready_at[dest.index()] = done;
-                    self.pending_load[dest.index()] = true;
-                    self.reg_cause[dest.index()] = StallCause::load(eff_level);
-                    self.reg_pc[dest.index()] = f.pc;
-                }
-                Effect::Store { addr, size, bits } => {
-                    self.mem_img.write(addr, size, bits);
-                    let _ = self.hier.store(addr);
-                }
-                Effect::Branch { taken, target } => {
-                    if conditional {
-                        self.branches.retired += 1;
-                        self.frontend.predictor_mut().update(f.pc as u64, taken);
-                        if taken != f.predicted_taken {
-                            self.branches.mispredicted += 1;
-                            self.branches.repaired_in_a += 1;
-                            let correct = if taken { target } else { f.pc + 1 };
-                            redirect = Some((correct, self.cycle + self.cfg.adet_penalty()));
-                            break;
-                        }
-                    }
-                    if taken {
-                        break;
-                    }
-                }
-                Effect::Halt => {
-                    self.halted = true;
-                    break;
-                }
-            }
-        }
-        self.frontend.consume(issued);
-        if issued > 0 {
-            sink.emit_with(|| TraceEvent::GroupDispatch {
-                cycle: self.cycle,
-                pipe: Pipe::B,
-                head_seq,
-                len: issued as u32,
-            });
-        }
-        if let Some((pc, at)) = redirect {
-            sink.emit_with(|| TraceEvent::ARedirect { cycle: self.cycle, pc });
-            self.frontend.redirect(pc, at);
-        }
-        (CycleClass::Unstalled, StallAttr::new(StallCause::Issue), None)
-    }
-
-    /// Audit probe: re-derives the idle classification as of cycle `at`
-    /// without side effects, to check that a fast-forwarded span truly
-    /// had no enabled event on its final skipped cycle.
-    #[cfg(feature = "audit")]
-    fn probe_stall(&self, at: u64) -> Option<(CycleClass, StallAttr)> {
-        if let Some(ra) = &self.ra {
-            // A skipped runahead cycle must be idle: episode still open
-            // and nothing issuable.
-            assert!(at < ra.until, "fast-forward overran the episode end");
-            assert!(
-                ra.done || self.frontend.complete_group_len().is_none(),
-                "fast-forwarded runahead span had an issuable group"
-            );
-            return Some((CycleClass::LoadStall, ra.attr));
-        }
-        let Some(group_len) = self.frontend.complete_group_len() else {
-            let cause = if self.frontend.is_refilling(at) {
-                StallCause::FeRefill
-            } else {
-                StallCause::FeEmpty
-            };
-            return Some((CycleClass::FrontEndStall, StallAttr::new(cause)));
-        };
-        for i in 0..group_len {
-            let pc = self.frontend.peek(i).pc;
-            let d = self.code.at(pc);
-            for reg in d.srcs.iter().chain(d.dests.iter()) {
-                let idx = reg.index();
-                if self.ready_at[idx] > at {
-                    let class = if self.pending_load[idx] {
-                        CycleClass::LoadStall
-                    } else {
-                        CycleClass::NonLoadDepStall
-                    };
-                    return Some((class, StallAttr::at(self.reg_cause[idx], self.reg_pc[idx])));
-                }
-            }
-        }
-        let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
-        );
-        if let Some(i) = (0..n).find(|&i| self.code.at(self.frontend.peek(i).pc).is_load) {
-            if !self.mshrs.has_room(at) {
-                let pc = self.frontend.peek(i).pc;
-                return Some((CycleClass::ResourceStall, StallAttr::at(StallCause::ResMshr, pc)));
-            }
-        }
-        None
-    }
-
+impl RunaheadPolicy {
+    /// Checkpoints the architectural state and opens an episode that
+    /// lasts until the blocking load returns at `until`.
     fn enter_runahead(
         &mut self,
-        stall_pc: usize,
+        core: &Core<'_>,
         until: u64,
         attr: StallAttr,
         sink: &mut SinkHandle,
     ) {
-        self.ra_stats.episodes += 1;
-        sink.emit_with(|| TraceEvent::RunaheadEnter { cycle: self.cycle, pc: stall_pc });
+        // The whole group stalls (EPIC group-at-once issue), so the
+        // episode must refetch from the group *head*: the blocked
+        // instruction may be a later member, and any members before it
+        // have not executed architecturally.
+        let resume_pc = core.frontend.peek(0).pc;
+        self.stats.episodes += 1;
+        sink.emit_with(|| TraceEvent::RunaheadEnter { cycle: core.cycle, pc: resume_pc });
         self.ra = Some(RaMode {
             until,
-            resume_pc: stall_pc,
-            regs: self.regs,
+            resume_pc,
+            regs: core.arch.regs,
             inv: [false; TOTAL_REGS],
-            ready_at: self.ready_at,
+            ready_at: core.arch.ready_at,
             stores: HashMap::new(),
             done: false,
-            discarded_at_entry: self.ra_stats.discarded_instrs,
+            discarded_at_entry: self.stats.discarded_instrs,
             attr,
         });
     }
 
     /// One cycle of runahead pre-execution. Architecturally the machine
     /// is still stalled on the blocking load, so the cycle is charged as
-    /// a load stall. On an idle runahead cycle (episode done, or fetch
-    /// starved), the third element is the fast-forward wake hint.
-    fn ra_step(&mut self, sink: &mut SinkHandle) -> (CycleClass, StallAttr, Option<u64>) {
-        let mut ra = self.ra.take().expect("in runahead mode");
-        self.ra_stats.runahead_cycles += 1;
+    /// a load stall.
+    fn ra_step(&mut self, mut ra: RaMode, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
+        self.stats.runahead_cycles += 1;
         let attr = ra.attr;
 
-        if self.cycle >= ra.until {
-            // Blocking load returned: restore the checkpoint and refetch
-            // from the stalled group.
+        if core.cycle >= ra.until {
+            // Blocking load returned: restore the checkpoint (by leaving
+            // the episode state behind) and refetch from the stalled group.
             sink.emit_with(|| TraceEvent::RunaheadExit {
-                cycle: self.cycle,
+                cycle: core.cycle,
                 pc: ra.resume_pc,
-                discarded: self.ra_stats.discarded_instrs - ra.discarded_at_entry,
+                discarded: self.stats.discarded_instrs - ra.discarded_at_entry,
             });
-            self.frontend.redirect(ra.resume_pc, self.cycle + EXIT_PENALTY);
+            core.frontend.redirect(ra.resume_pc, core.cycle + EXIT_PENALTY);
             return (CycleClass::LoadStall, attr, None);
         }
 
-        let mut wake = None;
-        if ra.done {
-            // Ran off a halt: nothing left to pre-execute, idle until the
-            // blocking load returns.
-            wake = Some(ra.until);
-        } else if self.frontend.complete_group_len().is_some() {
-            self.ra_issue(&mut ra, sink);
-        } else {
-            // Fetch-starved runahead cycle: idle until the front end
-            // refills (the run loop caps the jump) or the episode ends.
-            wake = Some(ra.until);
+        // Idle — ran off a halt, or fetch-starved — until the blocking
+        // load returns (the engine caps the jump at a front-end refill).
+        let mut wake = Some(ra.until);
+        if !ra.done {
+            if let Some(group_len) = core.frontend.complete_group_len() {
+                self.ra_issue(&mut ra, group_len, core, sink);
+                wake = None;
+            }
         }
         self.ra = Some(ra);
         (CycleClass::LoadStall, attr, wake)
     }
 
     /// Issues one group speculatively under INV semantics.
-    fn ra_issue(&mut self, ra: &mut RaMode, sink: &mut SinkHandle) {
-        let Some(group_len) = self.frontend.complete_group_len() else {
-            return;
-        };
-        let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
-        );
-
+    fn ra_issue(
+        &mut self,
+        ra: &mut RaMode,
+        group_len: usize,
+        core: &mut Core<'_>,
+        sink: &mut SinkHandle,
+    ) {
+        let n = core.fitting_prefix((0..group_len).map(|i| core.frontend.peek(i).pc));
         let mut issued = 0;
         let mut redirect: Option<usize> = None;
         for i in 0..n {
-            let f = *self.frontend.peek(i);
+            let f = *core.frontend.peek(i);
             issued += 1;
-            self.ra_stats.discarded_instrs += 1;
+            self.stats.discarded_instrs += 1;
 
-            let d = self.code.at(f.pc);
+            let d = core.code.at(f.pc);
             let lat = d.latency;
             let conditional = d.insn.qp.is_some();
 
             // INV / not-yet-ready sources poison the result instead of
             // stalling.
-            let mut poisoned = false;
-            for src in d.srcs.iter() {
-                let idx = src.index();
-                if ra.inv[idx] || ra.ready_at[idx] > self.cycle {
-                    poisoned = true;
-                }
-            }
+            let poisoned = d
+                .srcs
+                .iter()
+                .any(|src| ra.inv[src.index()] || ra.ready_at[src.index()] > core.cycle);
 
-            let effect = evaluate(&d.insn, &ra.regs);
-            match effect {
+            match evaluate(&d.insn, &ra.regs) {
                 Effect::Nullified | Effect::Nop => {}
                 Effect::Write(writes) => {
                     for w in writes.iter() {
                         ra.regs[w.reg.index()] = w.bits;
                         ra.inv[w.reg.index()] = poisoned;
-                        ra.ready_at[w.reg.index()] = self.cycle + lat;
+                        ra.ready_at[w.reg.index()] = core.cycle + lat;
                     }
                 }
                 Effect::Load { addr, size, signed, dest } => {
@@ -679,11 +231,9 @@ impl<'p> Runahead<'p> {
                         ra.inv[dest.index()] = true;
                     } else {
                         // The whole point: initiate the miss early.
-                        let raw = ra.read_mem(&self.mem_img, addr, size);
-                        let out = self.hier.load(addr);
-                        let (done, _) = self.book_load(addr, out.level, out.latency, Pipe::A, sink);
-                        self.mem_stats.record_load(Pipe::A, out.level, out.latency);
-                        self.ra_stats.runahead_loads += 1;
+                        let raw = ra.read_mem(&core.mem_img, addr, size);
+                        let (done, _) = core.book_load(addr, Pipe::A, sink);
+                        self.stats.runahead_loads += 1;
                         ra.regs[dest.index()] = load_write(raw, size, signed);
                         ra.inv[dest.index()] = false;
                         ra.ready_at[dest.index()] = done;
@@ -717,79 +267,72 @@ impl<'p> Runahead<'p> {
                 }
             }
         }
-        self.frontend.consume(issued);
+        core.frontend.consume(issued);
         if let Some(pc) = redirect {
             // In-runahead branch repair: cheap redirect, no episode end.
-            self.frontend.redirect(pc, self.cycle + self.cfg.adet_penalty());
+            core.frontend.redirect(pc, core.cycle + core.cfg.adet_penalty());
+        }
+    }
+}
+
+impl Policy for RunaheadPolicy {
+    fn new(_cfg: &MachineConfig) -> Self {
+        RunaheadPolicy::default()
+    }
+
+    fn kind(&self) -> ModelKind {
+        ModelKind::Runahead
+    }
+
+    fn step(&mut self, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
+        if let Some(ra) = self.ra.take() {
+            return self.ra_step(ra, core, sink);
+        }
+        let (class, attr, wake) = self.base.step(core, sink);
+        if class != CycleClass::LoadStall {
+            return (class, attr, wake);
+        }
+        // A load-use stall opens an episode instead of idling. The next
+        // cycle runs in runahead mode — never skip it.
+        let until = wake.expect("a load stall wakes when its load returns");
+        self.enter_runahead(core, until, attr, sink);
+        (class, attr, None)
+    }
+
+    #[inline]
+    fn charge_span(&mut self, span: u64) {
+        if self.ra.is_some() {
+            self.stats.runahead_cycles += span;
         }
     }
 
-    /// Books a load against the MSHRs, returning its completion cycle and
-    /// the *effective* level the consumer would wait on (a fill-clamped L1
-    /// hit is really waiting on the in-flight fill's level).
-    fn book_load(
-        &mut self,
-        addr: u64,
-        level: MemLevel,
-        latency: u64,
-        pipe: Pipe,
-        sink: &mut SinkHandle,
-    ) -> (u64, MemLevel) {
-        let done = self.cycle + latency;
-        let line = self.cfg.hierarchy.l2.line_of(addr);
-        if level == MemLevel::L1 {
-            // Tags fill at access time, so a "hit" may name a line whose
-            // fill is still in flight: complete no earlier than the fill.
-            return match self.mshrs.pending_fill(self.cycle, line) {
-                Some((fill_done, fill_level)) if fill_done > done => (fill_done, fill_level),
-                _ => (done, MemLevel::L1),
-            };
-        }
-        let fill_at = self.mshrs.request(self.cycle, line, done, level).unwrap_or(done).max(done);
-        if sink.is_on() {
-            sink.emit_with(|| TraceEvent::MissBegin {
-                cycle: self.cycle,
-                pipe,
-                level,
-                addr,
-                fill_at,
-            });
-            self.pending_misses.push((fill_at, addr, level));
-        }
-        (fill_at, level)
+    #[inline]
+    fn drained(&self, core: &Core<'_>) -> bool {
+        self.ra.is_none() && self.base.drained(core)
     }
 
-    /// Runahead-specific statistics.
-    #[must_use]
-    pub fn runahead_stats(&self) -> RunaheadStats {
-        self.ra_stats
+    fn report(self, _report: &mut SimReport, extra: &mut MetricsBuilder) {
+        extra.scope("runahead", &self.stats);
     }
 
-    fn into_report(self) -> SimReport {
-        let mut report = SimReport {
-            model: ModelKind::Runahead,
-            cycles: self.cycle,
-            retired: self.retired,
-            breakdown: self.breakdown,
-            breakdown2: self.breakdown2,
-            stall_profile: self.profile,
-            mem: self.mem_stats,
-            branches: self.branches,
-            hierarchy: *self.hier.stats(),
-            mshr: self.mshrs.stats(),
-            two_pass: None,
-            metrics: crate::metrics::MetricsSnapshot::default(),
+    #[cfg(feature = "audit")]
+    fn audit_span(&mut self, core: &mut Core<'_>, class: CycleClass, attr: StallAttr, target: u64) {
+        let Some(ra) = &self.ra else {
+            return self.base.audit_span(core, class, attr, target);
         };
-        report.collect_metrics();
-        // The runahead counters are model-specific; splice them into the
-        // uniform namespace by hand.
-        let mut b = crate::metrics::MetricsBuilder::new();
-        b.counter("runahead.episodes", self.ra_stats.episodes)
-            .counter("runahead.cycles", self.ra_stats.runahead_cycles)
-            .counter("runahead.loads", self.ra_stats.runahead_loads)
-            .counter("runahead.discarded_instrs", self.ra_stats.discarded_instrs);
-        report.metrics.counters.extend(b.build().counters);
-        report
+        // A skipped runahead cycle must be idle: episode still open and
+        // nothing issuable.
+        assert!(target - 1 < ra.until, "fast-forward overran the episode end");
+        assert!(
+            ra.done || core.frontend.complete_group_len().is_none(),
+            "fast-forwarded runahead span had an issuable group"
+        );
+        assert_eq!(
+            (CycleClass::LoadStall, ra.attr),
+            (class, attr),
+            "fast-forwarded span [{}, {target}) had an enabled event",
+            core.cycle,
+        );
     }
 }
 
@@ -901,23 +444,12 @@ mod tests {
     #[test]
     fn runahead_stats_populated() {
         let (program, mem) = stream_program(64);
-        let mut sim = Runahead::new(&program, mem, cfg());
-        // Drive manually so stats remain accessible.
-        let mut guard = 0;
-        let mut off = SinkHandle::off();
-        while !sim.halted && guard < 1_000_000 {
-            sim.frontend.tick(sim.cycle);
-            let (class, attr, _wake) =
-                if sim.ra.is_some() { sim.ra_step(&mut off) } else { sim.normal_step(&mut off) };
-            sim.breakdown.charge(class);
-            sim.breakdown2.charge(attr.cause);
-            sim.cycle += 1;
-            guard += 1;
-        }
-        let stats = sim.runahead_stats();
-        assert!(stats.episodes > 0);
-        assert!(stats.runahead_loads > 0, "{stats:?}");
-        assert!(stats.runahead_cycles >= stats.episodes);
+        let report = Runahead::new(&program, mem, cfg()).run(1_000_000);
+        let counter = |name| report.metrics.counter(name).unwrap();
+        let episodes = counter("runahead.episodes");
+        assert!(episodes > 0);
+        assert!(counter("runahead.loads") > 0, "{}", report.metrics);
+        assert!(counter("runahead.cycles") >= episodes);
     }
 
     #[test]

@@ -214,6 +214,7 @@ impl<'a> SinkHandle<'a> {
     /// Whether a sink is attached (lets callers skip probe-only work
     /// such as bookkeeping for miss-completion events).
     #[must_use]
+    #[inline]
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
     }

@@ -16,6 +16,7 @@
 //! an FP operation (for stall classification and the optional
 //! stall-on-anticipable-FP policy).
 
+use crate::engine::Scoreboard;
 use ff_isa::reg::TOTAL_REGS;
 use ff_isa::{RegId, RegRead};
 
@@ -152,26 +153,20 @@ impl AFile {
     }
 
     /// Repairs every speculative entry from the architectural B-file
-    /// (B-DET flush / store-conflict flush). `b_ready[i]` carries the
-    /// B-side availability so in-flight B results keep their timing.
-    pub fn repair_from(
-        &mut self,
-        b_bits: &[u64; TOTAL_REGS],
-        b_ready: &[u64; TOTAL_REGS],
-        b_pending_load: &[bool; TOTAL_REGS],
-        now: u64,
-    ) -> usize {
+    /// (B-DET flush / store-conflict flush). The B-side scoreboard's
+    /// availability carries over so in-flight B results keep their timing.
+    pub fn repair_from(&mut self, b: &Scoreboard, now: u64) -> usize {
         let mut repaired = 0;
         for i in 0..TOTAL_REGS {
             let e = &mut self.entries[i];
             if e.s || !e.v {
-                e.bits = b_bits[i];
+                e.bits = b.regs[i];
                 e.v = true;
                 e.s = false;
                 e.dyn_id = ARCH_DYN_ID;
-                e.ready_at = now.max(b_ready[i]);
+                e.ready_at = now.max(b.ready_at[i]);
                 e.producer =
-                    if b_pending_load[i] { ProducerKind::Load } else { ProducerKind::Other };
+                    if b.pending_load[i] { ProducerKind::Load } else { ProducerKind::Other };
                 repaired += 1;
             }
         }
@@ -195,6 +190,7 @@ impl RegRead for AFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accounting::StallCause;
     use ff_isa::reg::IntReg;
 
     fn reg(i: u8) -> RegId {
@@ -253,16 +249,14 @@ mod tests {
     #[test]
     fn repair_restores_only_speculative_entries() {
         let mut f = AFile::new();
-        let mut b_bits = [0u64; TOTAL_REGS];
-        let b_ready = [0u64; TOTAL_REGS];
-        let b_pending = [false; TOTAL_REGS];
-        b_bits[reg(1).index()] = 111;
-        b_bits[reg(2).index()] = 222;
+        let mut b = Scoreboard::new();
+        b.write(reg(1), 111, 0, StallCause::DepOther, 0);
+        b.write(reg(2), 222, 0, StallCause::DepOther, 0);
 
         f.write_executed(reg(1), 77, 5, 0, ProducerKind::Other); // wrong-path pollution
         f.mark_deferred(reg(2), 6);
         // reg(3) untouched: must not be "repaired"
-        let repaired = f.repair_from(&b_bits, &b_ready, &b_pending, 50);
+        let repaired = f.repair_from(&b, 50);
         assert_eq!(repaired, 2);
         assert_eq!(f.read(reg(1)), 111);
         assert_eq!(f.read(reg(2)), 222);
@@ -274,13 +268,10 @@ mod tests {
     #[test]
     fn repair_preserves_b_side_latency() {
         let mut f = AFile::new();
-        let b_bits = [0u64; TOTAL_REGS];
-        let mut b_ready = [0u64; TOTAL_REGS];
-        let mut b_pending = [false; TOTAL_REGS];
-        b_ready[reg(1).index()] = 200;
-        b_pending[reg(1).index()] = true;
+        let mut b = Scoreboard::new();
+        b.write_load(reg(1), 0, 200, ff_mem::MemLevel::Mem, 0);
         f.mark_deferred(reg(1), 3);
-        f.repair_from(&b_bits, &b_ready, &b_pending, 50);
+        f.repair_from(&b, 50);
         assert_eq!(f.source_state(reg(1), 100), SourceState::InFlight(ProducerKind::Load));
         assert_eq!(f.source_state(reg(1), 200), SourceState::Ready);
     }

@@ -4,9 +4,10 @@
 //! store-conflict recovery).
 
 use super::*;
+use crate::accounting::CycleBreakdown;
 use crate::baseline::Baseline;
 use ff_isa::reg::{FpReg, IntReg, PredReg};
-use ff_isa::{ArchState, CmpKind, Program, ProgramBuilder};
+use ff_isa::{ArchState, CmpKind, MemoryImage, Program, ProgramBuilder};
 
 fn r(i: u8) -> IntReg {
     IntReg::n(i)

@@ -28,7 +28,7 @@
 //! no memory edges) and is deliberately *not* claimed as a bound.
 
 use crate::diag::{AnalysisReport, Check, Diagnostic};
-use ff_core::{MachineConfig, OpLatencies};
+use ff_core::{run_model, MachineConfig, ModelKind, OpLatencies};
 use ff_isa::{ArchState, FuClass, Instruction, MemoryImage, Program, RegId, TOTAL_REGS};
 use serde::Serialize;
 
@@ -117,6 +117,20 @@ impl CycleBounds {
     pub fn lower_bound(&self) -> u64 {
         self.dep_height_all_hit.max(self.resource_bound())
     }
+}
+
+/// What the bounds must stay below: the measured cycle count of every
+/// pipeline model on `program` (each run for at most `budget`
+/// instructions), labelled `Base`, `2P`, `2Pre` and `Ra`.
+#[must_use]
+pub fn measured_cycles(
+    program: &Program,
+    mem: &MemoryImage,
+    cfg: &MachineConfig,
+    budget: u64,
+) -> Vec<(&'static str, u64)> {
+    let run = |kind| run_model(kind, program, mem.clone(), cfg.clone(), budget, None).0.cycles;
+    ["Base", "2P", "2Pre", "Ra"].into_iter().zip(ModelKind::ALL.map(run)).collect()
 }
 
 /// Replays `program` on the golden interpreter (up to `budget` dynamic

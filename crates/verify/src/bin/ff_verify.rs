@@ -32,11 +32,11 @@
 //! divergence is found, any bound exceeds a measured run, or — under
 //! `--strict` — any diagnostic at all.
 
-use ff_core::{Baseline, MachineConfig, Runahead, TwoPass};
+use ff_core::MachineConfig;
 use ff_isa::Program;
 use ff_verify::{
-    analyze_program, cycle_bounds, differential_oracle, AnalysisReport, CycleBounds, ScheduleGraph,
-    Severity, ANALYSIS_SCHEMA_VERSION,
+    analyze_program, cycle_bounds, differential_oracle, measured_cycles, AnalysisReport,
+    CycleBounds, ScheduleGraph, Severity, ANALYSIS_SCHEMA_VERSION,
 };
 use ff_workloads::random::{random_program, GeneratorConfig};
 use ff_workloads::{Scale, Workload};
@@ -310,22 +310,6 @@ fn oracle_cmd(args: &[String]) -> Result<bool, String> {
     Ok(ok)
 }
 
-/// Measured cycle counts for every pipeline model on one workload.
-fn run_models(w: &Workload, cfg: &MachineConfig) -> Vec<(&'static str, u64)> {
-    let mut out = Vec::new();
-    out.push((
-        "Base",
-        Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget).cycles,
-    ));
-    for (label, regroup) in [("2P", false), ("2Pre", true)] {
-        let mut c = cfg.clone();
-        c.two_pass.regroup = regroup;
-        out.push((label, TwoPass::new(&w.program, w.memory.clone(), c).run(w.budget).cycles));
-    }
-    out.push(("Ra", Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget).cycles));
-    out
-}
-
 /// Interpreter replay budget: the workload's dynamic-instruction budget
 /// with `issue_width` headroom, so the replay always covers the full
 /// stream the models retire.
@@ -355,7 +339,7 @@ struct BoundsJson {
 
 fn bounds_row(w: &Workload, cfg: &MachineConfig) -> BoundsJson {
     let b = cycle_bounds(&w.program, &w.memory, cfg, replay_budget(w, cfg));
-    let measured: Vec<MeasuredJson> = run_models(w, cfg)
+    let measured: Vec<MeasuredJson> = measured_cycles(&w.program, &w.memory, cfg, w.budget)
         .into_iter()
         .map(|(model, cycles)| MeasuredJson {
             model: model.to_string(),

@@ -38,7 +38,7 @@ pub mod oracle;
 pub mod static_check;
 
 pub use analysis::{
-    cycle_bounds, CriticalStep, CycleBounds, DepEdge, LatencyModel, ScheduleGraph,
+    cycle_bounds, measured_cycles, CriticalStep, CycleBounds, DepEdge, LatencyModel, ScheduleGraph,
     CHAIN_LINT_MIN_LEN,
 };
 pub use diag::{AnalysisReport, Check, Diagnostic, Severity, ANALYSIS_SCHEMA_VERSION};

@@ -25,15 +25,15 @@
 //! feature; building `ff-verify` with `--features audit` turns them on
 //! for every simulation the oracle runs.
 
-use ff_core::{Baseline, MachineConfig, Runahead, TraceEvent, TwoPass};
+use ff_core::{run_model, MachineConfig, ModelKind, Trace, TraceEvent};
 use ff_isa::{ArchState, MemoryImage, Program, RegId, TOTAL_REGS};
 use std::fmt;
 
 /// One model's divergence from the golden interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleFailure {
-    /// Which model diverged (`"baseline"`, `"two-pass"`, …).
-    pub model: &'static str,
+    /// Which model diverged.
+    pub model: ModelKind,
     /// What diverged, with the first point of divergence.
     pub detail: String,
 }
@@ -94,7 +94,7 @@ fn golden(program: &Program, mem: &MemoryImage, budget: u64) -> Golden {
 /// divergence to `failures`.
 #[allow(clippy::too_many_arguments)] // flat comparison record, not behaviour
 fn check_model(
-    model: &'static str,
+    model: ModelKind,
     retired: u64,
     retire_events: &[(u64, usize)],
     regs: &[u64; TOTAL_REGS],
@@ -167,7 +167,7 @@ fn check_model(
     }
 }
 
-fn retire_pcs(trace: &ff_core::Trace) -> Vec<(u64, usize)> {
+fn retire_pcs(trace: &Trace) -> Vec<(u64, usize)> {
     trace
         .events()
         .iter()
@@ -194,23 +194,11 @@ pub fn differential_oracle(
     let want = golden(program, mem, budget);
     let mut failures = Vec::new();
 
-    let (r, t, regs, m) =
-        Baseline::new(program, mem.clone(), cfg.clone()).run_traced_with_state(budget);
-    check_model("baseline", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
-
-    let (r, t, regs, m) =
-        TwoPass::new(program, mem.clone(), cfg.clone()).run_traced_with_state(budget);
-    check_model("two-pass", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
-
-    let mut regroup_cfg = cfg.clone();
-    regroup_cfg.two_pass.regroup = true;
-    let (r, t, regs, m) =
-        TwoPass::new(program, mem.clone(), regroup_cfg).run_traced_with_state(budget);
-    check_model("two-pass+regroup", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
-
-    let (r, t, regs, m) =
-        Runahead::new(program, mem.clone(), cfg.clone()).run_traced_with_state(budget);
-    check_model("runahead", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
+    for kind in ModelKind::ALL {
+        let mut t = Trace::new();
+        let (r, regs, m) = run_model(kind, program, mem.clone(), cfg.clone(), budget, Some(&mut t));
+        check_model(kind, r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
+    }
 
     OracleReport { instrs: want.instrs, halted: want.halted, failures }
 }

@@ -8,8 +8,8 @@
 //! so silent analyzer drift (a lost edge, a latency remap) fails loudly
 //! rather than merely loosening the bound.
 
-use ff_core::{Baseline, MachineConfig, Runahead, TwoPass};
-use ff_verify::cycle_bounds;
+use ff_core::{Baseline, MachineConfig};
+use ff_verify::{cycle_bounds, measured_cycles};
 use ff_workloads::{paper_benchmarks, Scale, Workload};
 
 /// The workload's dynamic-instruction budget with `issue_width`
@@ -63,23 +63,7 @@ fn lower_bound_never_exceeds_any_model_on_any_kernel() {
         assert!(b.halted, "{}: replay must halt", w.name);
         let bound = b.lower_bound();
 
-        let mut measured: Vec<(&str, u64)> = Vec::new();
-        measured.push((
-            "Base",
-            Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget).cycles,
-        ));
-        for (label, regroup) in [("2P", false), ("2Pre", true)] {
-            let mut c = cfg.clone();
-            c.two_pass.regroup = regroup;
-            measured
-                .push((label, TwoPass::new(&w.program, w.memory.clone(), c).run(w.budget).cycles));
-        }
-        measured.push((
-            "Ra",
-            Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget).cycles,
-        ));
-
-        for (model, cycles) in measured {
+        for (model, cycles) in measured_cycles(&w.program, &w.memory, &cfg, w.budget) {
             assert!(
                 bound <= cycles,
                 "{} {model}: lower bound {bound} exceeds measured {cycles} — unsound",

@@ -97,8 +97,7 @@ fn generator_regressions_stay_fixed() {
 /// of any pipeline model.
 #[test]
 fn bounds_hold_on_100_random_programs() {
-    use ff_core::{Baseline, Runahead, TwoPass};
-    use ff_verify::cycle_bounds;
+    use ff_verify::{cycle_bounds, measured_cycles};
 
     let gen_cfg = GeneratorConfig::default();
     let cfg = cfg();
@@ -108,17 +107,7 @@ fn bounds_hold_on_100_random_programs() {
         assert!(b.halted, "seed {seed} did not halt in budget");
         let bound = b.lower_bound();
 
-        let mut measured: Vec<(&str, u64)> = Vec::new();
-        measured
-            .push(("Base", Baseline::new(&program, mem.clone(), cfg.clone()).run(BUDGET).cycles));
-        for (label, regroup) in [("2P", false), ("2Pre", true)] {
-            let mut c = cfg.clone();
-            c.two_pass.regroup = regroup;
-            measured.push((label, TwoPass::new(&program, mem.clone(), c).run(BUDGET).cycles));
-        }
-        measured.push(("Ra", Runahead::new(&program, mem.clone(), cfg.clone()).run(BUDGET).cycles));
-
-        for (model, cycles) in measured {
+        for (model, cycles) in measured_cycles(&program, &mem, &cfg, BUDGET) {
             assert!(
                 bound <= cycles,
                 "seed {seed} {model}: lower bound {bound} (dep {} / res {}) exceeds \

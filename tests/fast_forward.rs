@@ -5,69 +5,46 @@
 //! off. Any divergence here means the skip legality analysis is wrong.
 
 use ff_isa::reg::TOTAL_REGS;
-use fleaflicker::core::{Baseline, JsonlSink, MachineConfig, Runahead, SimReport, TwoPass};
+use fleaflicker::core::{
+    run_model, Baseline, JsonlSink, MachineConfig, ModelKind, SimReport, TraceSink,
+};
 use fleaflicker::workloads::{paper_benchmarks, Scale, Workload};
 
-/// Runs one model under one config twice — traced and untraced — and
-/// returns the report, final registers, and the raw JSONL trace bytes.
+/// Runs one model twice — traced and untraced — and returns the report,
+/// final registers, and the raw JSONL trace bytes.
 fn run_all(
     w: &Workload,
-    cfg: &MachineConfig,
-    label: &str,
+    kind: ModelKind,
+    fast_forward: bool,
 ) -> (SimReport, [u64; TOTAL_REGS], Vec<u8>) {
-    let mut sink = JsonlSink::new(Vec::new());
-    let traced_report = match label {
-        "Base" => Baseline::new(&w.program, w.memory.clone(), cfg.clone())
-            .run_with_sink(w.budget, &mut sink),
-        "Ra" => Runahead::new(&w.program, w.memory.clone(), cfg.clone())
-            .run_with_sink(w.budget, &mut sink),
-        _ => TwoPass::new(&w.program, w.memory.clone(), cfg.clone())
-            .run_with_sink(w.budget, &mut sink),
-    };
-    assert!(!sink.errored(), "{}: {label}: sink errored", w.name);
-    let bytes = sink.into_inner().unwrap();
-
-    let (report, regs) = match label {
-        "Base" => {
-            let (r, regs, _mem) =
-                Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run_with_state(w.budget);
-            (r, regs)
-        }
-        "Ra" => {
-            let (r, regs, _mem) =
-                Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run_with_state(w.budget);
-            (r, regs)
-        }
-        _ => {
-            let (r, regs, _mem) =
-                TwoPass::new(&w.program, w.memory.clone(), cfg.clone()).run_with_state(w.budget);
-            (r, regs)
-        }
-    };
-    // Traced and untraced runs of the same machine must agree (the
-    // trace replay path may not perturb simulation).
-    assert_eq!(traced_report, report, "{}: {label}: traced vs untraced report", w.name);
-    (report, regs, bytes)
-}
-
-fn config_for(label: &str, fast_forward: bool) -> MachineConfig {
     let mut cfg = MachineConfig::paper_table1();
     cfg.fast_forward = fast_forward;
-    cfg.two_pass.regroup = label == "2Pre";
-    cfg
+    let run = |sink: Option<&mut dyn TraceSink>| {
+        run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, sink)
+    };
+    let mut sink = JsonlSink::new(Vec::new());
+    let (traced_report, _, _) = run(Some(&mut sink));
+    assert!(!sink.errored(), "{}: {kind}: sink errored", w.name);
+    let bytes = sink.into_inner().unwrap();
+
+    let (report, regs, _mem) = run(None);
+    // Traced and untraced runs of the same machine must agree (the
+    // trace replay path may not perturb simulation).
+    assert_eq!(traced_report, report, "{}: {kind}: traced vs untraced report", w.name);
+    (report, regs, bytes)
 }
 
 #[test]
 fn fast_forward_is_byte_identical_on_every_model_and_kernel() {
     for w in paper_benchmarks(Scale::Tiny) {
-        for label in ["Base", "2P", "2Pre", "Ra"] {
-            let (on, on_regs, on_bytes) = run_all(&w, &config_for(label, true), label);
-            let (off, off_regs, off_bytes) = run_all(&w, &config_for(label, false), label);
-            assert_eq!(on, off, "{}: {label}: report differs with fast-forward", w.name);
-            assert_eq!(on_regs, off_regs, "{}: {label}: final registers differ", w.name);
+        for kind in ModelKind::ALL {
+            let (on, on_regs, on_bytes) = run_all(&w, kind, true);
+            let (off, off_regs, off_bytes) = run_all(&w, kind, false);
+            assert_eq!(on, off, "{}: {kind}: report differs with fast-forward", w.name);
+            assert_eq!(on_regs, off_regs, "{}: {kind}: final registers differ", w.name);
             assert!(
                 on_bytes == off_bytes,
-                "{}: {label}: trace stream differs with fast-forward ({} vs {} bytes)",
+                "{}: {kind}: trace stream differs with fast-forward ({} vs {} bytes)",
                 w.name,
                 on_bytes.len(),
                 off_bytes.len()

@@ -2,7 +2,7 @@
 //! must agree with the golden interpreter on every benchmark, and the
 //! cycle accounting must be exhaustive.
 
-use fleaflicker::core::{Baseline, CycleClass, MachineConfig, Runahead, SimReport, TwoPass};
+use fleaflicker::core::{run_model, CycleClass, MachineConfig, ModelKind, SimReport};
 use fleaflicker::isa::{check_group_hazards, ArchState};
 use fleaflicker::workloads::{paper_benchmarks, Scale, Workload};
 
@@ -11,7 +11,7 @@ use fleaflicker::workloads::{paper_benchmarks, Scale, Workload};
 /// the six-class breakdown (per class and in aggregate), and the
 /// per-PC stall profile accounts for precisely the attributable
 /// cycles.
-fn check_refined_accounting(name: &str, label: &str, r: &SimReport) {
+fn check_refined_accounting(name: &str, label: ModelKind, r: &SimReport) {
     assert_eq!(r.breakdown.total(), r.cycles, "{name}: {label} accounting");
     assert_eq!(r.breakdown2.total(), r.cycles, "{name}: {label} refined accounting");
     assert_eq!(r.breakdown2.collapse(), r.breakdown, "{name}: {label} cause collapse");
@@ -37,31 +37,14 @@ fn check_workload(w: &Workload) {
     assert!(interp.is_halted(), "{} must halt within its budget", w.name);
 
     let cfg = MachineConfig::paper_table1();
-    let (base, base_regs, base_mem) =
-        Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run_with_state(w.budget);
-    assert_eq!(base.retired, interp.instr_count(), "{}: baseline retired", w.name);
-    assert_eq!(&base_regs, interp.reg_bits(), "{}: baseline registers", w.name);
-    assert_eq!(&base_mem, interp.mem(), "{}: baseline memory", w.name);
-    check_refined_accounting(w.name, "baseline", &base);
-
-    for regroup in [false, true] {
-        let mut tp_cfg = cfg.clone();
-        tp_cfg.two_pass.regroup = regroup;
-        let (tp, tp_regs, tp_mem) =
-            TwoPass::new(&w.program, w.memory.clone(), tp_cfg).run_with_state(w.budget);
-        let label = if regroup { "2Pre" } else { "2P" };
-        assert_eq!(tp.retired, interp.instr_count(), "{}: {label} retired", w.name);
-        assert_eq!(&tp_regs, interp.reg_bits(), "{}: {label} registers", w.name);
-        assert_eq!(&tp_mem, interp.mem(), "{}: {label} memory", w.name);
-        check_refined_accounting(w.name, label, &tp);
+    for kind in ModelKind::ALL {
+        let (r, regs, mem) =
+            run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, None);
+        assert_eq!(r.retired, interp.instr_count(), "{}: {kind} retired", w.name);
+        assert_eq!(&regs, interp.reg_bits(), "{}: {kind} registers", w.name);
+        assert_eq!(&mem, interp.mem(), "{}: {kind} memory", w.name);
+        check_refined_accounting(w.name, kind, &r);
     }
-
-    let (ra, ra_regs, ra_mem) =
-        Runahead::new(&w.program, w.memory.clone(), cfg).run_with_state(w.budget);
-    assert_eq!(ra.retired, interp.instr_count(), "{}: runahead retired", w.name);
-    assert_eq!(&ra_regs, interp.reg_bits(), "{}: runahead registers", w.name);
-    assert_eq!(&ra_mem, interp.mem(), "{}: runahead memory", w.name);
-    check_refined_accounting(w.name, "runahead", &ra);
 }
 
 #[test]
@@ -128,17 +111,10 @@ fn golden_reports_are_pinned_for_every_kernel_and_model() {
     let cfg = MachineConfig::paper_table1();
     let mut checked = 0;
     for w in paper_benchmarks(Scale::Tiny) {
-        let mut reports = Vec::new();
-        reports
-            .push(("Base", Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget)));
-        for (label, regroup) in [("2P", false), ("2Pre", true)] {
-            let mut c = cfg.clone();
-            c.two_pass.regroup = regroup;
-            reports.push((label, TwoPass::new(&w.program, w.memory.clone(), c).run(w.budget)));
-        }
-        reports
-            .push(("Ra", Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget)));
-        for (label, r) in reports {
+        // GOLDEN_TINY's model labels, in `ModelKind::ALL` order.
+        for (label, kind) in ["Base", "2P", "2Pre", "Ra"].into_iter().zip(ModelKind::ALL) {
+            let (r, _, _) =
+                run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, None);
             let golden = GOLDEN_TINY
                 .iter()
                 .find(|(k, m, ..)| *k == w.name && *m == label)

@@ -4,7 +4,7 @@
 //! of a representative kernel is pinned against a golden file.
 
 use ff_bench::traceview::{self, Flight};
-use fleaflicker::core::{JsonlSink, MachineConfig, SimReport, TraceSink};
+use fleaflicker::core::{run_model, JsonlSink, MachineConfig, ModelKind, SimReport, TraceSink};
 use fleaflicker::workloads::{paper_benchmarks, Scale, Workload};
 use std::io::BufReader;
 
@@ -27,7 +27,7 @@ fn traced(
 /// closed flight per retired instruction, monotone in
 /// fetch ≤ A-exec ≤ CQ-enqueue ≤ CQ-dequeue ≤ retire, with squashed
 /// flights never retiring.
-fn check_two_pass_lifecycles(name: &str, label: &str, report: &SimReport, flights: &[Flight]) {
+fn check_two_pass_lifecycles(name: &str, label: ModelKind, report: &SimReport, flights: &[Flight]) {
     let retired = flights.iter().filter(|f| f.retire.is_some()).count() as u64;
     assert_eq!(retired, report.retired, "{name}: {label} one lifecycle per retire");
     for f in flights {
@@ -76,7 +76,12 @@ fn check_two_pass_lifecycles(name: &str, label: &str, report: &SimReport, flight
 
 /// Single-pipe models collapse the lifecycle: fetch and retire are the
 /// same event, and nothing touches the coupling queue.
-fn check_single_pipe_lifecycles(name: &str, label: &str, report: &SimReport, flights: &[Flight]) {
+fn check_single_pipe_lifecycles(
+    name: &str,
+    label: ModelKind,
+    report: &SimReport,
+    flights: &[Flight],
+) {
     let retired = flights.iter().filter(|f| f.retire.is_some()).count() as u64;
     assert_eq!(retired, report.retired, "{name}: {label} one lifecycle per retire");
     for f in flights {
@@ -93,27 +98,18 @@ fn check_single_pipe_lifecycles(name: &str, label: &str, report: &SimReport, fli
 
 #[test]
 fn every_retired_instruction_has_a_well_formed_lifecycle_on_every_model() {
-    use fleaflicker::core::{Baseline, Runahead, TwoPass};
     let cfg = MachineConfig::paper_table1();
     for w in paper_benchmarks(Scale::Tiny) {
-        let (r, flights) = traced(&w, |w, sink| {
-            Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run_with_sink(w.budget, sink)
-        });
-        check_single_pipe_lifecycles(w.name, "Base", &r, &flights);
-
-        for (label, regroup) in [("2P", false), ("2Pre", true)] {
-            let mut c = cfg.clone();
-            c.two_pass.regroup = regroup;
+        for kind in ModelKind::ALL {
             let (r, flights) = traced(&w, |w, sink| {
-                TwoPass::new(&w.program, w.memory.clone(), c.clone()).run_with_sink(w.budget, sink)
+                run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, Some(sink)).0
             });
-            check_two_pass_lifecycles(w.name, label, &r, &flights);
+            if r.two_pass.is_some() {
+                check_two_pass_lifecycles(w.name, kind, &r, &flights);
+            } else {
+                check_single_pipe_lifecycles(w.name, kind, &r, &flights);
+            }
         }
-
-        let (r, flights) = traced(&w, |w, sink| {
-            Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run_with_sink(w.budget, sink)
-        });
-        check_single_pipe_lifecycles(w.name, "Ra", &r, &flights);
     }
 }
 
