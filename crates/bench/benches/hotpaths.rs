@@ -2,12 +2,15 @@
 //!
 //! The full-model benches in `models.rs` measure end-to-end throughput;
 //! these isolate the leaf structures that dominate its profile — the
-//! functional memory image, the cache tag arrays, and one small-kernel
-//! step loop — so a regression in any one of them is visible on its
-//! own rather than diluted across a whole simulation.
+//! functional memory image, the cache tag arrays, the JSONL trace
+//! codec, and one small-kernel step loop — so a regression in any one
+//! of them is visible on its own rather than diluted across a whole
+//! simulation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ff_core::{MachineConfig, TwoPass};
+use ff_core::{
+    parse_jsonl_line, run_model, JsonlSink, MachineConfig, ModelKind, Trace, TraceSink, TwoPass,
+};
 use ff_isa::MemoryImage;
 use ff_mem::{Cache, CacheGeometry};
 use ff_workloads::{benchmark_by_name, Scale};
@@ -82,6 +85,49 @@ fn bench_cache_access(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_trace_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpaths/trace");
+
+    // A captured tiny mcf-like 2P trace; one iteration handles one
+    // event, so ns/iter reads as ns per event.
+    let w = benchmark_by_name("mcf-like", Scale::Tiny).expect("built-in benchmark");
+    let mut trace = Trace::new();
+    let cfg = MachineConfig::paper_table1();
+    let _ = run_model(
+        ModelKind::TwoPass,
+        &w.program,
+        w.memory.clone(),
+        cfg,
+        w.budget,
+        Some(&mut trace),
+    );
+    let events = trace.events();
+    let mut sink = JsonlSink::new(Vec::new());
+    for &e in events {
+        sink.emit(e);
+    }
+    let text = String::from_utf8(sink.into_inner().expect("in-memory writer")).expect("UTF-8");
+    let lines: Vec<&str> = text.lines().collect();
+    group.sample_size(events.len());
+
+    group.bench_function("encode_per_event", |b| {
+        let mut sink = JsonlSink::new(std::io::sink());
+        let mut i = 0;
+        b.iter(|| {
+            sink.emit(black_box(events[i % events.len()]));
+            i += 1;
+        })
+    });
+    group.bench_function("parse_per_event", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i += 1;
+            parse_jsonl_line(black_box(lines[(i - 1) % lines.len()]))
+        })
+    });
+    group.finish();
+}
+
 fn bench_model_step_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpaths/step_loop");
     group.sample_size(10);
@@ -96,5 +142,11 @@ fn bench_model_step_loop(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mem_image, bench_cache_access, bench_model_step_loop);
+criterion_group!(
+    benches,
+    bench_mem_image,
+    bench_cache_access,
+    bench_trace_codec,
+    bench_model_step_loop
+);
 criterion_main!(benches);

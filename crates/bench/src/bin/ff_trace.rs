@@ -106,7 +106,7 @@ fn record(args: &[String]) -> Result<(), String> {
         return Err(format!("record takes one output path\n{USAGE}"));
     };
     let w = ff_workloads::benchmark_by_name(&bench, scale)
-        .ok_or_else(|| format!("unknown benchmark `{bench}` (see `table2` for names)"))?;
+        .ok_or_else(|| format!("unknown benchmark `{bench}` (see `ff_exp table2` for names)"))?;
     let budget = max.unwrap_or(w.budget);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut sink = JsonlSink::new(file);
@@ -220,7 +220,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
         .map(|b| {
             ff_workloads::benchmark_by_name(&b, scale)
                 .map(|w| w.program)
-                .ok_or_else(|| format!("unknown benchmark `{b}` (see `table2` for names)"))
+                .ok_or_else(|| format!("unknown benchmark `{b}` (see `ff_exp table2` for names)"))
         })
         .transpose()?;
     let [path] = args.as_slice() else {

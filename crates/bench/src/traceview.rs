@@ -15,20 +15,29 @@ use std::io::BufRead;
 
 /// Reads a JSONL trace, one event per line. Blank lines are skipped.
 ///
+/// Lines are read into one reused buffer, so loading allocates only
+/// the returned events.
+///
 /// # Errors
 /// Returns a message naming the 1-based line that failed to read or
-/// parse.
-pub fn load_events(reader: impl BufRead) -> Result<Vec<TraceEvent>, String> {
+/// parse, and what was wrong with it.
+pub fn load_events(mut reader: impl BufRead) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
-        let line = line.trim();
+    let mut buf = Vec::new();
+    for n in 1.. {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => return Err(format!("line {n}: {e}")),
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|_| format!("line {n}: stream did not contain valid UTF-8"))?
+            .trim();
         if line.is_empty() {
             continue;
         }
-        let e =
-            ff_core::sink::parse_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        events.push(e);
+        events.push(ff_core::sink::parse_jsonl_line(line).map_err(|e| format!("line {n}: {e}"))?);
     }
     Ok(events)
 }
@@ -1563,6 +1572,13 @@ mod tests {
         let text = "not json\n";
         let err = load_events(BufReader::new(text.as_bytes())).unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
+        let text = "{\"Fetch\":{\"cycle\":1,\"seq\":2,\"pc\":3}}\n\n\
+                    {\"QueueSample\":{\"cycle\":2,\"mshr\":0}}\n";
+        let err = load_events(BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err, "line 3: missing field `depth` in QueueSample");
+        let text = "{\"QueueSample\":{\"cycle\":2,\"depth\":4294967296,\"mshr\":0}}";
+        let err = load_events(BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err, "line 1: field `depth` in QueueSample: expected u32, found 4294967296");
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod decoded;
 pub mod engine;
 pub mod exec_common;
 pub mod frontend;
+mod jsonl;
 pub mod metrics;
 pub mod report;
 pub mod runahead;

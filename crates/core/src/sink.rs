@@ -9,7 +9,10 @@
 //! * [`RingSink`] — keep only the last `capacity` events, O(1) memory.
 //! * [`JsonlSink`] — stream every event as one JSON line to any
 //!   [`std::io::Write`], O(1) memory; the `ff-trace` tool reads this
-//!   format back.
+//!   format back. A hand-written codec writes and reads the lines with
+//!   no per-event allocation, byte for byte in the layout of the
+//!   `serde` derive on [`TraceEvent`], which stays as the tests'
+//!   oracle.
 //!
 //! Models never see a sink directly; they receive a [`SinkHandle`],
 //! which is `None`-cheap when tracing is off: every probe site is
@@ -100,26 +103,43 @@ impl TraceSink for RingSink {
     }
 }
 
+/// Bytes of encoded lines the sink holds before handing them to its
+/// writer in one `write_all`.
+const WRITE_AT: usize = 8 * 1024;
+
 /// Streams each event as one JSON object per line (JSONL).
 ///
-/// Writing goes through an internal [`io::BufWriter`]; buffered lines
-/// are flushed by [`TraceSink::finish`] (done automatically by
+/// Each event is encoded straight into an internal buffer by the
+/// crate's hand-written codec, with no per-event allocation; the buffer
+/// goes to the writer whenever it passes 8 KiB. Buffered lines are
+/// written and flushed by [`TraceSink::finish`] (done automatically by
 /// `run_with_sink`), by [`JsonlSink::into_inner`], and — so a panic or
 /// an early return cannot truncate the tail of a trace — by `Drop`.
-#[derive(Debug)]
 pub struct JsonlSink<W: io::Write> {
     /// `None` only after [`JsonlSink::into_inner`] moved the writer out
     /// (so `Drop` has nothing left to flush).
-    out: Option<io::BufWriter<W>>,
+    out: Option<W>,
+    /// Encoded lines not yet handed to `out`.
+    buf: Vec<u8>,
     written: u64,
     errored: bool,
+}
+
+impl<W: io::Write> std::fmt::Debug for JsonlSink<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JsonlSink")
+            .field("buffered", &self.buf.len())
+            .field("written", &self.written)
+            .field("errored", &self.errored)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<W: io::Write> JsonlSink<W> {
     /// Wraps a writer. Lines are flushed on [`TraceSink::finish`] and
     /// on drop.
     pub fn new(out: W) -> Self {
-        Self { out: Some(io::BufWriter::new(out)), written: 0, errored: false }
+        Self { out: Some(out), buf: Vec::with_capacity(2 * WRITE_AT), written: 0, errored: false }
     }
 
     /// Number of events successfully serialized.
@@ -128,7 +148,8 @@ impl<W: io::Write> JsonlSink<W> {
         self.written
     }
 
-    /// Whether any write failed (subsequent events are dropped).
+    /// Whether any write or flush failed (subsequent events are
+    /// dropped).
     #[must_use]
     pub fn errored(&self) -> bool {
         self.errored
@@ -136,10 +157,24 @@ impl<W: io::Write> JsonlSink<W> {
 
     /// Flushes and returns the underlying writer.
     pub fn into_inner(mut self) -> io::Result<W> {
-        use io::Write as _;
+        self.write_buf()?;
         let mut out = self.out.take().expect("writer present until into_inner");
         out.flush()?;
-        out.into_inner().map_err(|e| io::Error::other(e.to_string()))
+        Ok(out)
+    }
+
+    /// Hands the buffered lines to the writer (dropping them on error).
+    fn write_buf(&mut self) -> io::Result<()> {
+        let Some(out) = self.out.as_mut() else { return Ok(()) };
+        let r = out.write_all(&self.buf);
+        self.buf.clear();
+        r
+    }
+
+    /// Writes the buffered lines and flushes the writer.
+    fn flush(&mut self) -> io::Result<()> {
+        self.write_buf()?;
+        self.out.as_mut().map_or(Ok(()), io::Write::flush)
     }
 }
 
@@ -148,43 +183,35 @@ impl<W: io::Write> TraceSink for JsonlSink<W> {
         if self.errored {
             return;
         }
-        use io::Write as _;
-        let Some(out) = self.out.as_mut() else { return };
-        let Ok(line) = serde_json::to_string(&e) else {
-            self.errored = true;
-            return;
-        };
-        if writeln!(out, "{line}").is_err() {
-            self.errored = true;
-            return;
-        }
+        crate::jsonl::encode(&e, &mut self.buf);
         self.written += 1;
+        if self.buf.len() >= WRITE_AT && self.write_buf().is_err() {
+            self.errored = true;
+        }
     }
 
     fn finish(&mut self) {
-        use io::Write as _;
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
+        if self.flush().is_err() {
+            self.errored = true;
         }
     }
 }
 
 impl<W: io::Write> Drop for JsonlSink<W> {
     fn drop(&mut self) {
-        use io::Write as _;
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
+        let _ = self.flush();
     }
 }
 
 /// Parses one JSONL line produced by [`JsonlSink`] back into an event.
 ///
+/// The line may hold the fields in any order and any JSON whitespace.
+///
 /// # Errors
-/// Returns the parse error message if the line is not a valid
-/// serialized [`TraceEvent`].
+/// Returns a message naming the missing, unknown or malformed field,
+/// or the byte where the line stops being a serialized [`TraceEvent`].
 pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
-    serde_json::from_str(line).map_err(|e| format!("bad trace line: {e:?}"))
+    crate::jsonl::decode(line)
 }
 
 /// A maybe-absent borrowed sink, threaded through the model step
@@ -396,6 +423,46 @@ mod tests {
         sink.emit(ev(7));
         sink.finish();
         assert_eq!(String::from_utf8(shared.0.borrow().clone()).unwrap().lines().count(), 1);
+    }
+
+    /// A writer that takes every byte but fails to flush, like a file
+    /// on a full disk.
+    struct FailingFlush;
+
+    impl io::Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_finish_reports_a_failed_flush() {
+        let mut sink = JsonlSink::new(FailingFlush);
+        sink.emit(ev(1));
+        assert!(!sink.errored());
+        sink.finish();
+        assert!(sink.errored(), "a failed final flush must not read as success");
+    }
+
+    #[test]
+    fn jsonl_sink_writes_through_once_the_buffer_fills() {
+        let shared = SharedBuf::default();
+        let mut sink = JsonlSink::new(shared.clone());
+        let mut c = 0;
+        while shared.0.borrow().is_empty() {
+            sink.emit(ev(c));
+            c += 1;
+        }
+        assert!(shared.0.borrow().len() >= WRITE_AT);
+        assert!(shared.0.borrow().ends_with(b"}}\n"), "only whole lines are written");
+        drop(sink);
+        let text = String::from_utf8(shared.0.borrow().clone()).unwrap();
+        let cycles: Vec<u64> = text.lines().map(|l| parse_jsonl_line(l).unwrap().cycle()).collect();
+        assert_eq!(cycles, (0..c).collect::<Vec<_>>());
     }
 
     #[test]
