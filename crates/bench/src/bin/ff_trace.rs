@@ -89,16 +89,19 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String
     }
 }
 
+/// Parses `--scale` out of `args`; `tiny` when absent.
+fn scale_opt(args: &mut Vec<String>) -> Result<Scale, String> {
+    take_opt(args, "--scale")?.map_or(Ok(Scale::Tiny), |s| {
+        Scale::parse(&s).ok_or_else(|| format!("unknown scale `{s}`\n{USAGE}"))
+    })
+}
+
 fn record(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let model = take_opt(&mut args, "--model")?.unwrap_or_else(|| "2p".to_string());
+    let kind: ModelKind = model.parse().map_err(|e| format!("{e}\n{USAGE}"))?;
     let bench = take_opt(&mut args, "--bench")?.unwrap_or_else(|| "mcf-like".to_string());
-    let scale = match take_opt(&mut args, "--scale")?.as_deref() {
-        None | Some("tiny") => Scale::Tiny,
-        Some("test") => Scale::Test,
-        Some("ref" | "reference") => Scale::Reference,
-        Some(other) => return Err(format!("unknown scale `{other}`\n{USAGE}")),
-    };
+    let scale = scale_opt(&mut args)?;
     let max = take_opt(&mut args, "--max")?
         .map(|v| v.parse::<u64>().map_err(|e| format!("bad --max: {e}")))
         .transpose()?;
@@ -110,7 +113,6 @@ fn record(args: &[String]) -> Result<(), String> {
     let budget = max.unwrap_or(w.budget);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut sink = JsonlSink::new(file);
-    let kind: ModelKind = model.parse().map_err(|e| format!("{e}\n{USAGE}"))?;
     let cfg = MachineConfig::paper_table1();
     let (report, _, _) =
         run_model(kind, &w.program, w.memory.clone(), cfg, budget, Some(&mut sink));
@@ -210,12 +212,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(20);
     let bench = take_opt(&mut args, "--bench")?;
-    let scale = match take_opt(&mut args, "--scale")?.as_deref() {
-        None | Some("tiny") => Scale::Tiny,
-        Some("test") => Scale::Test,
-        Some("ref" | "reference") => Scale::Reference,
-        Some(other) => return Err(format!("unknown scale `{other}`\n{USAGE}")),
-    };
+    let scale = scale_opt(&mut args)?;
     let program = bench
         .map(|b| {
             ff_workloads::benchmark_by_name(&b, scale)

@@ -6,9 +6,12 @@
 //! stall intervals reconstructed from [`TraceEvent::ClassTransition`],
 //! A-to-B slip and deferral run-length distributions, a Figure-4-style
 //! per-cycle ASCII snapshot, and a Chrome trace-event JSON export
-//! loadable in Perfetto (one track per pipe stage).
+//! loadable in Perfetto (one track per pipe stage). Every view that
+//! follows single instructions pairs their lifecycle events through
+//! one [`FlightReplay`].
 
 use ff_core::{CauseBreakdown, CycleClass, Histogram, Pipe, StallCause, StallProfile, TraceEvent};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::BufRead;
@@ -150,21 +153,36 @@ pub struct ClassInterval {
 /// interval extends to the next transition, the last to [`end_cycle`].
 #[must_use]
 pub fn class_intervals(events: &[TraceEvent]) -> Vec<ClassInterval> {
-    let end = end_cycle(events);
-    let transitions: Vec<(u64, CycleClass)> = events
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::ClassTransition { cycle, to, .. } => Some((cycle, to)),
+    tile(
+        events,
+        |e| match *e {
+            TraceEvent::ClassTransition { to, .. } => Some(to),
             _ => None,
-        })
-        .collect();
-    let mut intervals = Vec::with_capacity(transitions.len());
-    for (i, &(start, class)) in transitions.iter().enumerate() {
-        let until = transitions.get(i + 1).map_or(end, |&(c, _)| c);
-        if until > start {
-            intervals.push(ClassInterval { class, start, len: until - start });
+        },
+        |class, start, len| ClassInterval { class, start, len },
+    )
+}
+
+/// Tiles the transitions `pick` selects into maximal intervals: each
+/// runs from its transition's cycle to the next transition's, the last
+/// to [`end_cycle`]. Empty intervals are dropped.
+fn tile<K, T>(
+    events: &[TraceEvent],
+    pick: impl Fn(&TraceEvent) -> Option<K>,
+    interval: impl Fn(K, u64, u64) -> T,
+) -> Vec<T> {
+    let mut intervals = Vec::new();
+    let mut close = |open: Option<(u64, K)>, until: u64| match open {
+        Some((start, key)) if until > start => intervals.push(interval(key, start, until - start)),
+        _ => {}
+    };
+    let mut open = None;
+    for e in events {
+        if let Some(key) = pick(e) {
+            close(open.replace((e.cycle(), key)), e.cycle());
         }
     }
+    close(open, end_cycle(events));
     intervals
 }
 
@@ -209,22 +227,14 @@ pub struct CauseInterval {
 /// per-cause intervals, exactly as [`class_intervals`] does for classes.
 #[must_use]
 pub fn cause_intervals(events: &[TraceEvent]) -> Vec<CauseInterval> {
-    let end = end_cycle(events);
-    let transitions: Vec<(u64, StallCause, Option<u64>)> = events
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::CauseTransition { cycle, cause, pc } => Some((cycle, cause, pc)),
+    tile(
+        events,
+        |e| match *e {
+            TraceEvent::CauseTransition { cause, pc, .. } => Some((cause, pc)),
             _ => None,
-        })
-        .collect();
-    let mut intervals = Vec::with_capacity(transitions.len());
-    for (i, &(start, cause, pc)) in transitions.iter().enumerate() {
-        let until = transitions.get(i + 1).map_or(end, |&(c, _, _)| c);
-        if until > start {
-            intervals.push(CauseInterval { cause, pc, start, len: until - start });
-        }
-    }
-    intervals
+        },
+        |(cause, pc), start, len| CauseInterval { cause, pc, start, len },
+    )
 }
 
 /// Total cycles per refined cause, from interval replay. Collapses onto
@@ -429,47 +439,32 @@ impl SlipStats {
     }
 }
 
-/// Matches dispatches to retires by sequence number, measures deferral
-/// run lengths along the dispatch stream, and replays enqueue/dequeue
-/// pairs into exact residency.
+/// Matches dispatches to retires through the [`FlightReplay`], measures
+/// deferral run lengths along the dispatch stream, and takes exact
+/// residency from the dequeues.
 #[must_use]
 pub fn slip_stats(events: &[TraceEvent]) -> SlipStats {
     let mut s = SlipStats::default();
-    let mut dispatched: HashMap<u64, u64> = HashMap::new();
-    let mut enqueued: HashMap<u64, u64> = HashMap::new();
+    let mut replay = FlightReplay::default();
     let mut last_sample: Option<u64> = None;
     let mut run = 0u64;
     for e in events {
         match *e {
-            TraceEvent::ADispatch { cycle, seq, deferred, .. } => {
-                dispatched.insert(seq, cycle);
-                if deferred {
-                    run += 1;
-                } else if run > 0 {
-                    s.deferral_runs.observe(run);
-                    run = 0;
-                }
+            TraceEvent::ADispatch { deferred: true, .. } => run += 1,
+            TraceEvent::ADispatch { deferred: false, .. } if run > 0 => {
+                s.deferral_runs.observe(run);
+                run = 0;
             }
-            TraceEvent::BRetire { cycle, seq, .. } => {
-                if let Some(d) = dispatched.remove(&seq) {
-                    s.slip.observe(cycle.saturating_sub(d));
-                }
-            }
-            TraceEvent::CqEnqueue { cycle, seq, .. } => {
-                enqueued.insert(seq, cycle);
-            }
-            TraceEvent::CqDequeue { seq, resident, .. } => {
-                enqueued.remove(&seq);
-                s.residency.observe(resident);
-            }
-            TraceEvent::Squash { cycle, seq, .. } => {
-                s.squashed += 1;
-                if let Some(enq) = enqueued.remove(&seq) {
-                    s.squashed_resident += cycle.saturating_sub(enq);
-                }
-            }
+            TraceEvent::CqDequeue { resident, .. } => s.residency.observe(resident),
             TraceEvent::QueueSample { cycle, .. } => last_sample = Some(cycle),
             _ => {}
+        }
+        let Some((f, _)) = replay.apply(e) else { continue };
+        if let (Some(retire), Some((dispatch, _))) = (f.retire, f.dispatch) {
+            s.slip.observe(retire.saturating_sub(dispatch));
+        } else if let Some(squash) = f.squash {
+            s.squashed += 1;
+            s.squashed_resident += queued_since(f).map_or(0, |enq| squash.saturating_sub(enq));
         }
     }
     if run > 0 {
@@ -478,25 +473,32 @@ pub fn slip_stats(events: &[TraceEvent]) -> SlipStats {
     // Entries still enqueued at trace end were sampled from their
     // enqueue cycle through the final occupancy sample.
     if let Some(last) = last_sample {
-        for (_, enq) in enqueued {
+        for enq in replay.in_flight().filter_map(queued_since) {
             s.leftover_resident += (last + 1).saturating_sub(enq);
         }
     }
     s
 }
 
+/// Enqueue cycle of a flight still waiting in the coupling queue.
+fn queued_since(f: &Flight) -> Option<u64> {
+    f.enqueue.filter(|_| f.dequeue.is_none()).map(|(c, _)| c)
+}
+
 // ---- per-instruction lifecycle -----------------------------------------
 
 /// One flight of a dynamic instruction through the pipeline,
-/// reconstructed from the lifecycle events. A sequence number
-/// re-dispatched after a flush starts a fresh flight; the squashed
-/// flight keeps its `squash` cycle.
+/// reconstructed from the lifecycle events by [`FlightReplay`]. A
+/// sequence number fetched again after a flush starts a fresh flight;
+/// the squashed flight keeps its `squash` cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flight {
     /// Dynamic sequence number.
     pub seq: u64,
     /// Static instruction index.
     pub pc: usize,
+    /// How many flights the trace opened before this one.
+    pub order: u64,
     /// Cycle the front end delivered the instruction.
     pub fetch: Option<u64>,
     /// Cycle the A-pipe executed it, with the result-ready cycle.
@@ -527,26 +529,16 @@ impl Flight {
     /// Earliest cycle any lifecycle event touched this flight.
     #[must_use]
     pub fn first_cycle(&self) -> u64 {
-        [
-            self.fetch,
-            self.a_exec.map(|(c, _)| c),
-            self.defer,
-            self.dispatch.map(|(c, _)| c),
-            self.enqueue.map(|(c, _)| c),
-            self.dequeue.map(|(c, _)| c),
-            self.b_exec,
-            self.retire,
-            self.squash,
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-        .unwrap_or(0)
+        self.cycles().min().unwrap_or(0)
     }
 
     /// Latest cycle any lifecycle event touched this flight.
     #[must_use]
     pub fn last_cycle(&self) -> u64 {
+        self.cycles().max().unwrap_or(0)
+    }
+
+    fn cycles(&self) -> impl Iterator<Item = u64> {
         [
             self.fetch,
             self.a_exec.map(|(c, _)| c),
@@ -560,74 +552,112 @@ impl Flight {
         ]
         .into_iter()
         .flatten()
-        .max()
-        .unwrap_or(0)
+    }
+}
+
+/// Pairs each lifecycle event with its [`Flight`]; every view that
+/// follows instructions through the pipeline goes through it.
+///
+/// A [`TraceEvent::Fetch`] opens a flight. Any other lifecycle event
+/// joins the open flight of its sequence number, or opens one when the
+/// trace starts after the fetch (ring-buffer tails, windows). A retire
+/// or squash closes the flight and drops it, so the replay holds only
+/// instructions still in flight.
+#[derive(Debug, Clone, Default)]
+pub struct FlightReplay {
+    /// Sequence number → slot in `slots` of each open flight.
+    open: HashMap<u64, usize>,
+    /// Flight records. A closed flight's slot goes on `free` but keeps
+    /// its record until the next flight opens there, so `apply` can
+    /// return it.
+    slots: Vec<Flight>,
+    /// Slots of closed flights.
+    free: Vec<usize>,
+    /// Sequence number and slot of the last open flight an event
+    /// touched: the events of one instruction come in runs.
+    last: Option<(u64, usize)>,
+    /// Flights opened so far.
+    opened: u64,
+}
+
+impl FlightReplay {
+    /// Records one event in its flight. Returns `None` for an event
+    /// outside the instruction lifecycle; otherwise the flight with the
+    /// event recorded, and whether this event opened it.
+    pub fn apply(&mut self, e: &TraceEvent) -> Option<(&Flight, bool)> {
+        let (seq, pc) = match *e {
+            TraceEvent::Fetch { seq, pc, .. }
+            | TraceEvent::AExec { seq, pc, .. }
+            | TraceEvent::Defer { seq, pc, .. }
+            | TraceEvent::ADispatch { seq, pc, .. }
+            | TraceEvent::CqEnqueue { seq, pc, .. }
+            | TraceEvent::CqDequeue { seq, pc, .. }
+            | TraceEvent::BExec { seq, pc, .. }
+            | TraceEvent::BRetire { seq, pc, .. }
+            | TraceEvent::Squash { seq, pc, .. } => (seq, pc),
+            _ => return None,
+        };
+        let fetch = matches!(e, TraceEvent::Fetch { .. });
+        let closes = matches!(e, TraceEvent::BRetire { .. } | TraceEvent::Squash { .. });
+        let (slot, opened) = match self.last {
+            Some((last, slot)) if last == seq && !fetch && !closes => (slot, false),
+            _ => match self.open.entry(seq) {
+                Entry::Occupied(o) if closes => (o.remove(), false),
+                Entry::Occupied(o) => (*o.get(), fetch),
+                Entry::Vacant(v) => {
+                    let slot = self.free.pop().unwrap_or_else(|| {
+                        self.slots.push(Flight::default());
+                        self.slots.len() - 1
+                    });
+                    if !closes {
+                        v.insert(slot);
+                    }
+                    (slot, true)
+                }
+            },
+        };
+        self.last = (!closes).then_some((seq, slot));
+        if closes {
+            self.free.push(slot);
+        }
+        let f = &mut self.slots[slot];
+        if opened {
+            *f = Flight { seq, pc, order: self.opened, ..Flight::default() };
+            self.opened += 1;
+        }
+        match *e {
+            TraceEvent::Fetch { cycle, .. } => f.fetch = Some(cycle),
+            TraceEvent::AExec { cycle, ready_at, .. } => f.a_exec = Some((cycle, ready_at)),
+            TraceEvent::Defer { cycle, .. } => f.defer = Some(cycle),
+            TraceEvent::ADispatch { cycle, deferred, .. } => f.dispatch = Some((cycle, deferred)),
+            TraceEvent::CqEnqueue { cycle, depth, .. } => f.enqueue = Some((cycle, depth)),
+            TraceEvent::CqDequeue { cycle, resident, .. } => f.dequeue = Some((cycle, resident)),
+            TraceEvent::BExec { cycle, .. } => f.b_exec = Some(cycle),
+            TraceEvent::BRetire { cycle, .. } => f.retire = Some(cycle),
+            TraceEvent::Squash { cycle, .. } => f.squash = Some(cycle),
+            _ => unreachable!("non-lifecycle events returned above"),
+        }
+        Some((f, opened))
+    }
+
+    /// The flights opened but neither retired nor squashed yet, in no
+    /// particular order.
+    pub fn in_flight(&self) -> impl Iterator<Item = &Flight> {
+        self.open.values().map(|&slot| &self.slots[slot])
     }
 }
 
 /// Replays the lifecycle events into per-flight records, in order of
-/// first appearance. Tolerates partial traces (ring-buffer tails,
-/// windows): a lifecycle event for an unknown sequence number opens a
-/// fresh flight.
+/// first appearance (see [`FlightReplay`] for how events pair up).
 #[must_use]
 pub fn lifecycles(events: &[TraceEvent]) -> Vec<Flight> {
-    let mut flights: Vec<Flight> = Vec::new();
-    let mut open: HashMap<u64, usize> = HashMap::new();
-    let at = |open: &mut HashMap<u64, usize>,
-              flights: &mut Vec<Flight>,
-              seq: u64,
-              pc: usize,
-              fresh: bool|
-     -> usize {
-        match open.get(&seq) {
-            Some(&i) if !fresh && !flights[i].closed() => i,
-            _ => {
-                flights.push(Flight { seq, pc, ..Flight::default() });
-                let i = flights.len() - 1;
-                open.insert(seq, i);
-                i
-            }
-        }
-    };
+    let mut replay = FlightReplay::default();
+    let mut flights = Vec::new();
     for e in events {
-        match *e {
-            TraceEvent::Fetch { cycle, seq, pc } => {
-                let i = at(&mut open, &mut flights, seq, pc, true);
-                flights[i].fetch = Some(cycle);
-            }
-            TraceEvent::AExec { cycle, seq, pc, ready_at } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].a_exec = Some((cycle, ready_at));
-            }
-            TraceEvent::Defer { cycle, seq, pc } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].defer = Some(cycle);
-            }
-            TraceEvent::ADispatch { cycle, seq, pc, deferred } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].dispatch = Some((cycle, deferred));
-            }
-            TraceEvent::CqEnqueue { cycle, seq, pc, depth } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].enqueue = Some((cycle, depth));
-            }
-            TraceEvent::CqDequeue { cycle, seq, pc, resident } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].dequeue = Some((cycle, resident));
-            }
-            TraceEvent::BExec { cycle, seq, pc } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].b_exec = Some(cycle);
-            }
-            TraceEvent::BRetire { cycle, seq, pc, .. } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].retire = Some(cycle);
-            }
-            TraceEvent::Squash { cycle, seq, pc } => {
-                let i = at(&mut open, &mut flights, seq, pc, false);
-                flights[i].squash = Some(cycle);
-            }
-            _ => {}
+        match replay.apply(e) {
+            Some((f, true)) => flights.push(*f),
+            Some((f, false)) => flights[f.order as usize] = *f,
+            None => {}
         }
     }
     flights
@@ -761,105 +791,47 @@ pub fn pipeview(events: &[TraceEvent], opts: PipeviewOpts) -> String {
 pub fn konata(events: &[TraceEvent]) -> String {
     let mut out = String::from("Kanata\t0004\n");
     let mut cur: Option<u64> = None;
-    // seq → (konata id, has lane-1 activity)
-    let mut open: HashMap<u64, (u64, bool)> = HashMap::new();
-    let mut next_id = 0u64;
     let mut retired = 0u64;
-    let sync = |out: &mut String, cur: &mut Option<u64>, cycle: u64| match *cur {
-        None => {
-            let _ = writeln!(out, "C=\t{cycle}");
-            *cur = Some(cycle);
-        }
-        Some(at) if cycle > at => {
-            let _ = writeln!(out, "C\t{}", cycle - at);
-            *cur = Some(cycle);
-        }
-        Some(_) => {}
-    };
-    let begin = |out: &mut String,
-                 open: &mut HashMap<u64, (u64, bool)>,
-                 next_id: &mut u64,
-                 seq: u64,
-                 pc: usize|
-     -> u64 {
-        let id = *next_id;
-        *next_id += 1;
-        open.insert(seq, (id, false));
-        let _ = writeln!(out, "I\t{id}\t{seq}\t0");
-        let _ = writeln!(out, "L\t{id}\t0\tpc={pc} seq={seq}");
-        id
-    };
+    let mut replay = FlightReplay::default();
     for e in events {
-        match *e {
-            TraceEvent::Fetch { cycle, seq, pc } => {
-                sync(&mut out, &mut cur, cycle);
-                let id = begin(&mut out, &mut open, &mut next_id, seq, pc);
-                let _ = writeln!(out, "S\t{id}\t0\tF");
+        let Some((f, opened)) = replay.apply(e) else { continue };
+        let stage = match *e {
+            TraceEvent::Fetch { .. } => Some((0, 'F')),
+            TraceEvent::AExec { .. } => Some((0, 'A')),
+            TraceEvent::Defer { .. } => Some((0, 'd')),
+            TraceEvent::CqEnqueue { .. } => Some((1, 'q')),
+            TraceEvent::BExec { .. } => Some((1, 'B')),
+            TraceEvent::BRetire { .. } => Some((u8::from(f.enqueue.is_some()), 'R')),
+            _ => None,
+        };
+        if !opened && stage.is_none() && !f.closed() {
+            continue;
+        }
+        let cycle = e.cycle();
+        match cur {
+            None => {
+                let _ = writeln!(out, "C=\t{cycle}");
+                cur = Some(cycle);
             }
-            TraceEvent::AExec { cycle, seq, pc, .. } => {
-                sync(&mut out, &mut cur, cycle);
-                if let Some(&(id, _)) = open.get(&seq) {
-                    let _ = writeln!(out, "S\t{id}\t0\tA");
-                } else {
-                    let id = begin(&mut out, &mut open, &mut next_id, seq, pc);
-                    let _ = writeln!(out, "S\t{id}\t0\tA");
-                }
+            Some(at) if cycle > at => {
+                let _ = writeln!(out, "C\t{}", cycle - at);
+                cur = Some(cycle);
             }
-            TraceEvent::Defer { cycle, seq, pc } => {
-                sync(&mut out, &mut cur, cycle);
-                if let Some(&(id, _)) = open.get(&seq) {
-                    let _ = writeln!(out, "S\t{id}\t0\td");
-                } else {
-                    let id = begin(&mut out, &mut open, &mut next_id, seq, pc);
-                    let _ = writeln!(out, "S\t{id}\t0\td");
-                }
-            }
-            TraceEvent::CqEnqueue { cycle, seq, pc, .. } => {
-                sync(&mut out, &mut cur, cycle);
-                let id = match open.get_mut(&seq) {
-                    Some(entry) => {
-                        entry.1 = true;
-                        entry.0
-                    }
-                    None => {
-                        let id = begin(&mut out, &mut open, &mut next_id, seq, pc);
-                        open.get_mut(&seq).expect("just opened").1 = true;
-                        id
-                    }
-                };
-                let _ = writeln!(out, "S\t{id}\t1\tq");
-            }
-            TraceEvent::BExec { cycle, seq, pc } => {
-                sync(&mut out, &mut cur, cycle);
-                if let Some(&(id, _)) = open.get(&seq) {
-                    let _ = writeln!(out, "S\t{id}\t1\tB");
-                } else {
-                    let id = begin(&mut out, &mut open, &mut next_id, seq, pc);
-                    let _ = writeln!(out, "S\t{id}\t1\tB");
-                }
-            }
-            TraceEvent::BRetire { cycle, seq, pc, .. } => {
-                sync(&mut out, &mut cur, cycle);
-                let (id, queued) = match open.remove(&seq) {
-                    Some(v) => v,
-                    None => {
-                        let id = begin(&mut out, &mut open, &mut next_id, seq, pc);
-                        open.remove(&seq);
-                        (id, false)
-                    }
-                };
-                let lane = if queued { 1 } else { 0 };
-                let _ = writeln!(out, "S\t{id}\t{lane}\tR");
-                let _ = writeln!(out, "R\t{id}\t{retired}\t0");
-                retired += 1;
-            }
-            TraceEvent::Squash { cycle, seq, .. } => {
-                sync(&mut out, &mut cur, cycle);
-                if let Some((id, _)) = open.remove(&seq) {
-                    let _ = writeln!(out, "R\t{id}\t0\t1");
-                }
-            }
-            _ => {}
+            Some(_) => {}
+        }
+        let (id, seq) = (f.order, f.seq);
+        if opened {
+            let _ = writeln!(out, "I\t{id}\t{seq}\t0");
+            let _ = writeln!(out, "L\t{id}\t0\tpc={} seq={seq}", f.pc);
+        }
+        if let Some((lane, stage)) = stage {
+            let _ = writeln!(out, "S\t{id}\t{lane}\t{stage}");
+        }
+        if f.retire.is_some() {
+            let _ = writeln!(out, "R\t{id}\t{retired}\t0");
+            retired += 1;
+        } else if f.squash.is_some() {
+            let _ = writeln!(out, "R\t{id}\t0\t1");
         }
     }
     out
@@ -1026,25 +998,18 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             ),
         );
     }
-    let mut dispatched: HashMap<u64, (u64, usize, bool)> = HashMap::new();
-    let mut fetched: HashMap<u64, u64> = HashMap::new();
-    let mut enqueued: HashMap<u64, (u64, u32)> = HashMap::new();
-    // Per-seq flow-arrow anchors (front-end slice ts, queue slice ts),
-    // resolved at retire so every emitted arrow is complete — squashes
-    // and partial traces never leave a dangling flow record.
-    let mut anchors: HashMap<u64, (Option<u64>, Option<u64>)> = HashMap::new();
+    let mut replay = FlightReplay::default();
     let mut ra_entered: Option<(u64, usize)> = None;
     let mut last_sample: Option<(u32, u32)> = None;
     for e in events {
+        let flight = replay.apply(e).map(|(f, _)| f);
         match *e {
-            TraceEvent::ADispatch { cycle, seq, pc, deferred } => {
-                dispatched.insert(seq, (cycle, pc, deferred));
-            }
-            TraceEvent::BRetire { cycle, seq, pc, was_deferred } => {
+            TraceEvent::BRetire { cycle, seq, was_deferred, .. } => {
+                let f = flight.expect("a retire is a lifecycle event");
                 // Untraced dispatch (single-pipe models, ring-buffer
                 // tails) still yields a 1-cycle retire slice.
-                let (start, pc, deferred) =
-                    dispatched.remove(&seq).unwrap_or((cycle, pc, was_deferred));
+                let (start, deferred) = f.dispatch.unwrap_or((cycle, was_deferred));
+                let pc = f.pc;
                 push(
                     &mut out,
                     &mut first,
@@ -1055,9 +1020,12 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                         (cycle - start).max(1)
                     ),
                 );
-                fetched.remove(&seq);
-                enqueued.remove(&seq);
-                if let Some((Some(fe_ts), cq_ts)) = anchors.remove(&seq) {
+                // Flow arrows anchor on the front-end and queue slices,
+                // so only a flight that drew its front-end slice gets
+                // one, and every emitted arrow is complete.
+                let fe_ts = f.fetch.filter(|_| f.a_exec.is_some() || f.defer.is_some());
+                let cq_ts = f.enqueue.filter(|_| f.dequeue.is_some()).map(|(c, _)| c);
+                if let Some(fe_ts) = fe_ts {
                     push(
                         &mut out,
                         &mut first,
@@ -1169,18 +1137,9 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                          \"pc\":{pc}}}}}"
                     ),
                 );
-                // A squashed flight never retires: drop its pending
-                // dispatch so the in-flight track stays one-slice-per-retire.
-                dispatched.remove(&seq);
-                fetched.remove(&seq);
-                enqueued.remove(&seq);
-                anchors.remove(&seq);
-            }
-            TraceEvent::Fetch { cycle, seq, .. } => {
-                fetched.insert(seq, cycle);
             }
             TraceEvent::AExec { cycle, seq, pc, ready_at } => {
-                if let Some(fetch) = fetched.remove(&seq) {
+                if let Some(fetch) = flight.and_then(|f| f.fetch) {
                     push(
                         &mut out,
                         &mut first,
@@ -1191,11 +1150,10 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                             (cycle - fetch).max(1)
                         ),
                     );
-                    anchors.entry(seq).or_default().0 = Some(fetch);
                 }
             }
             TraceEvent::Defer { cycle, seq, pc } => {
-                if let Some(fetch) = fetched.remove(&seq) {
+                if let Some(fetch) = flight.and_then(|f| f.fetch) {
                     push(
                         &mut out,
                         &mut first,
@@ -1206,14 +1164,10 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                             (cycle - fetch).max(1)
                         ),
                     );
-                    anchors.entry(seq).or_default().0 = Some(fetch);
                 }
             }
-            TraceEvent::CqEnqueue { cycle, seq, depth, .. } => {
-                enqueued.insert(seq, (cycle, depth));
-            }
             TraceEvent::CqDequeue { cycle, seq, pc, resident } => {
-                if let Some((enq, depth)) = enqueued.remove(&seq) {
+                if let Some((enq, depth)) = flight.and_then(|f| f.enqueue) {
                     push(
                         &mut out,
                         &mut first,
@@ -1224,7 +1178,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                             (cycle - enq).max(1)
                         ),
                     );
-                    anchors.entry(seq).or_default().1 = Some(enq);
                 }
             }
             TraceEvent::BExec { cycle, seq, pc } => {
@@ -1237,7 +1190,10 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     ),
                 );
             }
-            TraceEvent::ClassTransition { .. }
+            TraceEvent::Fetch { .. }
+            | TraceEvent::ADispatch { .. }
+            | TraceEvent::CqEnqueue { .. }
+            | TraceEvent::ClassTransition { .. }
             | TraceEvent::CauseTransition { .. }
             | TraceEvent::MissEnd { .. } => {}
         }
@@ -1388,6 +1344,67 @@ mod tests {
                 (r, x) => panic!("flight seq={} must close exactly once: {r:?}/{x:?}", f.seq),
             }
         }
+    }
+
+    #[test]
+    fn a_retire_with_no_earlier_event_opens_a_flight_that_keeps_its_pc() {
+        // A trace window that opens mid-run: only the retire is in it.
+        let retire = TraceEvent::BRetire { cycle: 40, seq: 7, pc: 23, was_deferred: false };
+        let mut replay = FlightReplay::default();
+        let (&f, opened) = replay.apply(&retire).unwrap();
+        assert!(opened, "an unknown sequence number opens a flight");
+        assert_eq!(f, Flight { seq: 7, pc: 23, retire: Some(40), ..Flight::default() });
+        assert_eq!(replay.in_flight().count(), 0, "the retire closed it");
+        assert_eq!(lifecycles(&[retire]), [f]);
+    }
+
+    #[test]
+    fn a_fetch_after_a_squash_opens_a_fresh_flight() {
+        let events = [
+            TraceEvent::Fetch { cycle: 1, seq: 6, pc: 3 },
+            TraceEvent::AExec { cycle: 1, seq: 6, pc: 3, ready_at: 2 },
+            TraceEvent::CqEnqueue { cycle: 1, seq: 6, pc: 3, depth: 1 },
+            TraceEvent::Squash { cycle: 3, seq: 6, pc: 3 },
+            // The refetched path puts another instruction at seq 6.
+            TraceEvent::Fetch { cycle: 8, seq: 6, pc: 4 },
+            TraceEvent::BRetire { cycle: 10, seq: 6, pc: 4, was_deferred: false },
+        ];
+        let flights = lifecycles(&events);
+        assert_eq!(flights.len(), 2, "{flights:?}");
+        let (squashed, retired) = (flights[0], flights[1]);
+        assert_eq!((squashed.order, squashed.pc, squashed.squash), (0, 3, Some(3)));
+        assert_eq!(squashed.retire, None, "the squashed flight never retires");
+        assert_eq!(squashed.enqueue, Some((1, 1)));
+        assert_eq!(
+            retired,
+            Flight {
+                seq: 6,
+                pc: 4,
+                order: 1,
+                fetch: Some(8),
+                retire: Some(10),
+                ..Flight::default()
+            }
+        );
+    }
+
+    #[test]
+    fn the_replay_holds_no_open_flight_once_every_flight_closed() {
+        let mut replay = FlightReplay::default();
+        for seq in 0..3 {
+            replay.apply(&TraceEvent::Fetch { cycle: 1, seq, pc: 0 });
+            replay.apply(&TraceEvent::ADispatch { cycle: 1, seq, pc: 0, deferred: false });
+        }
+        assert_eq!(replay.in_flight().count(), 3);
+        assert!(replay.apply(&TraceEvent::QueueSample { cycle: 1, depth: 3, mshr: 0 }).is_none());
+        replay.apply(&TraceEvent::BRetire { cycle: 4, seq: 0, pc: 0, was_deferred: false });
+        replay.apply(&TraceEvent::Squash { cycle: 5, seq: 2, pc: 0 });
+        let open: Vec<u64> = replay.in_flight().map(|f| f.seq).collect();
+        assert_eq!(open, [1]);
+        let (f, opened) = replay.apply(&TraceEvent::Squash { cycle: 5, seq: 1, pc: 0 }).unwrap();
+        assert!(!opened && f.closed(), "the squash closes the open flight");
+        assert_eq!(f.dispatch, Some((1, false)), "the closed flight keeps its history");
+        assert_eq!(replay.in_flight().count(), 0);
     }
 
     #[test]

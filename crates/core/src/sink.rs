@@ -5,7 +5,7 @@
 //! events. [`TraceSink`] decouples event *production* (the models)
 //! from *retention policy*:
 //!
-//! * [`Trace`] — keep everything in memory (analysis helpers).
+//! * [`Trace`] — keep everything in memory.
 //! * [`RingSink`] — keep only the last `capacity` events, O(1) memory.
 //! * [`JsonlSink`] — stream every event as one JSON line to any
 //!   [`std::io::Write`], O(1) memory; the `ff-trace` tool reads this
@@ -81,8 +81,7 @@ impl RingSink {
         self.dropped
     }
 
-    /// Drains the retained window into an owned [`Trace`] for the
-    /// analysis helpers (`timeline`, Display).
+    /// Drains the retained window into an owned [`Trace`].
     #[must_use]
     pub fn into_trace(self) -> Trace {
         let mut t = Trace::new();

@@ -9,9 +9,11 @@
 //! Figure 6 stall structure offline.
 //!
 //! Events flow into a [`crate::sink::TraceSink`]; [`Trace`] is the
-//! in-memory sink with analysis helpers. Tracing is opt-in
-//! (`run_traced` / `run_with_sink` on each model) and costs one
-//! branch-on-None per probe when off.
+//! in-memory sink. Tracing is opt-in (`run_traced` / `run_with_sink`
+//! on each model) and costs one branch-on-None per probe when off.
+//! This crate only produces events: the views that read them (the
+//! pipeline diagram, the Konata and Chrome exports, slip and CPI
+//! replay) live in `ff-bench`'s `traceview` module.
 
 use crate::accounting::{CycleClass, StallCause};
 use crate::report::Pipe;
@@ -393,72 +395,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Renders a per-instruction timeline: dispatch cycle, deferral,
-    /// retire cycle, and queue residency for the committed instructions
-    /// in `seq_range`. Squashed (never-retired) instructions are marked.
-    #[must_use]
-    pub fn timeline(&self, seq_range: std::ops::Range<u64>) -> String {
-        use std::collections::BTreeMap;
-        #[derive(Default, Clone)]
-        struct Row {
-            pc: usize,
-            dispatch: Option<u64>,
-            deferred: bool,
-            retire: Option<u64>,
-            squashed: bool,
-        }
-        let mut rows: BTreeMap<u64, Row> = BTreeMap::new();
-        for e in &self.events {
-            match *e {
-                TraceEvent::ADispatch { cycle, seq, pc, deferred } if seq_range.contains(&seq) => {
-                    // Re-dispatch after a flush starts the row over.
-                    let row = rows.entry(seq).or_default();
-                    row.pc = pc;
-                    row.dispatch = Some(cycle);
-                    row.deferred = deferred;
-                    row.retire = None;
-                    row.squashed = false;
-                }
-                TraceEvent::BRetire { cycle, seq, pc, .. } if seq_range.contains(&seq) => {
-                    // A retire with no dispatch in range still identifies
-                    // the instruction: keep its pc rather than fabricating
-                    // a pc=0 "squashed" row.
-                    let row = rows.entry(seq).or_default();
-                    if row.dispatch.is_none() {
-                        row.pc = pc;
-                    }
-                    row.retire = Some(cycle);
-                    row.squashed = false;
-                }
-                TraceEvent::Flush { boundary_seq, .. } => {
-                    // The flush boundary is authoritative: younger rows
-                    // are squashed even if never re-dispatched.
-                    for (_, row) in rows.range_mut(boundary_seq + 1..) {
-                        row.retire = None;
-                        row.squashed = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut out = String::from("  seq    pc  A-dispatch  mode      B-retire  in-queue\n");
-        for (seq, row) in rows {
-            let mode = if row.deferred { "deferred" } else { "executed" };
-            let (retire, dwell) = match (row.dispatch, row.retire) {
-                _ if row.squashed => ("squashed".to_string(), "-".to_string()),
-                (Some(d), Some(r)) => (r.to_string(), (r - d).to_string()),
-                (None, Some(r)) => (r.to_string(), "-".to_string()),
-                (_, None) => ("squashed".to_string(), "-".to_string()),
-            };
-            out.push_str(&format!(
-                "{seq:>5} {:>5}  {:>10}  {mode:<8}  {retire:>8}  {dwell:>8}\n",
-                row.pc,
-                row.dispatch.map_or_else(|| "-".to_string(), |c| c.to_string()),
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Trace {
@@ -473,69 +409,6 @@ impl fmt::Display for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timeline_reports_dispatch_retire_and_dwell() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::ADispatch { cycle: 3, seq: 0, pc: 0, deferred: false });
-        t.push(TraceEvent::ADispatch { cycle: 3, seq: 1, pc: 1, deferred: true });
-        t.push(TraceEvent::BRetire { cycle: 9, seq: 0, pc: 0, was_deferred: false });
-        t.push(TraceEvent::BRetire { cycle: 12, seq: 1, pc: 1, was_deferred: true });
-        let text = t.timeline(0..2);
-        assert!(text.contains("executed"), "{text}");
-        assert!(text.contains("deferred"), "{text}");
-        assert!(text.contains(" 6"), "dwell of seq 0: {text}");
-    }
-
-    #[test]
-    fn squashed_instructions_are_marked() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::ADispatch { cycle: 1, seq: 5, pc: 9, deferred: false });
-        t.push(TraceEvent::Flush { cycle: 2, kind: FlushKind::BdetMispredict, boundary_seq: 4 });
-        let text = t.timeline(0..10);
-        assert!(text.contains("squashed"), "{text}");
-    }
-
-    #[test]
-    fn flush_boundary_squashes_even_retired_younger_rows() {
-        // A row that "retired" speculatively but sits above the flush
-        // boundary must not be reported as committed.
-        let mut t = Trace::new();
-        t.push(TraceEvent::ADispatch { cycle: 1, seq: 6, pc: 3, deferred: false });
-        t.push(TraceEvent::BRetire { cycle: 2, seq: 6, pc: 3, was_deferred: false });
-        t.push(TraceEvent::Flush { cycle: 3, kind: FlushKind::StoreConflict, boundary_seq: 5 });
-        let text = t.timeline(0..10);
-        assert!(text.contains("squashed"), "{text}");
-        // Re-dispatch and retire after the flush clears the mark.
-        t.push(TraceEvent::ADispatch { cycle: 8, seq: 6, pc: 3, deferred: false });
-        t.push(TraceEvent::BRetire { cycle: 10, seq: 6, pc: 3, was_deferred: false });
-        let text = t.timeline(0..10);
-        assert!(!text.contains("squashed"), "{text}");
-        assert!(text.contains("10"), "{text}");
-    }
-
-    #[test]
-    fn retire_without_dispatch_keeps_its_pc() {
-        // Seen when the trace window opens mid-run: only the BRetire is
-        // in range. The row must carry the retire's pc, not pc=0, and
-        // must not claim to be squashed.
-        let mut t = Trace::new();
-        t.push(TraceEvent::BRetire { cycle: 40, seq: 7, pc: 23, was_deferred: false });
-        let text = t.timeline(0..10);
-        assert!(text.contains("23"), "{text}");
-        assert!(text.contains("40"), "{text}");
-        assert!(!text.contains("squashed"), "{text}");
-    }
-
-    #[test]
-    fn range_filters_events() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::ADispatch { cycle: 1, seq: 50, pc: 0, deferred: false });
-        assert!(!t.timeline(0..10).contains("50"));
-        assert!(t.timeline(49..51).contains("50"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-    }
 
     #[test]
     fn display_is_cycle_first_single_line() {

@@ -548,9 +548,6 @@ fn run_traced_records_the_instruction_lifecycle() {
         .filter(|e| matches!(e, crate::trace::TraceEvent::BRetire { .. }))
         .count() as u64;
     assert_eq!(retires, report.retired);
-    // The timeline renders dispatch->retire spans for the first group.
-    let text = trace.timeline(0..8);
-    assert!(text.contains("executed") || text.contains("deferred"), "{text}");
 }
 
 #[test]
