@@ -34,9 +34,9 @@
 //! ```
 
 use crate::insn::Instruction;
-use crate::op::{CmpKind, MemSize, Opcode};
+use crate::op::{MemSize, Opcode};
 use crate::program::{Program, ValidateProgramError};
-use crate::reg::{FpReg, IntReg, PredReg};
+use crate::reg::{IntReg, PredReg};
 use std::fmt;
 
 /// An abstract branch target handed out by [`ProgramBuilder::new_label`].
@@ -177,96 +177,8 @@ impl ProgramBuilder {
         Ok(Program::new(self.instrs)?)
     }
 
-    // ---- mnemonic helpers ---------------------------------------------
-
-    /// `d = a + b`
-    pub fn add(&mut self, d: IntReg, a: IntReg, b: IntReg) -> &mut Self {
-        self.push(Opcode::Add { d, a, b })
-    }
-
-    /// `d = a + imm`
-    pub fn addi(&mut self, d: IntReg, a: IntReg, imm: i64) -> &mut Self {
-        self.push(Opcode::AddI { d, a, imm })
-    }
-
-    /// `d = a - b`
-    pub fn sub(&mut self, d: IntReg, a: IntReg, b: IntReg) -> &mut Self {
-        self.push(Opcode::Sub { d, a, b })
-    }
-
-    /// `d = a & b`
-    pub fn and(&mut self, d: IntReg, a: IntReg, b: IntReg) -> &mut Self {
-        self.push(Opcode::And { d, a, b })
-    }
-
-    /// `d = a & imm`
-    pub fn andi(&mut self, d: IntReg, a: IntReg, imm: i64) -> &mut Self {
-        self.push(Opcode::AndI { d, a, imm })
-    }
-
-    /// `d = a | b`
-    pub fn or(&mut self, d: IntReg, a: IntReg, b: IntReg) -> &mut Self {
-        self.push(Opcode::Or { d, a, b })
-    }
-
-    /// `d = a ^ b`
-    pub fn xor(&mut self, d: IntReg, a: IntReg, b: IntReg) -> &mut Self {
-        self.push(Opcode::Xor { d, a, b })
-    }
-
-    /// `d = a ^ imm`
-    pub fn xori(&mut self, d: IntReg, a: IntReg, imm: i64) -> &mut Self {
-        self.push(Opcode::XorI { d, a, imm })
-    }
-
-    /// `d = a << sh`
-    pub fn shli(&mut self, d: IntReg, a: IntReg, sh: u8) -> &mut Self {
-        self.push(Opcode::ShlI { d, a, sh })
-    }
-
-    /// `d = a >> sh` (logical)
-    pub fn shri(&mut self, d: IntReg, a: IntReg, sh: u8) -> &mut Self {
-        self.push(Opcode::ShrI { d, a, sh })
-    }
-
-    /// `d = a * b`
-    pub fn mul(&mut self, d: IntReg, a: IntReg, b: IntReg) -> &mut Self {
-        self.push(Opcode::Mul { d, a, b })
-    }
-
-    /// `d = a`
-    pub fn mov(&mut self, d: IntReg, a: IntReg) -> &mut Self {
-        self.push(Opcode::Mov { d, a })
-    }
-
-    /// `d = imm`
-    pub fn movi(&mut self, d: IntReg, imm: i64) -> &mut Self {
-        self.push(Opcode::MovI { d, imm })
-    }
-
-    /// `pt, pf = cmp.kind(a, b)`
-    pub fn cmp(
-        &mut self,
-        kind: CmpKind,
-        pt: PredReg,
-        pf: PredReg,
-        a: IntReg,
-        b: IntReg,
-    ) -> &mut Self {
-        self.push(Opcode::Cmp { kind, pt, pf, a, b })
-    }
-
-    /// `pt, pf = cmp.kind(a, imm)`
-    pub fn cmpi(
-        &mut self,
-        kind: CmpKind,
-        pt: PredReg,
-        pf: PredReg,
-        a: IntReg,
-        imm: i64,
-    ) -> &mut Self {
-        self.push(Opcode::CmpI { kind, pt, pf, a, imm })
-    }
+    // The helper of every other opcode is generated by its row of the
+    // opcode table in `op.rs`.
 
     /// `d = mem8[base + off]`
     pub fn ld8(&mut self, d: IntReg, base: IntReg, off: i64) -> &mut Self {
@@ -298,68 +210,6 @@ impl ProgramBuilder {
         self.push(Opcode::St { src, base, off, size: MemSize::B1 })
     }
 
-    /// `d = mem8[base + off]` as double
-    pub fn ldf(&mut self, d: FpReg, base: IntReg, off: i64) -> &mut Self {
-        self.push(Opcode::LdF { d, base, off })
-    }
-
-    /// `mem8[base + off] = src` as double
-    pub fn stf(&mut self, src: FpReg, base: IntReg, off: i64) -> &mut Self {
-        self.push(Opcode::StF { src, base, off })
-    }
-
-    /// `d = a + b` (FP)
-    pub fn fadd(&mut self, d: FpReg, a: FpReg, b: FpReg) -> &mut Self {
-        self.push(Opcode::FAdd { d, a, b })
-    }
-
-    /// `d = a - b` (FP)
-    pub fn fsub(&mut self, d: FpReg, a: FpReg, b: FpReg) -> &mut Self {
-        self.push(Opcode::FSub { d, a, b })
-    }
-
-    /// `d = a * b` (FP)
-    pub fn fmul(&mut self, d: FpReg, a: FpReg, b: FpReg) -> &mut Self {
-        self.push(Opcode::FMul { d, a, b })
-    }
-
-    /// `d = a / b` (FP)
-    pub fn fdiv(&mut self, d: FpReg, a: FpReg, b: FpReg) -> &mut Self {
-        self.push(Opcode::FDiv { d, a, b })
-    }
-
-    /// `d = a` (FP)
-    pub fn fmov(&mut self, d: FpReg, a: FpReg) -> &mut Self {
-        self.push(Opcode::FMov { d, a })
-    }
-
-    /// `d = imm` (FP)
-    pub fn fmovi(&mut self, d: FpReg, imm: f64) -> &mut Self {
-        self.push(Opcode::FMovI { d, imm })
-    }
-
-    /// `d = (f64) a`
-    pub fn icvtf(&mut self, d: FpReg, a: IntReg) -> &mut Self {
-        self.push(Opcode::ICvtF { d, a })
-    }
-
-    /// `d = (i64) a`
-    pub fn fcvti(&mut self, d: IntReg, a: FpReg) -> &mut Self {
-        self.push(Opcode::FCvtI { d, a })
-    }
-
-    /// `pt, pf = fcmp.kind(a, b)`
-    pub fn fcmp(
-        &mut self,
-        kind: CmpKind,
-        pt: PredReg,
-        pf: PredReg,
-        a: FpReg,
-        b: FpReg,
-    ) -> &mut Self {
-        self.push(Opcode::FCmp { kind, pt, pf, a, b })
-    }
-
     /// Unconditional branch to `label`.
     pub fn br(&mut self, label: Label) -> &mut Self {
         let pc = self.instrs.len();
@@ -374,16 +224,6 @@ impl ProgramBuilder {
         self.with_pred(qp);
         self.push(Opcode::Br { target: usize::MAX })
     }
-
-    /// No-op.
-    pub fn nop(&mut self) -> &mut Self {
-        self.push(Opcode::Nop)
-    }
-
-    /// Program terminator.
-    pub fn halt(&mut self) -> &mut Self {
-        self.push(Opcode::Halt)
-    }
 }
 
 #[cfg(test)]
@@ -391,6 +231,7 @@ mod tests {
     use super::*;
     use crate::interp::ArchState;
     use crate::mem_image::MemoryImage;
+    use crate::op::CmpKind;
 
     fn r(i: u8) -> IntReg {
         IntReg::n(i)

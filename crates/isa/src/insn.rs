@@ -229,6 +229,12 @@ mod tests {
     }
 
     #[test]
+    fn instructions_stay_compact() {
+        assert_eq!(std::mem::size_of::<Opcode>(), 16);
+        assert_eq!(std::mem::size_of::<Instruction>(), 24);
+    }
+
+    #[test]
     fn store_with_qp_has_three_sources() {
         let insn = Instruction::new(Opcode::St {
             src: IntReg::n(1),

@@ -40,7 +40,7 @@ impl fmt::Display for InvalidRegError {
 impl std::error::Error for InvalidRegError {}
 
 macro_rules! reg_newtype {
-    ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
+    ($(#[$doc:meta])* $name:ident, $prefix:literal, $what:literal) => {
         $(#[$doc])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -85,23 +85,33 @@ macro_rules! reg_newtype {
                 write!(f, concat!($prefix, "{}"), self.0)
             }
         }
+
+        impl crate::asm::Operand for $name {
+            const WHAT: &'static str = $what;
+            fn parse(tok: &str) -> Option<Self> {
+                Self::new(tok.strip_prefix($prefix)?.parse().ok()?).ok()
+            }
+        }
     };
 }
 
 reg_newtype!(
     /// A general-purpose (integer) register name, `r0..r63`.
     IntReg,
-    "r"
+    "r",
+    "integer register"
 );
 reg_newtype!(
     /// A floating-point register name, `f0..f63`.
     FpReg,
-    "f"
+    "f",
+    "FP register"
 );
 reg_newtype!(
     /// A one-bit predicate register name, `p0..p63`.
     PredReg,
-    "p"
+    "p",
+    "predicate register"
 );
 
 /// A register name in the unified flat namespace of all three files.
