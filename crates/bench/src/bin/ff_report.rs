@@ -51,7 +51,7 @@ struct Args {
     flags: Vec<(String, Option<String>)>,
 }
 
-/// Flags that take a value; everything else is boolean.
+/// Flags that take a value.
 const VALUE_FLAGS: [&str; 11] = [
     "--scale",
     "--dir",
@@ -65,6 +65,9 @@ const VALUE_FLAGS: [&str; 11] = [
     "--generated-at",
     "--results-dir",
 ];
+
+/// Flags that take no value; any flag in neither list is a usage error.
+const BOOL_FLAGS: [&str; 3] = ["--json", "--bless", "--use-cache"];
 
 impl Args {
     fn parse(raw: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -82,8 +85,10 @@ impl Args {
                         None => it.next().ok_or_else(|| format!("{name} requires a value"))?,
                     };
                     args.flags.push((name, Some(value)));
-                } else {
+                } else if BOOL_FLAGS.contains(&name.as_str()) {
                     args.flags.push((name, inline));
+                } else {
+                    return Err(format!("unknown flag `{name}`"));
                 }
             } else {
                 args.positional.push(a);
@@ -396,7 +401,13 @@ fn run() -> Result<ExitCode, String> {
     let Some(command) = raw.next() else {
         return Err(USAGE.to_string());
     };
-    let args = Args::parse(raw)?;
+    let args = match Args::parse(raw) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return Ok(ExitCode::from(2));
+        }
+    };
     match command.as_str() {
         "capture" => cmd_capture(&args),
         "ingest-perf" => cmd_ingest_perf(&args),

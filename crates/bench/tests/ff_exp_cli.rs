@@ -82,3 +82,19 @@ fn capture_rejects_an_unknown_model_and_keys_known_ones_canonically() {
     assert!(stdout.contains("golden;kernel=mcf-like;model=2P;"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn ff_report_rejects_an_unknown_flag_before_writing_anything() {
+    let dir = temp_dir("bogus-flag");
+    let out_file = dir.join("dashboard.html");
+    let out = run(
+        env!("CARGO_BIN_EXE_ff_report"),
+        &["html", "--bogus", "--out", out_file.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
+    assert!(stderr.contains("usage: ff_report"), "{stderr}");
+    assert!(!out_file.exists(), "ff_report wrote {}", out_file.display());
+    assert!(!dir.exists());
+}
