@@ -179,7 +179,11 @@ pub fn load_write(raw: u64, size: u64, signed: bool) -> u64 {
 /// [`Effect::Load`] / [`Effect::Store`] with the effective address
 /// computed, so the caller can route the access through its timing model
 /// (cache hierarchy, store buffer, ALAT) of choice.
+// `inline`: the interpreter's speed rests on this being inlined into
+// `ArchState::step`, which must not depend on which codegen unit the
+// compiler happens to put each module in.
 #[must_use]
+#[inline]
 pub fn evaluate<R: RegRead + ?Sized>(insn: &Instruction, regs: &R) -> Effect {
     use Opcode::*;
 
