@@ -10,11 +10,12 @@
 //! the usage and the list of experiments.
 
 use ff_bench::experiments::{find, REGISTRY};
-use ff_bench::sweep::{SweepOpts, USAGE};
+use ff_bench::sweep::{SweepOpts, COMMAND};
 use std::process::ExitCode;
 
 fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\nusage: ff_exp <name> {USAGE}\n\nexperiments:");
+    let usage = COMMAND.synopsis("ff_exp").replace('\n', "\n       ");
+    eprintln!("error: {msg}\nusage: {usage}\n\nexperiments:");
     for e in REGISTRY {
         eprintln!("  {:<18} {}", e.name(), e.title());
     }

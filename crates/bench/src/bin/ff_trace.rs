@@ -1,19 +1,7 @@
 //! `ff-trace` — record and analyze JSONL pipeline traces.
 //!
-//! ```text
-//! ff_trace record <out.jsonl> [--model base|2p|2pre|runahead] [--bench NAME]
-//!                             [--scale tiny|test|ref] [--max N]
-//! ff_trace summary  <trace.jsonl>
-//! ff_trace cpi      <trace.jsonl> [--json]
-//! ff_trace profile  <trace.jsonl> [--top N] [--bench NAME --scale S]
-//! ff_trace queue    <trace.jsonl>
-//! ff_trace stalls   <trace.jsonl>
-//! ff_trace slip     <trace.jsonl>
-//! ff_trace pipeview <trace.jsonl> [--from C] [--to C] [--seq-from S] [--seq-to S]
-//! ff_trace konata   <trace.jsonl> [<out.kanata>]
-//! ff_trace snapshot <trace.jsonl> [--start C] [--end C]
-//! ff_trace chrome   <trace.jsonl> <out.json>
-//! ```
+//! The commands and their flags are declared in `CLI` below, which is
+//! also the usage text `ff_trace` prints on a malformed command line.
 //!
 //! `record` runs a built-in benchmark on the chosen model with a
 //! streaming [`ff_core::JsonlSink`]; the analysis subcommands work on
@@ -29,6 +17,7 @@
 //! JSON loadable in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`.
 
+use ff_bench::cli::{Cli, Command, Parsed};
 use ff_bench::traceview;
 use ff_core::{run_model, CycleClass, JsonlSink, MachineConfig, ModelKind, TraceEvent};
 use ff_workloads::Scale;
@@ -36,79 +25,71 @@ use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage:
-  ff_trace record <out.jsonl> [--model base|2p|2pre|runahead] [--bench NAME]
-                              [--scale tiny|test|ref] [--max N]
-  ff_trace summary  <trace.jsonl>
-  ff_trace cpi      <trace.jsonl> [--json]
-  ff_trace profile  <trace.jsonl> [--top N] [--bench NAME --scale S]
-  ff_trace queue    <trace.jsonl>
-  ff_trace stalls   <trace.jsonl>
-  ff_trace slip     <trace.jsonl>
-  ff_trace pipeview <trace.jsonl> [--from C] [--to C] [--seq-from S] [--seq-to S]
-  ff_trace konata   <trace.jsonl> [<out.kanata>]
-  ff_trace snapshot <trace.jsonl> [--start C] [--end C]
-  ff_trace chrome   <trace.jsonl> <out.json>";
+static CLI: Cli = Cli {
+    bin: "ff_trace",
+    commands: &[
+        Command {
+            spec: "record <out.jsonl> [--model base|2p|2pre|runahead] [--bench NAME] \
+                   [--scale tiny|test|ref] [--max N]",
+            about: "run a built-in benchmark with a streaming JSONL sink",
+        },
+        Command { spec: "summary <trace.jsonl>", about: "event counts and cycle-class totals" },
+        Command { spec: "cpi <trace.jsonl> [--json]", about: "hierarchical CPI stack" },
+        Command {
+            spec: "profile <trace.jsonl> [--top N] [--bench NAME] [--scale tiny|test|ref]",
+            about: "static PCs ranked by stall cycles, annotated with --bench's source",
+        },
+        Command { spec: "queue <trace.jsonl>", about: "coupling-queue depth and MSHR occupancy" },
+        Command { spec: "stalls <trace.jsonl>", about: "stall-interval lengths per cycle class" },
+        Command { spec: "slip <trace.jsonl>", about: "A-to-B slip, residency and deferral runs" },
+        Command {
+            spec: "pipeview <trace.jsonl> [--from C] [--to C] [--seq-from S] [--seq-to S]",
+            about: "ASCII pipeline diagram",
+        },
+        Command {
+            spec: "konata <trace.jsonl> [out.kanata]",
+            about: "Konata pipeline-viewer log, to stdout or a file",
+        },
+        Command {
+            spec: "snapshot <trace.jsonl> [--start C] [--end C]",
+            about: "in-flight instructions per cycle",
+        },
+        Command {
+            spec: "chrome <trace.jsonl> <out.json>",
+            about: "Chrome trace-event JSON for Perfetto",
+        },
+    ],
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("record") => record(&args[1..]),
-        Some("summary") => analyze(&args[1..], |ev| print!("{}", render_summary(&ev))),
-        Some("cpi") => cpi_cmd(&args[1..]),
-        Some("profile") => profile_cmd(&args[1..]),
-        Some("queue") => analyze(&args[1..], |ev| print!("{}", render_queue(&ev))),
-        Some("stalls") => analyze(&args[1..], |ev| print!("{}", render_stalls(&ev))),
-        Some("slip") => analyze(&args[1..], |ev| print!("{}", render_slip(&ev))),
-        Some("pipeview") => pipeview_cmd(&args[1..]),
-        Some("konata") => konata_cmd(&args[1..]),
-        Some("snapshot") => snapshot_cmd(&args[1..]),
-        Some("chrome") => chrome_cmd(&args[1..]),
-        _ => Err(USAGE.to_string()),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
+    CLI.run(|args| {
+        let path = &args.positional()[0];
+        match args.command() {
+            "record" => record(args),
+            "summary" => load(path).map(|ev| print!("{}", render_summary(&ev))),
+            "cpi" => cpi_cmd(args),
+            "profile" => profile_cmd(args),
+            "queue" => load(path).map(|ev| print!("{}", render_queue(&ev))),
+            "stalls" => load(path).map(|ev| print!("{}", render_stalls(&ev))),
+            "slip" => load(path).map(|ev| print!("{}", render_slip(&ev))),
+            "pipeview" => pipeview_cmd(args),
+            "konata" => konata_cmd(args),
+            "snapshot" => snapshot_cmd(args),
+            "chrome" => chrome_cmd(args),
+            other => unreachable!("`{other}` is declared but not dispatched"),
         }
-    }
-}
-
-/// Parses a `--flag value` pair out of `args`, returning the rest.
-fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} requires a value\n{USAGE}"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Parses `--scale` out of `args`; `tiny` when absent.
-fn scale_opt(args: &mut Vec<String>) -> Result<Scale, String> {
-    take_opt(args, "--scale")?.map_or(Ok(Scale::Tiny), |s| {
-        Scale::parse(&s).ok_or_else(|| format!("unknown scale `{s}`\n{USAGE}"))
+        .map(|()| ExitCode::SUCCESS)
     })
 }
 
-fn record(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let model = take_opt(&mut args, "--model")?.unwrap_or_else(|| "2p".to_string());
-    let kind: ModelKind = model.parse().map_err(|e| format!("{e}\n{USAGE}"))?;
-    let bench = take_opt(&mut args, "--bench")?.unwrap_or_else(|| "mcf-like".to_string());
-    let scale = scale_opt(&mut args)?;
-    let max = take_opt(&mut args, "--max")?
-        .map(|v| v.parse::<u64>().map_err(|e| format!("bad --max: {e}")))
-        .transpose()?;
-    let [out] = args.as_slice() else {
-        return Err(format!("record takes one output path\n{USAGE}"));
-    };
-    let w = ff_workloads::benchmark_by_name(&bench, scale)
+fn record(args: &Parsed) -> Result<(), String> {
+    let model = args.value("--model").unwrap_or("2p");
+    let kind: ModelKind = model.parse().map_err(|e| format!("{e}\n{}", CLI.usage()))?;
+    let bench = args.value("--bench").unwrap_or("mcf-like");
+    let scale = args.get("--scale")?.unwrap_or(Scale::Tiny);
+    let max: Option<u64> = args.get("--max")?;
+    let out = &args.positional()[0];
+    let w = ff_workloads::benchmark_by_name(bench, scale)
         .ok_or_else(|| format!("unknown benchmark `{bench}` (see `ff_exp table2` for names)"))?;
     let budget = max.unwrap_or(w.budget);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
@@ -131,14 +112,6 @@ fn record(args: &[String]) -> Result<(), String> {
 fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     traceview::load_events(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
-}
-
-fn analyze(args: &[String], render: impl FnOnce(Vec<TraceEvent>)) -> Result<(), String> {
-    let [path] = args else {
-        return Err(format!("expected one trace path\n{USAGE}"));
-    };
-    render(load(path)?);
-    Ok(())
 }
 
 fn render_summary(events: &[TraceEvent]) -> String {
@@ -178,17 +151,8 @@ fn render_summary(events: &[TraceEvent]) -> String {
     out
 }
 
-fn cpi_cmd(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let json = if let Some(i) = args.iter().position(|a| a == "--json") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    let [path] = args.as_slice() else {
-        return Err(format!("cpi takes one trace path\n{USAGE}"));
-    };
+fn cpi_cmd(args: &Parsed) -> Result<(), String> {
+    let path = &args.positional()[0];
     let events = load(path)?;
     let intervals = traceview::cause_intervals(&events);
     if intervals.is_empty() {
@@ -197,7 +161,7 @@ fn cpi_cmd(args: &[String]) -> Result<(), String> {
     let breakdown = traceview::cause_breakdown(&intervals);
     let retired = events.iter().filter(|e| matches!(e, TraceEvent::BRetire { .. })).count() as u64;
     let stack = traceview::cpi_stack(&breakdown, retired);
-    if json {
+    if args.has("--json") {
         println!("{}", serde_json::to_string_pretty(&stack).expect("serializable stack"));
     } else {
         print!("{}", traceview::render_cpi_stack(&stack));
@@ -205,24 +169,18 @@ fn cpi_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn profile_cmd(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let top = take_opt(&mut args, "--top")?
-        .map(|v| v.parse::<usize>().map_err(|e| format!("bad --top: {e}")))
-        .transpose()?
-        .unwrap_or(20);
-    let bench = take_opt(&mut args, "--bench")?;
-    let scale = scale_opt(&mut args)?;
-    let program = bench
+fn profile_cmd(args: &Parsed) -> Result<(), String> {
+    let top = args.get("--top")?.unwrap_or(20);
+    let scale = args.get("--scale")?.unwrap_or(Scale::Tiny);
+    let program = args
+        .value("--bench")
         .map(|b| {
-            ff_workloads::benchmark_by_name(&b, scale)
+            ff_workloads::benchmark_by_name(b, scale)
                 .map(|w| w.program)
                 .ok_or_else(|| format!("unknown benchmark `{b}` (see `ff_exp table2` for names)"))
         })
         .transpose()?;
-    let [path] = args.as_slice() else {
-        return Err(format!("profile takes one trace path\n{USAGE}"));
-    };
+    let path = &args.positional()[0];
     let events = load(path)?;
     let intervals = traceview::cause_intervals(&events);
     if intervals.is_empty() {
@@ -314,42 +272,30 @@ fn render_slip(events: &[TraceEvent]) -> String {
     out
 }
 
-fn pipeview_cmd(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
+fn pipeview_cmd(args: &Parsed) -> Result<(), String> {
     let mut opts = traceview::PipeviewOpts::default();
-    let parse = |flag: &str, v: Option<String>| -> Result<Option<u64>, String> {
-        v.map(|v| v.parse::<u64>().map_err(|e| format!("bad {flag}: {e}"))).transpose()
-    };
-    if let Some(v) = parse("--from", take_opt(&mut args, "--from")?)? {
+    if let Some(v) = args.get::<u64>("--from")? {
         opts.from = v;
         opts.to = v.saturating_add(80);
     }
-    if let Some(v) = parse("--to", take_opt(&mut args, "--to")?)? {
+    if let Some(v) = args.get("--to")? {
         opts.to = v;
     }
-    if let Some(v) = parse("--seq-from", take_opt(&mut args, "--seq-from")?)? {
+    if let Some(v) = args.get("--seq-from")? {
         opts.seq_from = v;
     }
-    if let Some(v) = parse("--seq-to", take_opt(&mut args, "--seq-to")?)? {
+    if let Some(v) = args.get("--seq-to")? {
         opts.seq_to = v;
     }
-    let [path] = args.as_slice() else {
-        return Err(format!("pipeview takes one trace path\n{USAGE}"));
-    };
-    let events = load(path)?;
+    let events = load(&args.positional()[0])?;
     print!("{}", traceview::pipeview(&events, opts));
     Ok(())
 }
 
-fn konata_cmd(args: &[String]) -> Result<(), String> {
-    let (path, out) = match args {
-        [path] => (path, None),
-        [path, out] => (path, Some(out)),
-        _ => return Err(format!("konata takes a trace path and an optional output path\n{USAGE}")),
-    };
-    let events = load(path)?;
+fn konata_cmd(args: &Parsed) -> Result<(), String> {
+    let events = load(&args.positional()[0])?;
     let text = traceview::konata(&events);
-    match out {
+    match args.positional().get(1) {
         Some(out) => {
             std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
             println!(
@@ -364,28 +310,16 @@ fn konata_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn snapshot_cmd(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let start = take_opt(&mut args, "--start")?
-        .map(|v| v.parse::<u64>().map_err(|e| format!("bad --start: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let end = take_opt(&mut args, "--end")?
-        .map(|v| v.parse::<u64>().map_err(|e| format!("bad --end: {e}")))
-        .transpose()?;
-    let [path] = args.as_slice() else {
-        return Err(format!("snapshot takes one trace path\n{USAGE}"));
-    };
-    let events = load(path)?;
-    let end = end.unwrap_or_else(|| start.saturating_add(64));
+fn snapshot_cmd(args: &Parsed) -> Result<(), String> {
+    let start: u64 = args.get("--start")?.unwrap_or(0);
+    let end = args.get("--end")?.unwrap_or_else(|| start.saturating_add(64));
+    let events = load(&args.positional()[0])?;
     print!("{}", traceview::snapshot(&events, start, end));
     Ok(())
 }
 
-fn chrome_cmd(args: &[String]) -> Result<(), String> {
-    let [path, out] = args else {
-        return Err(format!("chrome takes a trace path and an output path\n{USAGE}"));
-    };
+fn chrome_cmd(args: &Parsed) -> Result<(), String> {
+    let (path, out) = (&args.positional()[0], &args.positional()[1]);
     let events = load(path)?;
     let json = traceview::chrome_trace(&events);
     std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;

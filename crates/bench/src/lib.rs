@@ -18,8 +18,9 @@
 //! | `cargo run -p ff-bench --bin ff_exp -- ablate_throttle` | §3.5 — A-pipe issue moderation |
 //! | `cargo run -p ff-bench --bin ff_exp -- runahead_compare` | §2 — idealized runahead comparison |
 //! | `cargo run -p ff-bench --bin ff_trace` | record + analyze JSONL pipeline traces (see [`traceview`]) |
-//! | `cargo run -p ff-bench --bin perf_snapshot` | simulator self-profiling / perf trajectory (see [`selfprof`]) |
 //! | `cargo run -p ff-bench --bin ff_report` | run warehouse, regression diffs, HTML dashboard (see [`report`]) |
+//! | `cargo run -p ff-bench --bin ff_report -- perf` | simulator self-profiling / perf trajectory (see [`selfprof`]) |
+//! | `cargo run -p ff-bench --bin ff_verify` | static legality, cycle bounds and the differential oracle (see [`ff_verify`]) |
 //!
 //! Every experiment runs its grid through the shared [`sweep`] engine:
 //! cells fan out across all cores (`--jobs N|max`), completed cells are
@@ -29,10 +30,15 @@
 //! scale. `--json` emits machine-readable rows — byte-identical for any
 //! `--jobs` value. Run under `--release`; the harness simulates
 //! millions of cycles.
+//!
+//! Every binary reads its arguments through [`cli`]: one declarative
+//! spec per command, one usage text, and exit status 2 on a malformed
+//! command line.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
 pub mod fmt;
 pub mod report;

@@ -499,7 +499,7 @@ fn perf_panel(out: &mut String, perf: &[(String, PerfSnapshot)]) {
     out.push_str("<section><h2>Simulator performance trajectory</h2>");
     if perf.is_empty() {
         out.push_str(
-            "<p class=\"note\">No perf snapshots — run <code>perf_snapshot</code> and \
+            "<p class=\"note\">No perf snapshots — run <code>ff_report perf</code> and \
              <code>ff_report ingest-perf</code>.</p></section>",
         );
         return;

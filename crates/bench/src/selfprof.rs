@@ -177,7 +177,7 @@ impl HostInfo {
 }
 
 /// One dated self-performance measurement, serialized to
-/// `BENCH_<date>.json` by `perf_snapshot`.
+/// `BENCH_<date>.json` by `ff_report perf`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PerfSnapshot {
     /// UTC date the snapshot was taken, `YYYY-MM-DD`.

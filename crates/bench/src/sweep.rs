@@ -17,7 +17,8 @@
 //!   unchanged cells are loaded instead of re-simulated.
 //!
 //! Every experiment in [`crate::experiments::REGISTRY`] shares one CLI,
-//! parsed by [`SweepOpts`]: `ff_exp <name>` followed by [`USAGE`].
+//! parsed by [`SweepOpts`]: `ff_exp <name>` followed by [`COMMAND`]'s
+//! arguments.
 
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,6 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::cli::Command;
 use crate::report::warehouse::{
     record, record_key, runs_dir_for, SweepLogEntry, Warehouse, KIND_CELL,
 };
@@ -41,11 +43,14 @@ pub const CODE_VERSION: &str = "3";
 /// Default cache directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";
 
-/// The shared sweep flags, as shown in usage messages.
-pub const USAGE: &str = "[tiny|test|ref] [--scale S] [--jobs N|max] [--filter GLOB] \
-                         [--no-cache] [--cache-dir DIR] [--json] [--no-fast-forward]";
-
 // ---- CLI ----------------------------------------------------------------
+
+/// `ff_exp <name>`: the arguments every experiment shares.
+pub static COMMAND: Command = Command {
+    spec: "<name> [tiny|test|ref] [--scale tiny|test|ref] [--jobs N|max] [--filter GLOB] \
+           [--no-cache] [--cache-dir DIR] [--json] [--no-fast-forward]",
+    about: "regenerate one paper table or figure",
+};
 
 /// Options shared by every experiment sweep.
 #[derive(Debug, Clone)]
@@ -92,7 +97,8 @@ pub fn default_jobs() -> usize {
 }
 
 impl SweepOpts {
-    /// Parses the shared sweep CLI from explicit arguments.
+    /// Parses `ff_exp`'s arguments after the experiment name against
+    /// [`COMMAND`]. `--scale` takes precedence over the positional scale.
     ///
     /// # Errors
     ///
@@ -100,52 +106,24 @@ impl SweepOpts {
     /// malformed (bad `--jobs` value, missing flag argument, unknown
     /// scale).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<SweepOpts, String> {
-        let mut opts = SweepOpts::default();
-        let mut it = args.into_iter();
-        let take_value = |flag: &str, inline: Option<&str>, it: &mut I::IntoIter| match inline {
-            Some(v) => Ok(v.to_string()),
-            None => it.next().ok_or_else(|| format!("{flag} requires a value")),
+        let args = COMMAND.parse(args)?;
+        let positional = args.positional().first().map(|s| s.parse()).transpose()?;
+        let jobs = match args.value("--jobs") {
+            None | Some("max") => default_jobs(),
+            Some(v) => match v.parse::<usize>() {
+                Ok(n) if n >= 1 => n,
+                _ => return Err(format!("bad --jobs value `{v}` (need >= 1 or max)")),
+            },
         };
-        while let Some(arg) = it.next() {
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg.clone(), None),
-            };
-            match flag.as_str() {
-                "--json" => opts.json = true,
-                "--no-cache" => opts.cache = false,
-                "--no-fast-forward" => opts.fast_forward = false,
-                "--scale" => {
-                    let v = take_value("--scale", inline.as_deref(), &mut it)?;
-                    opts.scale = Scale::parse(&v).ok_or_else(|| {
-                        format!("unknown scale `{v}` (expected tiny, test, or ref)")
-                    })?;
-                }
-                "--jobs" => {
-                    let v = take_value("--jobs", inline.as_deref(), &mut it)?;
-                    opts.jobs = if v == "max" {
-                        default_jobs()
-                    } else {
-                        match v.parse::<usize>() {
-                            Ok(n) if n >= 1 => n,
-                            _ => return Err(format!("bad --jobs value `{v}` (need >= 1 or max)")),
-                        }
-                    };
-                }
-                "--filter" => {
-                    opts.filter = Some(take_value("--filter", inline.as_deref(), &mut it)?);
-                }
-                "--cache-dir" => {
-                    opts.cache_dir =
-                        PathBuf::from(take_value("--cache-dir", inline.as_deref(), &mut it)?);
-                }
-                other => {
-                    opts.scale =
-                        Scale::parse(other).ok_or_else(|| format!("unknown argument `{other}`"))?;
-                }
-            }
-        }
-        Ok(opts)
+        Ok(SweepOpts {
+            scale: args.get("--scale")?.or(positional).unwrap_or(Scale::Test),
+            json: args.has("--json"),
+            jobs,
+            cache: !args.has("--no-cache"),
+            filter: args.value("--filter").map(String::from),
+            cache_dir: PathBuf::from(args.value("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR)),
+            fast_forward: !args.has("--no-fast-forward"),
+        })
     }
 }
 

@@ -51,11 +51,30 @@ fn record_with_a_bad_model_leaves_an_existing_file_alone() {
     let trace = dir.join("t.jsonl");
     let before = b"{\"ARedirect\":{\"cycle\":4,\"pc\":9}}\n";
     std::fs::write(&trace, before).unwrap();
-    let out = ff_trace(&["record", trace.to_str().unwrap(), "--model", "3p"]);
-    assert!(!out.status.success(), "an unknown model must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("usage:"), "stderr must print usage, got:\n{stderr}");
-    assert_eq!(std::fs::read(&trace).unwrap(), before, "the existing trace was touched");
+    // A bad value exits 1, a malformed command line 2.
+    for (flags, code) in [(&["--model", "3p"][..], 1), (&["--bogus"][..], 2), (&["--max"][..], 2)] {
+        let out = ff_trace(&[&["record", trace.to_str().unwrap()][..], flags].concat());
+        assert_eq!(out.status.code(), Some(code), "record {flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "stderr must print usage, got:\n{stderr}");
+        assert_eq!(std::fs::read(&trace).unwrap(), before, "record {flags:?} touched the trace");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn scale_equals_value_reads_like_scale_space_value() {
+    let dir = std::env::temp_dir().join(format!("ff_trace_scale_eq_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut outputs = Vec::new();
+    for (name, flags) in [("a", &["--scale=tiny"][..]), ("b", &["--scale", "tiny"][..])] {
+        let trace = dir.join(format!("{name}.jsonl"));
+        let out =
+            ff_trace(&[&["record", trace.to_str().unwrap(), "--max", "500"][..], flags].concat());
+        assert!(out.status.success(), "{flags:?}: {}", String::from_utf8_lossy(&out.stderr));
+        outputs.push(std::fs::read(&trace).unwrap());
+    }
+    assert_eq!(outputs[0], outputs[1]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -141,16 +141,22 @@ fn tokenize(text: &str) -> Vec<&str> {
 /// # Errors
 ///
 /// Returns [`ParseAsmError`] for syntax problems (with the offending
-/// line), or the underlying [`BuildProgramError`] message for semantic
-/// problems (unbound labels, invalid program structure).
+/// line), for a label that is never bound (with the line that first
+/// names it), or with the underlying [`BuildProgramError`] message for
+/// an invalid program structure.
 pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
     let mut b = ProgramBuilder::new();
-    let mut labels: HashMap<String, Label> = HashMap::new();
+    // Each label name with the line it is first referenced on, for the
+    // error when it is never bound.
+    let mut labels: HashMap<String, (Label, usize)> = HashMap::new();
     // Branches that used symbolic targets: fixed up through the builder.
-    let get_label =
-        |b: &mut ProgramBuilder, labels: &mut HashMap<String, Label>, name: &str| -> Label {
-            *labels.entry(name.to_string()).or_insert_with(|| b.new_label())
-        };
+    let get_label = |b: &mut ProgramBuilder,
+                     labels: &mut HashMap<String, (Label, usize)>,
+                     name: &str,
+                     line: usize|
+     -> Label {
+        labels.entry(name.to_string()).or_insert_with(|| (b.new_label(), line)).0
+    };
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
         let code = raw.split("//").next().unwrap_or("").split('#').next().unwrap_or("");
@@ -168,7 +174,7 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
             {
                 break;
             }
-            let label = get_label(&mut b, &mut labels, name);
+            let label = get_label(&mut b, &mut labels, name, line);
             // `bind` panics on double-binding; surface it as an error.
             if b.is_bound(label) {
                 return Err(err(line, format!("label `{name}` bound twice")));
@@ -206,7 +212,7 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
             // A branch to a label is fixed up by the builder; `br 12`
             // reads like any other instruction.
             ("br", &[target]) if target.parse::<usize>().is_err() => {
-                let label = get_label(&mut b, &mut labels, target);
+                let label = get_label(&mut b, &mut labels, target, line);
                 b.br(label);
             }
             _ => {
@@ -223,7 +229,16 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
         }
     }
 
-    b.build().map_err(|e: BuildProgramError| err(0, e.to_string()))
+    b.build().map_err(|e| match e {
+        BuildProgramError::UnboundLabel(unbound) => {
+            let (name, &(_, line)) = labels
+                .iter()
+                .find(|(_, (label, _))| *label == unbound)
+                .expect("every label the builder hands out is named in the source");
+            err(line, format!("label `{name}` was never bound"))
+        }
+        e => err(0, e.to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -308,7 +323,10 @@ mod tests {
         assert_eq!(e.line, 1);
 
         let e = parse_program("br nowhere ;;\nhalt").unwrap_err();
-        assert!(e.to_string().contains("never bound"), "{e}");
+        assert_eq!(e.line, 1);
+        assert!(e.to_string().contains("label `nowhere` was never bound"), "{e}");
+        let e = parse_program("nop ;;\n\nloop:\n(p1) br done ;;\nbr loop ;;\nhalt").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (4, "label `done` was never bound"));
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   issue-width resource pressure), per-instruction slack, the static
 //!   critical path, and the schedule-quality lints built on them.
 //!
-//! The `ff_verify` CLI fronts all three: it lints the ten paper
-//! kernels, random generator output, runs the oracle over random
-//! seeds, and reports bounds/slack/critical paths per kernel.
+//! The `ff_verify` CLI (`cargo run -p ff-bench --bin ff_verify`, in
+//! ff-bench beside the other binaries and their shared argument
+//! parser) fronts all three: it lints the ten paper kernels, random
+//! generator output, runs the oracle over random seeds, and reports
+//! bounds/slack/critical paths per kernel.
 //!
 //! Building with the `audit` feature additionally enables `ff-core`'s
 //! per-cycle invariant checks (coupling-queue FIFO discipline, A-pipe

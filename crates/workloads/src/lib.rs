@@ -84,18 +84,6 @@ impl Scale {
         }
     }
 
-    /// Parses a scale label; accepts `"reference"` as an alias of
-    /// `"ref"`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "tiny" => Some(Scale::Tiny),
-            "test" => Some(Scale::Test),
-            "ref" | "reference" => Some(Scale::Reference),
-            _ => None,
-        }
-    }
-
     /// Iteration multiplier relative to `Tiny`.
     #[must_use]
     pub fn factor(self) -> u64 {
@@ -103,6 +91,20 @@ impl Scale {
             Scale::Tiny => 1,
             Scale::Test => 64,
             Scale::Reference => 256,
+        }
+    }
+}
+
+/// Parses a scale label; accepts `"reference"` as an alias of `"ref"`.
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "test" => Ok(Scale::Test),
+            "ref" | "reference" => Ok(Scale::Reference),
+            _ => Err(format!("unknown scale `{s}` (expected tiny, test or ref)")),
         }
     }
 }

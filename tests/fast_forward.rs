@@ -57,7 +57,7 @@ fn fast_forward_is_byte_identical_on_every_model_and_kernel() {
 fn fast_forward_targets_a_genuinely_miss_dominated_kernel() {
     // A guard for the perf gate's premise: on the pointer-chasing
     // kernel the skipped spans must dwarf the busy cycles, i.e. load
-    // stalls dominate. If this drifts, `perf_snapshot --ff-gate` is
+    // stalls dominate. If this drifts, `ff_report perf --ff-gate` is
     // measuring the wrong workload.
     let w = fleaflicker::workloads::benchmark_by_name("mcf-like", Scale::Tiny).unwrap();
     let report =
