@@ -16,7 +16,7 @@
 //! `#![deny(unsafe_code)]`; integration tests compile as separate
 //! crates, which is why the denial does not bite here.
 
-use ff_core::{Baseline, MachineConfig, TwoPass};
+use ff_core::{Baseline, MachineConfig, Runahead, TwoPass};
 use ff_workloads::{benchmark_by_name, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,6 +63,7 @@ fn disabled_sink_runs_do_not_allocate_per_cycle() {
     // (thread-locals, the allocator itself) out of the measurement.
     let _ = Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run(short_budget);
     let _ = TwoPass::new(&w.program, w.memory.clone(), cfg.clone()).run(short_budget);
+    let _ = Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(short_budget);
 
     let base_short = allocs_during(|| {
         let r = Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run(short_budget);
@@ -82,11 +83,26 @@ fn disabled_sink_runs_do_not_allocate_per_cycle() {
         assert_eq!(r.retired, short_budget);
     });
     let tp_long = allocs_during(|| {
-        let r = TwoPass::new(&w.program, w.memory.clone(), cfg).run(long_budget);
+        let r = TwoPass::new(&w.program, w.memory.clone(), cfg.clone()).run(long_budget);
         assert!(r.retired > short_budget, "long run must actually run longer");
     });
     assert_eq!(
         tp_short, tp_long,
         "two-pass allocations scale with run length: the cycle loop allocates"
+    );
+
+    // Runahead reuses one store overlay for every episode, so only the
+    // first episode's stores grow it.
+    let ra_short = allocs_during(|| {
+        let r = Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(short_budget);
+        assert_eq!(r.retired, short_budget);
+    });
+    let ra_long = allocs_during(|| {
+        let r = Runahead::new(&w.program, w.memory.clone(), cfg).run(long_budget);
+        assert!(r.retired > short_budget, "long run must actually run longer");
+    });
+    assert_eq!(
+        ra_short, ra_long,
+        "runahead allocations scale with run length: the cycle loop allocates"
     );
 }

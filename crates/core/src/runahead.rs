@@ -27,9 +27,10 @@ use crate::report::{ModelKind, Pipe, SimReport};
 use crate::sink::SinkHandle;
 use crate::trace::TraceEvent;
 use ff_isa::reg::TOTAL_REGS;
-use ff_isa::{evaluate, load_write, Effect, MemoryImage};
+use ff_isa::{evaluate, load_write, Effect, MemoryImage, PageHasher};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Extra counters for the runahead machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,28 +79,34 @@ const EXIT_PENALTY: u64 = 2;
 pub type Runahead<'p> = Engine<'p, RunaheadPolicy>;
 
 /// The runahead issue policy: the baseline issue stage plus episodes.
-#[derive(Debug, Default)]
+///
+/// The speculative state (registers, INV marks, availability, store
+/// overlay) lives here for the whole run. Each episode copies the
+/// checkpoint into it at entry and works on it in place, so an episode
+/// cycle neither moves register-file-sized state nor allocates.
+#[derive(Debug)]
 pub struct RunaheadPolicy {
     base: BaselinePolicy,
-    ra: Option<RaMode>,
-    stats: RunaheadStats,
-}
-
-/// Speculative state alive only during a runahead episode.
-#[derive(Debug)]
-struct RaMode {
-    /// Cycle the blocking load completes (episode end).
-    until: u64,
-    /// PC of the stalled group, to refetch at exit.
-    resume_pc: usize,
+    /// The open episode; `None` outside runahead.
+    episode: Option<Episode>,
     /// Speculative register bits.
     regs: RegBits,
     /// INV marks.
     inv: [bool; TOTAL_REGS],
     /// Per-register availability within runahead.
     ready_at: [u64; TOTAL_REGS],
-    /// Runahead store overlay (discarded at exit).
-    stores: HashMap<u64, u8>,
+    /// Runahead store overlay (cleared at exit).
+    stores: StoreOverlay,
+    stats: RunaheadStats,
+}
+
+/// Control state of one runahead episode.
+#[derive(Debug, Clone, Copy)]
+struct Episode {
+    /// Cycle the blocking load completes (episode end).
+    until: u64,
+    /// PC of the stalled group, to refetch at exit.
+    resume_pc: usize,
     /// Set when runahead ran off a halt or drained: idle until `until`.
     done: bool,
     /// `discarded_instrs` at episode entry, so the exit event can report
@@ -110,21 +117,65 @@ struct RaMode {
     attr: StallAttr,
 }
 
-impl RaMode {
-    fn read_mem(&self, base: &MemoryImage, addr: u64, size: u64) -> u64 {
-        let mut v = 0u64;
-        for i in 0..size {
-            let a = addr.wrapping_add(i);
-            let byte = self.stores.get(&a).copied().unwrap_or_else(|| base.read_u8(a));
-            v |= u64::from(byte) << (8 * i);
+/// Bytes written by runahead stores, kept off architectural memory.
+///
+/// Bytes are grouped by aligned 8-byte word: each entry holds the word's
+/// bytes and a mask of the ones written, so an access of up to 8 bytes
+/// touches at most two entries. Clearing keeps the table's capacity.
+#[derive(Debug, Default)]
+struct StoreOverlay {
+    words: HashMap<u64, (u64, u8), BuildHasherDefault<PageHasher>>,
+}
+
+/// Widens a per-byte mask to a mask of those bytes' bits.
+fn byte_bits(mask: u8) -> u64 {
+    u64::from_le_bytes(std::array::from_fn(|i| if (mask >> i) & 1 == 1 { 0xFF } else { 0 }))
+}
+
+impl StoreOverlay {
+    /// Reads `size` bytes (1..=8) at `addr` as a runahead load sees them:
+    /// `mem`'s bytes with the overlay's patched over. Like
+    /// [`MemoryImage::load`], an access past `u64::MAX` wraps to 0.
+    fn read(&self, mem: &mut MemoryImage, addr: u64, size: u64) -> u64 {
+        let raw = mem.load(addr, size);
+        if self.words.is_empty() {
+            return raw;
         }
-        v
+        let key = addr & !7;
+        let shift = addr & 7;
+        let (lo, lo_mask) = self.words.get(&key).copied().unwrap_or_default();
+        let (hi, hi_mask) = if shift + size > 8 {
+            self.words.get(&key.wrapping_add(8)).copied().unwrap_or_default()
+        } else {
+            (0, 0)
+        };
+        let data = (((u128::from(hi) << 64) | u128::from(lo)) >> (8 * shift)) as u64;
+        let mask = (((u16::from(hi_mask) << 8) | u16::from(lo_mask)) >> shift) & ((1 << size) - 1);
+        let bits = byte_bits(mask as u8);
+        (raw & !bits) | (data & bits)
     }
 
-    fn write_mem(&mut self, addr: u64, size: u64, bits: u64) {
-        for i in 0..size {
-            self.stores.insert(addr.wrapping_add(i), (bits >> (8 * i)) as u8);
+    /// Writes the low `size` bytes (1..=8) of `value` at `addr`.
+    fn write(&mut self, addr: u64, size: u64, value: u64) {
+        let key = addr & !7;
+        let shift = addr & 7;
+        let data = u128::from(value) << (8 * shift);
+        let mask = ((1u16 << size) - 1) << shift;
+        self.merge(key, data as u64, mask as u8);
+        if mask >> 8 != 0 {
+            self.merge(key.wrapping_add(8), (data >> 64) as u64, (mask >> 8) as u8);
         }
+    }
+
+    fn merge(&mut self, key: u64, data: u64, mask: u8) {
+        let (word, written) = self.words.entry(key).or_default();
+        let bits = byte_bits(mask);
+        *word = (*word & !bits) | (data & bits);
+        *written |= mask;
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
     }
 }
 
@@ -145,13 +196,12 @@ impl RunaheadPolicy {
         let resume_pc = core.frontend.peek(0).pc;
         self.stats.episodes += 1;
         sink.emit_with(|| TraceEvent::RunaheadEnter { cycle: core.cycle, pc: resume_pc });
-        self.ra = Some(RaMode {
+        self.regs = core.arch.regs;
+        self.inv = [false; TOTAL_REGS];
+        self.ready_at = core.arch.ready_at;
+        self.episode = Some(Episode {
             until,
             resume_pc,
-            regs: core.arch.regs,
-            inv: [false; TOTAL_REGS],
-            ready_at: core.arch.ready_at,
-            stores: HashMap::new(),
             done: false,
             discarded_at_entry: self.stats.discarded_instrs,
             attr,
@@ -161,46 +211,44 @@ impl RunaheadPolicy {
     /// One cycle of runahead pre-execution. Architecturally the machine
     /// is still stalled on the blocking load, so the cycle is charged as
     /// a load stall.
-    fn ra_step(&mut self, mut ra: RaMode, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
+    fn ra_step(&mut self, ep: Episode, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
         self.stats.runahead_cycles += 1;
-        let attr = ra.attr;
 
-        if core.cycle >= ra.until {
+        if core.cycle >= ep.until {
             // Blocking load returned: restore the checkpoint (by leaving
             // the episode state behind) and refetch from the stalled group.
             sink.emit_with(|| TraceEvent::RunaheadExit {
                 cycle: core.cycle,
-                pc: ra.resume_pc,
-                discarded: self.stats.discarded_instrs - ra.discarded_at_entry,
+                pc: ep.resume_pc,
+                discarded: self.stats.discarded_instrs - ep.discarded_at_entry,
             });
-            core.frontend.redirect(ra.resume_pc, core.cycle + EXIT_PENALTY);
-            return (CycleClass::LoadStall, attr, None);
+            core.frontend.redirect(ep.resume_pc, core.cycle + EXIT_PENALTY);
+            self.episode = None;
+            self.stores.clear();
+            return (CycleClass::LoadStall, ep.attr, None);
         }
 
         // Idle — ran off a halt, or fetch-starved — until the blocking
         // load returns (the engine caps the jump at a front-end refill).
-        let mut wake = Some(ra.until);
-        if !ra.done {
+        let mut wake = Some(ep.until);
+        if !ep.done {
             if let Some(group_len) = core.frontend.complete_group_len() {
-                self.ra_issue(&mut ra, group_len, core, sink);
+                if self.ra_issue(group_len, core, sink) {
+                    self.episode = Some(Episode { done: true, ..ep });
+                }
                 wake = None;
             }
         }
-        self.ra = Some(ra);
-        (CycleClass::LoadStall, attr, wake)
+        (CycleClass::LoadStall, ep.attr, wake)
     }
 
-    /// Issues one group speculatively under INV semantics.
-    fn ra_issue(
-        &mut self,
-        ra: &mut RaMode,
-        group_len: usize,
-        core: &mut Core<'_>,
-        sink: &mut SinkHandle,
-    ) {
+    /// Issues one group speculatively under INV semantics. Returns true
+    /// when the group ran into a halt.
+    fn ra_issue(&mut self, group_len: usize, core: &mut Core<'_>, sink: &mut SinkHandle) -> bool {
         let n = core.fitting_prefix((0..group_len).map(|i| core.frontend.peek(i).pc));
         let mut issued = 0;
         let mut redirect: Option<usize> = None;
+        let mut halted = false;
         for i in 0..n {
             let f = *core.frontend.peek(i);
             issued += 1;
@@ -215,33 +263,33 @@ impl RunaheadPolicy {
             let poisoned = d
                 .srcs
                 .iter()
-                .any(|src| ra.inv[src.index()] || ra.ready_at[src.index()] > core.cycle);
+                .any(|src| self.inv[src.index()] || self.ready_at[src.index()] > core.cycle);
 
-            match evaluate(&d.insn, &ra.regs) {
+            match evaluate(&d.insn, &self.regs) {
                 Effect::Nullified | Effect::Nop => {}
                 Effect::Write(writes) => {
                     for w in writes.iter() {
-                        ra.regs[w.reg.index()] = w.bits;
-                        ra.inv[w.reg.index()] = poisoned;
-                        ra.ready_at[w.reg.index()] = core.cycle + lat;
+                        self.regs[w.reg.index()] = w.bits;
+                        self.inv[w.reg.index()] = poisoned;
+                        self.ready_at[w.reg.index()] = core.cycle + lat;
                     }
                 }
                 Effect::Load { addr, size, signed, dest } => {
                     if poisoned {
-                        ra.inv[dest.index()] = true;
+                        self.inv[dest.index()] = true;
                     } else {
                         // The whole point: initiate the miss early.
-                        let raw = ra.read_mem(&core.mem_img, addr, size);
+                        let raw = self.stores.read(&mut core.mem_img, addr, size);
                         let (done, _) = core.book_load(addr, Pipe::A, sink);
                         self.stats.runahead_loads += 1;
-                        ra.regs[dest.index()] = load_write(raw, size, signed);
-                        ra.inv[dest.index()] = false;
-                        ra.ready_at[dest.index()] = done;
+                        self.regs[dest.index()] = load_write(raw, size, signed);
+                        self.inv[dest.index()] = false;
+                        self.ready_at[dest.index()] = done;
                     }
                 }
                 Effect::Store { addr, size, bits } => {
                     if !poisoned {
-                        ra.write_mem(addr, size, bits);
+                        self.stores.write(addr, size, bits);
                     }
                 }
                 Effect::Branch { taken, target } => {
@@ -262,7 +310,7 @@ impl RunaheadPolicy {
                     }
                 }
                 Effect::Halt => {
-                    ra.done = true;
+                    halted = true;
                     break;
                 }
             }
@@ -272,12 +320,21 @@ impl RunaheadPolicy {
             // In-runahead branch repair: cheap redirect, no episode end.
             core.frontend.redirect(pc, core.cycle + core.cfg.adet_penalty());
         }
+        halted
     }
 }
 
 impl Policy for RunaheadPolicy {
     fn new(_cfg: &MachineConfig) -> Self {
-        RunaheadPolicy::default()
+        RunaheadPolicy {
+            base: BaselinePolicy,
+            episode: None,
+            regs: [0; TOTAL_REGS],
+            inv: [false; TOTAL_REGS],
+            ready_at: [0; TOTAL_REGS],
+            stores: StoreOverlay::default(),
+            stats: RunaheadStats::default(),
+        }
     }
 
     fn kind(&self) -> ModelKind {
@@ -285,8 +342,8 @@ impl Policy for RunaheadPolicy {
     }
 
     fn step(&mut self, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
-        if let Some(ra) = self.ra.take() {
-            return self.ra_step(ra, core, sink);
+        if let Some(ep) = self.episode {
+            return self.ra_step(ep, core, sink);
         }
         let (class, attr, wake) = self.base.step(core, sink);
         if class != CycleClass::LoadStall {
@@ -301,14 +358,14 @@ impl Policy for RunaheadPolicy {
 
     #[inline]
     fn charge_span(&mut self, span: u64) {
-        if self.ra.is_some() {
+        if self.episode.is_some() {
             self.stats.runahead_cycles += span;
         }
     }
 
     #[inline]
     fn drained(&self, core: &Core<'_>) -> bool {
-        self.ra.is_none() && self.base.drained(core)
+        self.episode.is_none() && self.base.drained(core)
     }
 
     fn report(self, _report: &mut SimReport, extra: &mut MetricsBuilder) {
@@ -317,18 +374,18 @@ impl Policy for RunaheadPolicy {
 
     #[cfg(feature = "audit")]
     fn audit_span(&mut self, core: &mut Core<'_>, class: CycleClass, attr: StallAttr, target: u64) {
-        let Some(ra) = &self.ra else {
+        let Some(ep) = &self.episode else {
             return self.base.audit_span(core, class, attr, target);
         };
         // A skipped runahead cycle must be idle: episode still open and
         // nothing issuable.
-        assert!(target - 1 < ra.until, "fast-forward overran the episode end");
+        assert!(target - 1 < ep.until, "fast-forward overran the episode end");
         assert!(
-            ra.done || core.frontend.complete_group_len().is_none(),
+            ep.done || core.frontend.complete_group_len().is_none(),
             "fast-forwarded runahead span had an issuable group"
         );
         assert_eq!(
-            (CycleClass::LoadStall, ra.attr),
+            (CycleClass::LoadStall, ep.attr),
             (class, attr),
             "fast-forwarded span [{}, {target}) had an enabled event",
             core.cycle,
@@ -342,6 +399,7 @@ mod tests {
     use crate::baseline::Baseline;
     use ff_isa::reg::{IntReg, PredReg};
     use ff_isa::{ArchState, CmpKind, ProgramBuilder};
+    use proptest::prelude::*;
 
     fn r(i: u8) -> IntReg {
         IntReg::n(i)
@@ -507,5 +565,57 @@ mod tests {
         let (_, _, sim_mem) = Runahead::new(&program, mem, cfg()).run_with_state(1_000);
         assert_eq!(&sim_mem, interp.mem());
         assert_eq!(sim_mem.read_u64(0x20_0000), 42, "architectural store must land once");
+    }
+
+    /// Addresses that cluster so accesses overlap: each op picks a base
+    /// (plain, just below a 4 KiB page end, just below `u64::MAX`) and
+    /// a small offset.
+    fn overlay_addr() -> impl Strategy<Value = u64> {
+        (prop_oneof![Just(0x10_0000u64), Just(0x10_0ff8), Just(u64::MAX - 11)], 0u64..16)
+            .prop_map(|(base, off)| base.wrapping_add(off))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word overlay agrees with a naive byte map laid over the
+        /// same memory, for every mix of writes and reads, including
+        /// page-straddling and wrapping accesses, and reads as plain
+        /// memory again once cleared.
+        #[test]
+        fn store_overlay_matches_a_byte_map(
+            fill in any::<u64>(),
+            ops in prop::collection::vec((any::<bool>(), overlay_addr(), 1u64..=8, any::<u64>()), 1..48),
+        ) {
+            let mut mem = MemoryImage::new();
+            for base in [0x10_0000u64, 0x10_0ff0, 0x10_1000, u64::MAX - 15, 0] {
+                mem.write_u64(base, fill);
+                mem.write_u64(base.wrapping_add(8), !fill);
+            }
+            let mut overlay = StoreOverlay::default();
+            let mut model: HashMap<u64, u8> = HashMap::new();
+            let model_read = |model: &HashMap<u64, u8>, mem: &MemoryImage, addr: u64, size: u64| {
+                (0..size).fold(0u64, |v, i| {
+                    let a = addr.wrapping_add(i);
+                    let byte = model.get(&a).copied().unwrap_or_else(|| mem.read_u8(a));
+                    v | u64::from(byte) << (8 * i)
+                })
+            };
+            for (i, &(is_write, addr, size, bits)) in ops.iter().enumerate() {
+                if is_write {
+                    overlay.write(addr, size, bits);
+                    for b in 0..size {
+                        model.insert(addr.wrapping_add(b), (bits >> (8 * b)) as u8);
+                    }
+                } else {
+                    let want = model_read(&model, &mem, addr, size);
+                    prop_assert_eq!(overlay.read(&mut mem, addr, size), want, "op {} at {:#x}", i, addr);
+                }
+            }
+            overlay.clear();
+            for &(_, addr, size, _) in &ops {
+                prop_assert_eq!(overlay.read(&mut mem, addr, size), mem.read(addr, size));
+            }
+        }
     }
 }

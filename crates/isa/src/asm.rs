@@ -31,7 +31,7 @@
 
 use crate::builder::Label;
 use crate::op::Opcode;
-use crate::program::Program;
+use crate::program::{Program, ValidateProgramError};
 use crate::{BuildProgramError, ProgramBuilder};
 use std::collections::HashMap;
 use std::fmt;
@@ -149,6 +149,9 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
     // Each label name with the line it is first referenced on, for the
     // error when it is never bound.
     let mut labels: HashMap<String, (Label, usize)> = HashMap::new();
+    // The source line of each instruction, by pc, for the whole-program
+    // validation errors.
+    let mut pc_lines: Vec<usize> = Vec::new();
     // Branches that used symbolic targets: fixed up through the builder.
     let get_label = |b: &mut ProgramBuilder,
                      labels: &mut HashMap<String, (Label, usize)>,
@@ -224,20 +227,27 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
                 b.push(op);
             }
         }
+        pc_lines.push(line);
         if stop {
             b.stop();
         }
     }
 
-    b.build().map_err(|e| match e {
+    b.build().map_err(|e| match &e {
         BuildProgramError::UnboundLabel(unbound) => {
             let (name, &(_, line)) = labels
                 .iter()
-                .find(|(_, (label, _))| *label == unbound)
+                .find(|(_, (label, _))| label == unbound)
                 .expect("every label the builder hands out is named in the source");
             err(line, format!("label `{name}` was never bound"))
         }
-        e => err(0, e.to_string()),
+        // A bad branch target is the branch's fault; a missing
+        // terminator (or an empty program) is the end's.
+        BuildProgramError::Invalid(
+            ValidateProgramError::TargetOutOfRange { pc, .. }
+            | ValidateProgramError::TargetNotGroupStart { pc, .. },
+        ) => err(pc_lines[*pc], e.to_string()),
+        BuildProgramError::Invalid(_) => err(pc_lines.last().copied().unwrap_or(1), e.to_string()),
     })
 }
 
@@ -327,6 +337,25 @@ mod tests {
         assert!(e.to_string().contains("label `nowhere` was never bound"), "{e}");
         let e = parse_program("nop ;;\n\nloop:\n(p1) br done ;;\nbr loop ;;\nhalt").unwrap_err();
         assert_eq!((e.line, e.message.as_str()), (4, "label `done` was never bound"));
+    }
+
+    #[test]
+    fn program_validation_errors_name_their_line() {
+        let e = parse_program("br 99 ;;\nhalt").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("out-of-range index 99"), "{e}");
+
+        // pc 2 is the second member of the group {1, 2}.
+        let e =
+            parse_program("movi r1 = 1 ;;\n// comment\nnop\n\nnop ;;\nbr 2 ;;\nhalt").unwrap_err();
+        assert_eq!(e.line, 6, "{e}");
+        assert!(e.message.contains("branch at 3"), "{e}");
+
+        let e = parse_program("nop ;;\n\nnop ;;\n// no halt").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+
+        let e = parse_program("// nothing here\n").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
     }
 
     #[test]

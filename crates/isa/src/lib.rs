@@ -60,7 +60,7 @@ pub use asm::{parse_program, ParseAsmError};
 pub use builder::{BuildProgramError, Label, ProgramBuilder};
 pub use insn::{InsnFacts, Instruction};
 pub use interp::{ArchState, RunSummary, StopReason};
-pub use mem_image::MemoryImage;
+pub use mem_image::{MemoryImage, PageHasher};
 pub use op::{CmpKind, FuClass, LatencyClass, MemSize, Opcode, RegList};
 pub use program::{check_group_hazards, GroupHazard, Program, ValidateProgramError};
 pub use reg::{FpReg, IntReg, InvalidRegError, PredReg, RegId, REGS_PER_FILE, TOTAL_REGS};

@@ -135,6 +135,49 @@ fn golden_reports_are_pinned_for_every_kernel_and_model() {
     assert_eq!(checked, GOLDEN_TINY.len(), "every golden row must be exercised");
 }
 
+/// Golden runahead counters: `(kernel, [episodes, cycles, loads,
+/// discarded_instrs])` for every Table 2 kernel at tiny scale. The cycle
+/// pins above cannot see a slip in the episode bookkeeping (the per-run
+/// discard count, the cycles charged to episodes); these can.
+const GOLDEN_RUNAHEAD_TINY: &[(&str, [u64; 4])] = &[
+    ("go-like", [27, 2331, 81, 1697]),
+    ("compress-like", [19, 1879, 134, 1769]),
+    ("li-like", [142, 17224, 0, 15853]),
+    ("vpr-like", [1, 137, 14, 125]),
+    ("mcf-like", [18, 2430, 516, 2147]),
+    ("equake-like", [9, 1134, 294, 1370]),
+    ("parser-like", [44, 5828, 385, 4430]),
+    ("gap-like", [30, 4223, 274, 2852]),
+    ("vortex-like", [14, 1731, 274, 1764]),
+    ("twolf-like", [20, 1884, 87, 1475]),
+];
+
+#[test]
+fn golden_runahead_counters_are_pinned_for_every_kernel() {
+    let cfg = MachineConfig::paper_table1();
+    let mut checked = 0;
+    for w in paper_benchmarks(Scale::Tiny) {
+        let (r, _, _) = run_model(
+            ModelKind::Runahead,
+            &w.program,
+            w.memory.clone(),
+            cfg.clone(),
+            w.budget,
+            None,
+        );
+        let (_, golden) = GOLDEN_RUNAHEAD_TINY
+            .iter()
+            .find(|(k, _)| *k == w.name)
+            .unwrap_or_else(|| panic!("no runahead golden row for {}", w.name));
+        for (name, want) in ["episodes", "cycles", "loads", "discarded_instrs"].iter().zip(golden) {
+            let got = r.metrics.counter(&format!("runahead.{name}"));
+            assert_eq!(got, Some(*want), "{}: runahead.{name} drifted", w.name);
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, GOLDEN_RUNAHEAD_TINY.len(), "every runahead row must be exercised");
+}
+
 #[test]
 fn kernels_also_match_at_test_scale_for_mcf_and_compress() {
     // Two representative kernels at the harness scale, as a deeper soak.
