@@ -8,11 +8,14 @@
 //!
 //! Below each class sits a [`StallCause`]: *which* miss level a load
 //! stall waited on, *which* producer kind a dependence stall waited on,
-//! *which* structure filled up. A [`CauseBreakdown`] refines a
-//! [`CycleBreakdown`] cause-for-class ([`CauseBreakdown::collapse`]),
-//! so the sums-to-total invariant holds at both levels. Causes that
-//! name a blocking static instruction additionally accumulate into a
-//! [`StallProfile`] — a `perf report` for the simulated program.
+//! *which* structure filled up. The cause is the only verdict a
+//! simulated cycle carries: its class is the cause's parent
+//! ([`StallCause::class`]). The engine charges causes into a
+//! [`CauseBreakdown`] and reports the [`CycleBreakdown`] as its
+//! collapse ([`CauseBreakdown::collapse`]), so the sums-to-total
+//! invariant holds at both levels. Causes that name a blocking static
+//! instruction additionally accumulate into a [`StallProfile`] — a
+//! `perf report` for the simulated program.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;

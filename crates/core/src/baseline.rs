@@ -13,7 +13,7 @@
 //! state, and the final registers/memory match the golden interpreter
 //! exactly — a property the test suite checks differentially.
 
-use crate::accounting::{CycleClass, StallAttr, StallCause};
+use crate::accounting::{StallAttr, StallCause};
 use crate::config::MachineConfig;
 use crate::engine::{Core, Engine, Policy, Step};
 use crate::report::{ModelKind, Pipe};
@@ -57,10 +57,7 @@ impl BaselinePolicy {
     fn classify(core: &Core<'_>, at: u64) -> Result<usize, Step> {
         let fe = &core.frontend;
         let Some(group_len) = fe.complete_group_len() else {
-            // A refill penalty expires at a known cycle; a merely-empty
-            // buffer can complete a group on any fetch tick.
-            let wake = fe.is_refilling(at).then(|| fe.resume_at());
-            return Err((CycleClass::FrontEndStall, core.frontend_attr(at), wake));
+            return Err(core.frontend_stall(at));
         };
 
         // Dependence check over the whole architectural group: EPIC
@@ -72,8 +69,7 @@ impl BaselinePolicy {
             for reg in d.srcs.iter().chain(d.dests.iter()) {
                 let ready = core.arch.ready_at[reg.index()];
                 if ready > at {
-                    let (class, attr) = core.arch.block(reg.index());
-                    return Err((class, attr, Some(ready)));
+                    return Err((core.arch.block(reg.index()), Some(ready)));
                 }
             }
         }
@@ -86,7 +82,7 @@ impl BaselinePolicy {
         if let Some(i) = (0..n).find(|&i| core.code.at(fe.peek(i).pc).is_load) {
             if !core.mshrs.has_room(at) {
                 let attr = StallAttr::at(StallCause::ResMshr, fe.peek(i).pc);
-                return Err((CycleClass::ResourceStall, attr, core.mshrs.next_wakeup(at)));
+                return Err((attr, core.mshrs.next_wakeup(at)));
             }
         }
         Ok(n)
@@ -120,7 +116,7 @@ impl BaselinePolicy {
                 }
                 Effect::Load { addr, size, signed, dest } => {
                     let (bits, done, level) = core.load(addr, size, signed, Pipe::B, sink);
-                    core.arch.write_load(dest, bits, done, level, f.pc);
+                    core.arch.write(dest, bits, done, StallCause::load(level), f.pc);
                 }
                 Effect::Store { addr, size, bits } => core.store(addr, size, bits),
                 Effect::Branch { taken, target } => {
@@ -174,7 +170,7 @@ impl Policy for BaselinePolicy {
         match Self::classify(core, core.cycle) {
             Ok(n) => {
                 Self::issue(core, n, sink);
-                (CycleClass::Unstalled, StallAttr::new(StallCause::Issue), None)
+                (StallAttr::new(StallCause::Issue), None)
             }
             Err(stall) => stall,
         }
@@ -186,11 +182,11 @@ impl Policy for BaselinePolicy {
     }
 
     #[cfg(feature = "audit")]
-    fn audit_span(&mut self, core: &mut Core<'_>, class: CycleClass, attr: StallAttr, target: u64) {
-        let probed = Self::classify(core, target - 1).err().map(|(class, attr, _)| (class, attr));
+    fn audit_span(&mut self, core: &mut Core<'_>, attr: StallAttr, target: u64) {
+        let probed = Self::classify(core, target - 1).err().map(|(attr, _)| attr);
         assert_eq!(
             probed,
-            Some((class, attr)),
+            Some(attr),
             "fast-forwarded span [{}, {target}) had an enabled event",
             core.cycle,
         );
@@ -200,6 +196,7 @@ impl Policy for BaselinePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accounting::CycleClass;
     use ff_isa::reg::{IntReg, PredReg};
     use ff_isa::{ArchState, CmpKind, MemoryImage, Program, ProgramBuilder};
 

@@ -13,15 +13,18 @@
 //! * [`Policy`] — what distinguishes one model from another: how a
 //!   cycle issues ([`Policy::step`]) plus a few small hooks.
 //!
+//! A policy returns one verdict per cycle, its refined [`StallAttr`].
+//! The engine charges causes only; the cycle's Figure-6 class is the
+//! cause's parent ([`StallCause::class`]), and the report's class
+//! breakdown is the collapse of the cause breakdown.
+//!
 //! The three policies are [`crate::baseline::BaselinePolicy`],
 //! [`crate::two_pass::TwoPassPolicy`] and
 //! [`crate::runahead::RunaheadPolicy`]; [`crate::Baseline`],
 //! [`crate::TwoPass`] and [`crate::Runahead`] name their engines, and
 //! [`run_model`] picks one by [`ModelKind`].
 
-use crate::accounting::{
-    CauseBreakdown, CycleBreakdown, CycleClass, StallAttr, StallCause, StallProfile,
-};
+use crate::accounting::{CauseBreakdown, StallAttr, StallCause, StallProfile};
 use crate::baseline::BaselinePolicy;
 use crate::config::MachineConfig;
 use crate::decoded::DecodedProgram;
@@ -37,11 +40,11 @@ use ff_isa::reg::TOTAL_REGS;
 use ff_isa::{load_write, MemoryImage, Program, RegId};
 use ff_mem::{DataHierarchy, MemLevel, MshrFile};
 
-/// One cycle's outcome: its Figure-6 class, the refined attribution,
-/// and the fast-forward wake hint — the earliest cycle at which the
-/// stall could change, or `None` when the next cycle may already
-/// differ (progress was made, or no such cycle is knowable).
-pub type Step = (CycleClass, StallAttr, Option<u64>);
+/// One cycle's outcome: its refined attribution (whose cause names the
+/// Figure-6 class) and the fast-forward wake hint — the earliest cycle
+/// at which the stall could change, or `None` when the next cycle may
+/// already differ (progress was made, or no such cycle is knowable).
+pub type Step = (StallAttr, Option<u64>);
 
 /// Final architectural register bits, as compared against the golden
 /// interpreter.
@@ -54,8 +57,6 @@ pub struct Scoreboard {
     pub(crate) regs: RegBits,
     /// Cycle at which each register's latest value becomes readable.
     pub(crate) ready_at: [u64; TOTAL_REGS],
-    /// Whether the pending producer of each register is a load.
-    pub(crate) pending_load: [bool; TOTAL_REGS],
     /// Refined stall cause charged if a consumer blocks on the register.
     cause: [StallCause; TOTAL_REGS],
     /// Static pc of the register's pending producer (stall blame).
@@ -67,13 +68,14 @@ impl Scoreboard {
         Scoreboard {
             regs: [0; TOTAL_REGS],
             ready_at: [0; TOTAL_REGS],
-            pending_load: [false; TOTAL_REGS],
             cause: [StallCause::DepOther; TOTAL_REGS],
             pc: [0; TOTAL_REGS],
         }
     }
 
-    /// Writes a non-load result produced by the instruction at `pc`.
+    /// Writes a result produced by the instruction at `pc`; a consumer
+    /// that blocks on it is charged `cause` (`StallCause::load(level)`
+    /// for a load whose data waits on `level`).
     #[inline]
     pub(crate) fn write(
         &mut self,
@@ -86,38 +88,15 @@ impl Scoreboard {
         let i = reg.index();
         self.regs[i] = bits;
         self.ready_at[i] = ready_at;
-        self.pending_load[i] = false;
         self.cause[i] = cause;
         self.pc[i] = pc;
     }
 
-    /// Writes a load result whose data waits on hierarchy level `level`.
-    #[inline]
-    pub(crate) fn write_load(
-        &mut self,
-        reg: RegId,
-        bits: u64,
-        ready_at: u64,
-        level: MemLevel,
-        pc: usize,
-    ) {
-        self.write(reg, bits, ready_at, StallCause::load(level), pc);
-        self.pending_load[reg.index()] = true;
-    }
-
-    /// Classifies a block on register index `idx`: the Figure-6 class
-    /// from the pending-producer kind, plus the refined cause and the
+    /// Attributes a block on register index `idx`: the cause and the
     /// producer's pc recorded when the register was written.
     #[inline]
-    pub(crate) fn block(&self, idx: usize) -> (CycleClass, StallAttr) {
-        let class = if self.pending_load[idx] {
-            CycleClass::LoadStall
-        } else {
-            CycleClass::NonLoadDepStall
-        };
-        let attr = StallAttr::at(self.cause[idx], self.pc[idx]);
-        debug_assert_eq!(attr.cause.class(), class);
-        (class, attr)
+    pub(crate) fn block(&self, idx: usize) -> StallAttr {
+        StallAttr::at(self.cause[idx], self.pc[idx])
     }
 }
 
@@ -139,8 +118,7 @@ pub struct Core<'p> {
     /// In-flight fills awaiting a `MissEnd` event, as `(fill_at, addr,
     /// level)`. Populated only while a trace sink is attached.
     pending_misses: Vec<(u64, u64, MemLevel)>,
-    breakdown: CycleBreakdown,
-    /// Refined per-cause accounting (collapses onto `breakdown`).
+    /// Per-cause accounting (the class breakdown is its collapse).
     breakdown2: CauseBreakdown,
     /// Per-PC stall attribution for the profile table.
     profile: StallProfile,
@@ -168,7 +146,6 @@ impl<'p> Core<'p> {
             retired: 0,
             halted: false,
             pending_misses: Vec::new(),
-            breakdown: CycleBreakdown::new(),
             breakdown2: CauseBreakdown::new(),
             profile: StallProfile::new(),
             mem_stats: MemAccessStats::default(),
@@ -187,15 +164,16 @@ impl<'p> Core<'p> {
         )
     }
 
-    /// The refined front-end attribution for a cycle with no complete
-    /// issue group as of cycle `at`: refill penalty vs. fetch starvation.
+    /// The front-end stall of a cycle with nothing to issue as of cycle
+    /// `at`: a refill penalty expires at a known cycle; a merely-empty
+    /// buffer can complete a group on any fetch tick.
     #[inline]
-    pub(crate) fn frontend_attr(&self, at: u64) -> StallAttr {
-        StallAttr::new(if self.frontend.is_refilling(at) {
-            StallCause::FeRefill
+    pub(crate) fn frontend_stall(&self, at: u64) -> Step {
+        if self.frontend.is_refilling(at) {
+            (StallAttr::new(StallCause::FeRefill), Some(self.frontend.resume_at()))
         } else {
-            StallCause::FeEmpty
-        })
+            (StallAttr::new(StallCause::FeEmpty), None)
+        }
     }
 
     /// Sends a load to the hierarchy and books its fill: L1 hits bypass
@@ -276,10 +254,9 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Charges `span` cycles of `class`/`attr` to every accounting view.
+    /// Charges `span` cycles of `attr` to every accounting view.
     #[inline]
-    fn charge(&mut self, class: CycleClass, attr: StallAttr, span: u64) {
-        self.breakdown.charge_n(class, span);
+    fn charge(&mut self, attr: StallAttr, span: u64) {
         self.breakdown2.charge_n(attr.cause, span);
         if let Some(pc) = attr.pc {
             self.profile.record_n(pc, attr.cause, span);
@@ -343,10 +320,10 @@ pub trait Policy: Sized {
     fn report(self, _report: &mut SimReport, _extra: &mut MetricsBuilder) {}
 
     /// Audit probe: asserts that fast-forwarding `[core.cycle, target)`
-    /// is legal — the last skipped cycle still repeats `class`/`attr`
-    /// with nothing issuable.
+    /// is legal — the last skipped cycle still repeats `attr` with
+    /// nothing issuable.
     #[cfg(feature = "audit")]
-    fn audit_span(&mut self, core: &mut Core<'_>, class: CycleClass, attr: StallAttr, target: u64);
+    fn audit_span(&mut self, core: &mut Core<'_>, attr: StallAttr, target: u64);
 }
 
 /// A pipeline model: the shared [`Core`] driven by policy `P` (see
@@ -423,7 +400,6 @@ impl<'p, P: Policy> Engine<'p, P> {
         // A forward-progress guard: any livelock is a simulator bug and
         // must surface as a panic, not a hang.
         let cycle_cap = max_instrs.saturating_mul(500).max(1_000_000);
-        let mut last_class: Option<CycleClass> = None;
         let mut last_attr: Option<StallAttr> = None;
         while !self.core.halted && self.core.retired < max_instrs {
             let core = &mut self.core;
@@ -440,17 +416,14 @@ impl<'p, P: Policy> Engine<'p, P> {
             if sink.is_on() {
                 core.drain_pending_misses(sink);
             }
-            let (class, attr, wake) = self.policy.step(core, sink);
-            core.charge(class, attr, 1);
+            let (attr, wake) = self.policy.step(core, sink);
+            core.charge(attr, 1);
             if sink.is_on() {
-                if last_class != Some(class) {
-                    let from = last_class.unwrap_or(class);
-                    sink.emit_with(|| TraceEvent::ClassTransition {
-                        cycle: core.cycle,
-                        from,
-                        to: class,
-                    });
-                    last_class = Some(class);
+                let to = attr.cause.class();
+                let from = last_attr.map(|a| a.cause.class());
+                if from != Some(to) {
+                    let from = from.unwrap_or(to);
+                    sink.emit_with(|| TraceEvent::ClassTransition { cycle: core.cycle, from, to });
                 }
                 if last_attr != Some(attr) {
                     sink.emit_with(|| TraceEvent::CauseTransition {
@@ -466,8 +439,8 @@ impl<'p, P: Policy> Engine<'p, P> {
             if !core.halted && self.policy.drained(core) {
                 break; // defensive: no further progress possible
             }
-            if core.cfg.fast_forward && class != CycleClass::Unstalled {
-                self.fast_forward(class, attr, wake, sink);
+            if core.cfg.fast_forward && attr.cause != StallCause::Issue {
+                self.fast_forward(attr, wake, sink);
             }
         }
     }
@@ -477,13 +450,7 @@ impl<'p, P: Policy> Engine<'p, P> {
     /// stall span `[cycle, target)`, bulk-charging the attribution and
     /// replaying the per-cycle trace stream so results are byte-identical
     /// to ticking every cycle.
-    fn fast_forward(
-        &mut self,
-        class: CycleClass,
-        attr: StallAttr,
-        wake: Option<u64>,
-        sink: &mut SinkHandle,
-    ) {
+    fn fast_forward(&mut self, attr: StallAttr, wake: Option<u64>, sink: &mut SinkHandle) {
         let Some(wake) = wake else { return };
         let core = &mut self.core;
         // The front end must be inert across the span: either stopped /
@@ -500,9 +467,9 @@ impl<'p, P: Policy> Engine<'p, P> {
             return;
         }
         #[cfg(feature = "audit")]
-        self.policy.audit_span(core, class, attr, target);
+        self.policy.audit_span(core, attr, target);
         let span = target - core.cycle;
-        core.charge(class, attr, span);
+        core.charge(attr, span);
         self.policy.charge_span(span);
         if sink.is_on() {
             // Replay the skipped cycles' trace output exactly: the class
@@ -525,7 +492,7 @@ impl<'p, P: Policy> Engine<'p, P> {
             model: policy.kind(),
             cycles: core.cycle,
             retired: core.retired,
-            breakdown: core.breakdown,
+            breakdown: core.breakdown2.collapse(),
             breakdown2: core.breakdown2,
             stall_profile: core.profile,
             mem: core.mem_stats,

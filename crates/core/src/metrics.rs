@@ -148,13 +148,14 @@ impl Histogram {
         self.max
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one. Like [`Self::observe`],
+    /// the sum saturates at `u64::MAX`.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
 }
@@ -474,6 +475,18 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.sum(), 303);
         assert_eq!(a.max(), 300);
+    }
+
+    #[test]
+    fn histogram_merge_saturates_the_sum() {
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        a.observe(u64::MAX);
+        b.observe(u64::MAX);
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert_eq!(a.sum(), u64::MAX, "the sum sticks at u64::MAX, as observe's does");
+        assert_eq!(a.max(), u64::MAX);
     }
 
     #[test]

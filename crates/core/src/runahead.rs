@@ -225,7 +225,7 @@ impl RunaheadPolicy {
             core.frontend.redirect(ep.resume_pc, core.cycle + EXIT_PENALTY);
             self.episode = None;
             self.stores.clear();
-            return (CycleClass::LoadStall, ep.attr, None);
+            return (ep.attr, None);
         }
 
         // Idle — ran off a halt, or fetch-starved — until the blocking
@@ -239,7 +239,7 @@ impl RunaheadPolicy {
                 wake = None;
             }
         }
-        (CycleClass::LoadStall, ep.attr, wake)
+        (ep.attr, wake)
     }
 
     /// Issues one group speculatively under INV semantics. Returns true
@@ -345,15 +345,15 @@ impl Policy for RunaheadPolicy {
         if let Some(ep) = self.episode {
             return self.ra_step(ep, core, sink);
         }
-        let (class, attr, wake) = self.base.step(core, sink);
-        if class != CycleClass::LoadStall {
-            return (class, attr, wake);
+        let (attr, wake) = self.base.step(core, sink);
+        if attr.cause.class() != CycleClass::LoadStall {
+            return (attr, wake);
         }
         // A load-use stall opens an episode instead of idling. The next
         // cycle runs in runahead mode — never skip it.
         let until = wake.expect("a load stall wakes when its load returns");
         self.enter_runahead(core, until, attr, sink);
-        (class, attr, None)
+        (attr, None)
     }
 
     #[inline]
@@ -373,9 +373,9 @@ impl Policy for RunaheadPolicy {
     }
 
     #[cfg(feature = "audit")]
-    fn audit_span(&mut self, core: &mut Core<'_>, class: CycleClass, attr: StallAttr, target: u64) {
+    fn audit_span(&mut self, core: &mut Core<'_>, attr: StallAttr, target: u64) {
         let Some(ep) = &self.episode else {
-            return self.base.audit_span(core, class, attr, target);
+            return self.base.audit_span(core, attr, target);
         };
         // A skipped runahead cycle must be idle: episode still open and
         // nothing issuable.
@@ -385,8 +385,7 @@ impl Policy for RunaheadPolicy {
             "fast-forwarded runahead span had an issuable group"
         );
         assert_eq!(
-            (CycleClass::LoadStall, ep.attr),
-            (class, attr),
+            ep.attr, attr,
             "fast-forwarded span [{}, {target}) had an enabled event",
             core.cycle,
         );

@@ -12,9 +12,10 @@
 //!
 //! Additionally each entry tracks a `ready_at` cycle (the in-pipe
 //! scoreboard: an A-executed load's destination is V-valid but unusable
-//! until the fill returns) and whether the pending producer is a load or
-//! an FP operation (for stall classification and the optional
-//! stall-on-anticipable-FP policy).
+//! until the fill returns) and whether the pending producer is an FP
+//! operation (for the optional stall-on-anticipable-FP policy). No other
+//! producer kind is tracked: B-pipe stalls are attributed from the
+//! B-side scoreboard and the coupling queue, not from the A-file.
 
 use crate::engine::Scoreboard;
 use ff_isa::reg::TOTAL_REGS;
@@ -22,18 +23,6 @@ use ff_isa::{RegId, RegRead};
 
 /// Sentinel DynID meaning "architectural value, no in-flight writer".
 pub const ARCH_DYN_ID: u64 = u64::MAX;
-
-/// Kind of in-flight producer for a register (stall classification).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProducerKind {
-    /// No interesting producer / single-cycle.
-    #[default]
-    Other,
-    /// Outstanding load.
-    Load,
-    /// FP-unit operation (anticipable latency).
-    Fp,
-}
 
 /// One A-file register.
 #[derive(Debug, Clone, Copy)]
@@ -48,20 +37,14 @@ pub struct AEntry {
     pub dyn_id: u64,
     /// Cycle the value becomes readable.
     pub ready_at: u64,
-    /// What kind of producer is in flight.
-    pub producer: ProducerKind,
+    /// Whether the in-flight producer is an FP-unit operation
+    /// (anticipable latency).
+    pub fp: bool,
 }
 
 impl Default for AEntry {
     fn default() -> Self {
-        AEntry {
-            bits: 0,
-            v: true,
-            s: false,
-            dyn_id: ARCH_DYN_ID,
-            ready_at: 0,
-            producer: ProducerKind::Other,
-        }
+        AEntry { bits: 0, v: true, s: false, dyn_id: ARCH_DYN_ID, ready_at: 0, fp: false }
     }
 }
 
@@ -73,7 +56,10 @@ pub enum SourceState {
     /// Producer was deferred to the B-pipe (V clear): consumer must defer.
     Deferred,
     /// Producer started in the A-pipe but has not completed.
-    InFlight(ProducerKind),
+    InFlight {
+        /// Whether the producer is an FP-unit operation.
+        fp: bool,
+    },
 }
 
 /// The A-pipe's speculative register file.
@@ -108,22 +94,16 @@ impl AFile {
         if !e.v {
             SourceState::Deferred
         } else if e.ready_at > now {
-            SourceState::InFlight(e.producer)
+            SourceState::InFlight { fp: e.fp }
         } else {
             SourceState::Ready
         }
     }
 
-    /// Records an A-pipe execution writing `reg`.
-    pub fn write_executed(
-        &mut self,
-        reg: RegId,
-        bits: u64,
-        dyn_id: u64,
-        ready_at: u64,
-        producer: ProducerKind,
-    ) {
-        self.entries[reg.index()] = AEntry { bits, v: true, s: true, dyn_id, ready_at, producer };
+    /// Records an A-pipe execution writing `reg` (`fp`: by an FP-unit
+    /// operation).
+    pub fn write_executed(&mut self, reg: RegId, bits: u64, dyn_id: u64, ready_at: u64, fp: bool) {
+        self.entries[reg.index()] = AEntry { bits, v: true, s: true, dyn_id, ready_at, fp };
     }
 
     /// Marks `reg` as the destination of a deferred instruction: V
@@ -133,7 +113,7 @@ impl AFile {
         e.v = false;
         e.s = true;
         e.dyn_id = dyn_id;
-        e.producer = ProducerKind::Other;
+        e.fp = false;
     }
 
     /// Applies a B→A feedback update. The update lands only if `dyn_id`
@@ -148,7 +128,7 @@ impl AFile {
         e.v = true;
         e.s = false;
         e.ready_at = e.ready_at.max(now);
-        e.producer = ProducerKind::Other;
+        e.fp = false;
         true
     }
 
@@ -165,8 +145,7 @@ impl AFile {
                 e.s = false;
                 e.dyn_id = ARCH_DYN_ID;
                 e.ready_at = now.max(b.ready_at[i]);
-                e.producer =
-                    if b.pending_load[i] { ProducerKind::Load } else { ProducerKind::Other };
+                e.fp = false;
                 repaired += 1;
             }
         }
@@ -208,8 +187,8 @@ mod tests {
     #[test]
     fn executed_write_is_speculative_and_latency_gated() {
         let mut f = AFile::new();
-        f.write_executed(reg(1), 42, 7, 10, ProducerKind::Load);
-        assert_eq!(f.source_state(reg(1), 5), SourceState::InFlight(ProducerKind::Load));
+        f.write_executed(reg(1), 42, 7, 10, true);
+        assert_eq!(f.source_state(reg(1), 5), SourceState::InFlight { fp: true });
         assert_eq!(f.source_state(reg(1), 10), SourceState::Ready);
         assert_eq!(f.read(reg(1)), 42);
         assert!(f.entry(reg(1)).s);
@@ -241,7 +220,7 @@ mod tests {
     fn younger_a_write_makes_feedback_stale() {
         let mut f = AFile::new();
         f.mark_deferred(reg(4), 20);
-        f.write_executed(reg(4), 99, 25, 0, ProducerKind::Other);
+        f.write_executed(reg(4), 99, 25, 0, false);
         assert!(!f.feedback_update(reg(4), 20, 1, 0));
         assert_eq!(f.read(reg(4)), 99);
     }
@@ -253,7 +232,7 @@ mod tests {
         b.write(reg(1), 111, 0, StallCause::DepOther, 0);
         b.write(reg(2), 222, 0, StallCause::DepOther, 0);
 
-        f.write_executed(reg(1), 77, 5, 0, ProducerKind::Other); // wrong-path pollution
+        f.write_executed(reg(1), 77, 5, 0, false); // wrong-path pollution
         f.mark_deferred(reg(2), 6);
         // reg(3) untouched: must not be "repaired"
         let repaired = f.repair_from(&b, 50);
@@ -269,10 +248,10 @@ mod tests {
     fn repair_preserves_b_side_latency() {
         let mut f = AFile::new();
         let mut b = Scoreboard::new();
-        b.write_load(reg(1), 0, 200, ff_mem::MemLevel::Mem, 0);
+        b.write(reg(1), 0, 200, StallCause::LoadMem, 0);
         f.mark_deferred(reg(1), 3);
         f.repair_from(&b, 50);
-        assert_eq!(f.source_state(reg(1), 100), SourceState::InFlight(ProducerKind::Load));
+        assert_eq!(f.source_state(reg(1), 100), SourceState::InFlight { fp: false });
         assert_eq!(f.source_state(reg(1), 200), SourceState::Ready);
     }
 }

@@ -26,7 +26,7 @@
 pub mod afile;
 pub mod queue;
 
-use crate::accounting::{CycleClass, StallAttr, StallCause};
+use crate::accounting::{StallAttr, StallCause};
 use crate::config::{FeedbackLatency, MachineConfig};
 use crate::engine::{Core, Engine, Policy, Step};
 use crate::frontend::FetchedInsn;
@@ -34,7 +34,7 @@ use crate::metrics::MetricsBuilder;
 use crate::report::{ModelKind, Pipe, SimReport, TwoPassStats};
 use crate::sink::SinkHandle;
 use crate::trace::{FlushKind, TraceEvent};
-use afile::{AFile, ProducerKind, SourceState};
+use afile::{AFile, SourceState};
 use ff_isa::{evaluate, Effect, RegId, Writes};
 use ff_mem::{Alat, AlatCheck, ForwardResult, MemLevel, StoreBuffer};
 use queue::{BranchInfo, CouplingQueue, CqEntry, CqState, LoadInfo, StoreInfo};
@@ -165,7 +165,7 @@ impl Policy for TwoPassPolicy {
     /// dispatches. The cycle is charged by the B-pipe's outcome.
     fn step(&mut self, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
         self.apply_feedback(core.cycle);
-        let (class, attr, b_wake) = self.b_step(core, sink);
+        let (attr, b_wake) = self.b_step(core, sink);
         #[cfg(feature = "audit")]
         let b_fingerprint = audit_b_fingerprint(core);
         self.a_idle = if core.halted { Some(AIdle::Halted) } else { self.a_step(core, sink) };
@@ -187,7 +187,7 @@ impl Policy for TwoPassPolicy {
             _ => None,
         };
         let wake = wake.map(|w| self.feedback.iter().map(|m| m.apply_at).fold(w, u64::min));
-        (class, attr, wake)
+        (attr, wake)
     }
 
     #[inline]
@@ -228,7 +228,7 @@ impl Policy for TwoPassPolicy {
     /// (a `ready_at`/fill/refill boundary not yet crossed at `target - 1`
     /// was not crossed earlier either).
     #[cfg(feature = "audit")]
-    fn audit_span(&mut self, core: &mut Core<'_>, class: CycleClass, attr: StallAttr, target: u64) {
+    fn audit_span(&mut self, core: &mut Core<'_>, attr: StallAttr, target: u64) {
         let idle = self.a_idle.expect("fast-forward skips only an idle A-pipe");
         let start = core.cycle;
         assert!(
@@ -237,17 +237,15 @@ impl Policy for TwoPassPolicy {
         );
         core.cycle = target - 1;
         let probed = match self.head_group(core) {
-            Err((class, attr, _)) => Some((class, attr)),
+            Err((attr, _)) => Some(attr),
             Ok(glen) => match self.bundle_block(core, glen) {
-                Some((idx, stall, internal, attr, _)) if !internal || idx == 0 => {
-                    Some((stall, attr))
-                }
+                Some((idx, internal, attr, _)) if !internal || idx == 0 => Some(attr),
                 _ => None,
             },
         };
         assert_eq!(
             probed,
-            Some((class, attr)),
+            Some(attr),
             "audit: fast-forwarded span [{start}, {target}) had an enabled B-pipe event",
         );
         let still_idle = match idle {
@@ -303,7 +301,7 @@ impl TwoPassPolicy {
     /// Dependence/dangling/structural check over the first `len` queue
     /// entries as one issue bundle. `None` means the bundle can issue
     /// whole. Otherwise reports the index of the first blocked entry,
-    /// the stall class, whether the block is *internal* — a
+    /// whether the block is *internal* — a
     /// dependence on a deferred bundle peer, which time will not resolve
     /// (the bundle must split there) — or *external* (stall the group,
     /// EPIC-style), the refined attribution of the blocking producer,
@@ -314,7 +312,7 @@ impl TwoPassPolicy {
         &mut self,
         core: &Core<'_>,
         len: usize,
-    ) -> Option<(usize, CycleClass, bool, StallAttr, Option<u64>)> {
+    ) -> Option<(usize, bool, StallAttr, Option<u64>)> {
         // Reuse the scratch buffer across cycles: take it out of `self`
         // so the scan can borrow the rest of the machine immutably.
         let mut written = std::mem::take(&mut self.bundle_scratch);
@@ -329,7 +327,7 @@ impl TwoPassPolicy {
         core: &Core<'_>,
         len: usize,
         written: &mut Vec<BundleWrite>,
-    ) -> Option<(usize, CycleClass, bool, StallAttr, Option<u64>)> {
+    ) -> Option<(usize, bool, StallAttr, Option<u64>)> {
         let now = core.cycle;
         let find = |written: &[BundleWrite], idx: usize| {
             written.iter().rev().position(|w| w.reg == idx).map(|p| written.len() - 1 - p)
@@ -338,21 +336,10 @@ impl TwoPassPolicy {
             let e = self.cq.get(i).expect("bundle in range");
             let d = core.code.at(e.pc);
             match e.state {
-                CqState::Executed { ready_at, pending_load, writes, load, .. } => {
+                CqState::Executed { ready_at, writes, load, .. } => {
                     if ready_at > now {
-                        let class = if pending_load {
-                            CycleClass::LoadStall
-                        } else {
-                            CycleClass::NonLoadDepStall
-                        };
-                        let cause = if pending_load {
-                            StallCause::load(load.map_or(MemLevel::L1, |li| li.level))
-                        } else {
-                            d.dep_cause
-                        };
-                        let attr = StallAttr::at(cause, e.pc);
-                        debug_assert_eq!(attr.cause.class(), class);
-                        return Some((i, class, false, attr, Some(ready_at)));
+                        let cause = load.map_or(d.dep_cause, |li| StallCause::load(li.level));
+                        return Some((i, false, StallAttr::at(cause, e.pc), Some(ready_at)));
                     }
                     for w in writes.iter() {
                         written.push(BundleWrite {
@@ -370,14 +357,12 @@ impl TwoPassPolicy {
                             Some(w) if written[w].avail => {}
                             Some(w) => {
                                 let attr = StallAttr::at(written[w].cause, written[w].pc);
-                                debug_assert_eq!(attr.cause.class(), CycleClass::NonLoadDepStall);
-                                return Some((i, CycleClass::NonLoadDepStall, true, attr, None));
+                                return Some((i, true, attr, None));
                             }
                             None => {
                                 let ready = core.arch.ready_at[idx];
                                 if ready > now {
-                                    let (class, attr) = core.arch.block(idx);
-                                    return Some((i, class, false, attr, Some(ready)));
+                                    return Some((i, false, core.arch.block(idx), Some(ready)));
                                 }
                             }
                         }
@@ -385,7 +370,7 @@ impl TwoPassPolicy {
                     if d.is_load && !core.mshrs.has_room(now) {
                         let attr = StallAttr::at(StallCause::ResMshr, e.pc);
                         let wake = core.mshrs.next_wakeup(now);
-                        return Some((i, CycleClass::ResourceStall, false, attr, wake));
+                        return Some((i, false, attr, wake));
                     }
                     // WAW against a deferred peer also forces a split:
                     // sequential apply order must be preserved in time.
@@ -393,8 +378,7 @@ impl TwoPassPolicy {
                         if let Some(w) = find(written, dst.index()) {
                             if !written[w].avail {
                                 let attr = StallAttr::at(written[w].cause, written[w].pc);
-                                debug_assert_eq!(attr.cause.class(), CycleClass::NonLoadDepStall);
-                                return Some((i, CycleClass::NonLoadDepStall, true, attr, None));
+                                return Some((i, true, attr, None));
                             }
                         }
                     }
@@ -414,7 +398,7 @@ impl TwoPassPolicy {
 
     /// Length of the group at the queue head that the B-pipe may
     /// consume this cycle, or — when nothing is consumable — the stall.
-    fn head_group(&self, core: &Core<'_>) -> Result<usize, (CycleClass, StallAttr, Option<u64>)> {
+    fn head_group(&self, core: &Core<'_>) -> Result<usize, Step> {
         if let Some(g) = self.cq.head_group_len(core.cycle) {
             return Ok(g);
         }
@@ -428,20 +412,17 @@ impl TwoPassPolicy {
             return Ok(self.cq.len());
         }
         // Nothing consumable: starving on fetch, or waiting for the
-        // A-pipe's one-cycle head start. `FeEmpty` and `APipe` have no
-        // wake hint — the A-pipe or front end may make progress the very
-        // next cycle.
-        Err(if core.frontend.is_refilling(core.cycle) {
-            let wake = Some(core.frontend.resume_at());
-            (CycleClass::FrontEndStall, StallAttr::new(StallCause::FeRefill), wake)
-        } else if core.frontend.complete_group_len().is_none() {
-            (CycleClass::FrontEndStall, StallAttr::new(StallCause::FeEmpty), None)
+        // A-pipe's one-cycle head start, which has no wake hint — the
+        // A-pipe may make progress the very next cycle.
+        let fe = &core.frontend;
+        Err(if fe.is_refilling(core.cycle) || fe.complete_group_len().is_none() {
+            core.frontend_stall(core.cycle)
         } else {
-            (CycleClass::APipeStall, StallAttr::new(StallCause::APipe), None)
+            (StallAttr::new(StallCause::APipe), None)
         })
     }
 
-    /// The B-pipe's cycle. The third element is the fast-forward wake
+    /// The B-pipe's cycle. The second element is the fast-forward wake
     /// hint: the earliest cycle at which this stall could resolve, when
     /// one is knowable.
     fn b_step(&mut self, core: &mut Core<'_>, sink: &mut SinkHandle) -> Step {
@@ -454,9 +435,9 @@ impl TwoPassPolicy {
         // alone would never resolve it; an external one stalls the whole
         // group at EPIC issue-group granularity.
         let mut issue_len = glen;
-        if let Some((idx, stall, internal, attr, wake)) = self.bundle_block(core, glen) {
+        if let Some((idx, internal, attr, wake)) = self.bundle_block(core, glen) {
             if !internal || idx == 0 {
-                return (stall, attr, wake);
+                return (attr, wake);
             }
             issue_len = idx;
         }
@@ -506,7 +487,7 @@ impl TwoPassPolicy {
         if let Some(plan) = flush {
             self.do_flush(core, plan, sink);
         }
-        (CycleClass::Unstalled, StallAttr::new(StallCause::Issue), None)
+        (StallAttr::new(StallCause::Issue), None)
     }
 
     /// Retires one queue entry into architectural state. Returns `true`
@@ -655,7 +636,7 @@ impl TwoPassPolicy {
         sink: &mut SinkHandle,
     ) {
         let (bits, done, level) = core.load(addr, size, signed, Pipe::B, sink);
-        core.arch.write_load(dest, bits, done, level, entry.pc);
+        core.arch.write(dest, bits, done, StallCause::load(level), entry.pc);
         self.push_feedback(core, dest, entry.seq, bits, done);
     }
 
@@ -726,7 +707,7 @@ impl TwoPassPolicy {
         let d = core.code.at(pc);
         if let Some(qp) = d.insn.qp {
             match self.afile.source_state(RegId::Pred(qp), core.cycle) {
-                SourceState::Deferred | SourceState::InFlight(_) => return true,
+                SourceState::Deferred | SourceState::InFlight { .. } => return true,
                 SourceState::Ready => {
                     let qp_true = ff_isa::RegRead::read(&self.afile, RegId::Pred(qp)) != 0;
                     if !qp_true {
@@ -800,10 +781,7 @@ impl TwoPassPolicy {
         if core.cfg.two_pass.stall_on_anticipable_fp {
             for i in 0..glen {
                 let blocked = core.code.at(core.frontend.peek(i).pc).srcs.iter().any(|src| {
-                    matches!(
-                        self.afile.source_state(src, core.cycle),
-                        SourceState::InFlight(ProducerKind::Fp)
-                    )
+                    self.afile.source_state(src, core.cycle) == SourceState::InFlight { fp: true }
                 });
                 if blocked {
                     return Some(AIdle::FpBlock);
@@ -914,12 +892,10 @@ impl TwoPassPolicy {
         let now = core.cycle;
         let d = core.code.at(f.pc);
         let lat = d.latency;
-        let producer = if d.is_fp { ProducerKind::Fp } else { ProducerKind::Other };
         let conditional = d.insn.qp.is_some();
         let executed = |store, branch| CqState::Executed {
             writes: Writes::default(),
             ready_at: now,
-            pending_load: false,
             load: None,
             store,
             branch,
@@ -928,9 +904,9 @@ impl TwoPassPolicy {
             Effect::Nullified | Effect::Nop => (executed(None, None), false),
             Effect::Write(writes) => {
                 for w in writes.iter() {
-                    self.afile.write_executed(w.reg, w.bits, f.seq, now + lat, producer);
+                    self.afile.write_executed(w.reg, w.bits, f.seq, now + lat, d.is_fp);
                 }
-                (CqState::executed(writes, now + lat, false), false)
+                (CqState::executed(writes, now + lat), false)
             }
             Effect::Load { addr, size, signed, dest } => {
                 self.a_load(core, f, addr, size, signed, dest, sink)
@@ -994,7 +970,7 @@ impl TwoPassPolicy {
         if risky {
             self.stats.loads_past_deferred_store += 1;
         }
-        self.afile.write_executed(dest, bits, f.seq, ready_at, ProducerKind::Load);
+        self.afile.write_executed(dest, bits, f.seq, ready_at, false);
 
         let mut writes = Writes::default();
         writes.push(ff_isa::RegWrite { reg: dest, bits });
@@ -1002,7 +978,6 @@ impl TwoPassPolicy {
             CqState::Executed {
                 writes,
                 ready_at,
-                pending_load: true,
                 load: Some(LoadInfo { addr, size, risky, level }),
                 store: None,
                 branch: None,

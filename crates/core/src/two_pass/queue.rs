@@ -59,9 +59,8 @@ pub enum CqState {
         /// Cycle the A-pipe result becomes available (the "dangling
         /// dependence" scoreboard: loads may still be in flight).
         ready_at: u64,
-        /// Whether the in-flight producer is a load.
-        pending_load: bool,
-        /// Set for pre-executed loads (ALAT check at merge).
+        /// Set for pre-executed loads (ALAT check at merge; the entry's
+        /// in-flight producer is then a load).
         load: Option<LoadInfo>,
         /// Set for pre-executed stores (commit at merge).
         store: Option<StoreInfo>,
@@ -75,8 +74,8 @@ pub enum CqState {
 impl CqState {
     /// A pre-executed entry with no memory or control side effects.
     #[must_use]
-    pub fn executed(writes: Writes, ready_at: u64, pending_load: bool) -> Self {
-        CqState::Executed { writes, ready_at, pending_load, load: None, store: None, branch: None }
+    pub fn executed(writes: Writes, ready_at: u64) -> Self {
+        CqState::Executed { writes, ready_at, load: None, store: None, branch: None }
     }
 
     /// Whether this entry was deferred.
@@ -127,12 +126,6 @@ impl CouplingQueue {
         CouplingQueue { entries: VecDeque::with_capacity(capacity), capacity }
     }
 
-    /// Capacity in instructions.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current occupancy.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -165,11 +158,6 @@ impl CouplingQueue {
     #[must_use]
     pub fn get(&self, i: usize) -> Option<&CqEntry> {
         self.entries.get(i)
-    }
-
-    /// Mutable entry access.
-    pub fn get_mut(&mut self, i: usize) -> Option<&mut CqEntry> {
-        self.entries.get_mut(i)
     }
 
     /// Length of the complete issue group at the head whose last member

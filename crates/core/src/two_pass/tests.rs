@@ -4,7 +4,7 @@
 //! store-conflict recovery).
 
 use super::*;
-use crate::accounting::CycleBreakdown;
+use crate::accounting::{CycleBreakdown, CycleClass};
 use crate::baseline::Baseline;
 use ff_isa::reg::{FpReg, IntReg, PredReg};
 use ff_isa::{ArchState, CmpKind, MemoryImage, Program, ProgramBuilder};

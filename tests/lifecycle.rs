@@ -1,26 +1,53 @@
 //! Lifecycle-trace integration tests: every retired instruction on
 //! every model and kernel must leave exactly one well-formed,
-//! cycle-monotone lifecycle in the trace stream, and the Konata export
-//! of a representative kernel is pinned against a golden file.
+//! cycle-monotone lifecycle in the trace stream, the replayed class and
+//! cause transitions must rebuild the report's accounting, and the
+//! Konata export of a representative kernel is pinned against a golden
+//! file.
 
 use ff_bench::traceview::{self, Flight};
-use fleaflicker::core::{run_model, JsonlSink, MachineConfig, ModelKind, SimReport, TraceSink};
+use fleaflicker::core::{
+    run_model, CycleClass, JsonlSink, MachineConfig, ModelKind, SimReport, TraceEvent, TraceSink,
+};
 use fleaflicker::workloads::{paper_benchmarks, Scale, Workload};
 use std::io::BufReader;
 
-/// Runs `model` over `w` with a JSONL sink and replays the stream into
-/// per-flight lifecycles.
+/// Runs `model` over `w` with a JSONL sink and reads the stream back.
 fn traced(
     w: &Workload,
     run: impl FnOnce(&Workload, &mut dyn TraceSink) -> SimReport,
-) -> (SimReport, Vec<Flight>) {
+) -> (SimReport, Vec<TraceEvent>) {
     let mut sink = JsonlSink::new(Vec::new());
     let report = run(w, &mut sink);
     assert!(!sink.errored(), "{}: sink errored", w.name);
     let bytes = sink.into_inner().unwrap();
     let events = traceview::load_events(BufReader::new(bytes.as_slice()))
         .unwrap_or_else(|e| panic!("{}: trace replay: {e}", w.name));
-    (report, traceview::lifecycles(&events))
+    (report, events)
+}
+
+/// Replaying the class and cause transitions must rebuild the report's
+/// class breakdown, cause breakdown and per-PC stall profile exactly.
+fn check_accounting_replay(
+    name: &str,
+    label: ModelKind,
+    report: &SimReport,
+    events: &[TraceEvent],
+) {
+    let classes = traceview::class_totals(&traceview::class_intervals(events));
+    let expected = CycleClass::ALL.map(|c| report.breakdown[c]);
+    assert_eq!(classes, expected, "{name}: {label} replayed classes disagree with breakdown");
+    let causes = traceview::cause_intervals(events);
+    assert_eq!(
+        traceview::cause_breakdown(&causes),
+        report.breakdown2,
+        "{name}: {label} replayed causes disagree with breakdown2"
+    );
+    assert_eq!(
+        traceview::stall_profile(&causes),
+        report.stall_profile,
+        "{name}: {label} replayed profile disagrees with the stall profile"
+    );
 }
 
 /// The lifecycle completeness invariant for the two-pass models: one
@@ -101,9 +128,11 @@ fn every_retired_instruction_has_a_well_formed_lifecycle_on_every_model() {
     let cfg = MachineConfig::paper_table1();
     for w in paper_benchmarks(Scale::Tiny) {
         for kind in ModelKind::ALL {
-            let (r, flights) = traced(&w, |w, sink| {
+            let (r, events) = traced(&w, |w, sink| {
                 run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, Some(sink)).0
             });
+            check_accounting_replay(w.name, kind, &r, &events);
+            let flights = traceview::lifecycles(&events);
             if r.two_pass.is_some() {
                 check_two_pass_lifecycles(w.name, kind, &r, &flights);
             } else {
