@@ -19,7 +19,9 @@
 //! section that slipped by more than `--threshold` (relative, default
 //! 0.2). It exits 2 on a regression unless `--report-only` is given (CI
 //! runs report-only: the numbers are a trajectory, not a gate; container
-//! load makes wall time noisy).
+//! load makes wall time noisy). `--repeat N` measures N times and keeps
+//! each section's median, so a before/after pair of snapshots compares
+//! like with like instead of two single draws.
 
 use ff_bench::cli::{Cli, Command, Parsed};
 use ff_bench::experiments::REGISTRY;
@@ -70,7 +72,7 @@ static CLI: Cli = Cli {
         },
         Command {
             spec: "perf [--scale tiny|test|ref] [--threshold F] [--perf-dir PERFDIR] \
-                   [--report-only] [--tag TAG] [--ff-gate RATIO]",
+                   [--report-only] [--tag TAG] [--ff-gate RATIO] [--repeat N]",
             about: "self-profile into PERFDIR/BENCH_<date>.json, diff vs the latest snapshot",
         },
     ],
@@ -387,14 +389,19 @@ fn measure(scale: Scale) -> SelfProfiler {
         }
     }
 
-    // Trace-sink overhead: the same 2P run, streaming every event to a
-    // JSONL sink that discards its bytes. Compare against sim.2p's
-    // per-instruction cost to see what recording costs.
-    if let Some(w) = workloads.first() {
-        p.time_work("trace.jsonl_sink", || {
+    // Trace-sink overhead: 2P runs streaming every event to a JSONL sink
+    // that discards its bytes. Compare against sim.2p's per-instruction
+    // cost to see what recording costs. The first kernel (go-like) is
+    // issue-bound; mcf-like spends most cycles fast-forwarded, so its
+    // section measures the bulk occupancy-sample replay.
+    let mcf_like = workloads.iter().find(|w| w.name == "mcf-like");
+    let traced = [("trace.jsonl_sink", workloads.first()), ("trace.jsonl_sink.mcf", mcf_like)];
+    for (section, w) in traced {
+        let Some(w) = w else { continue };
+        p.time_work(section, || {
             let mut sink = ff_core::JsonlSink::new(std::io::sink());
-            let r =
-                TwoPass::new(&w.program, w.memory.clone(), cfg).run_with_sink(w.budget, &mut sink);
+            let r = TwoPass::new(&w.program, w.memory.clone(), cfg.clone())
+                .run_with_sink(w.budget, &mut sink);
             ((), r.retired)
         });
     }
@@ -404,7 +411,7 @@ fn measure(scale: Scale) -> SelfProfiler {
     // the event layer on and off, on the single-pipe baseline and the
     // two-pass machine. The throughput *ratio* of each on/off pair
     // backs `--ff-gate`.
-    if let Some(w) = workloads.iter().find(|w| w.name == "mcf-like") {
+    if let Some(w) = mcf_like {
         // Alternate the legs across repetitions so slow drift in host
         // load (the dominant noise source) cancels out of the ratio.
         for _ in 0..3 {
@@ -462,8 +469,17 @@ fn cmd_perf(args: &Parsed) -> Result<ExitCode, String> {
     };
 
     let host = HostInfo::detect();
-    let profiler = measure(scale);
-    println!("perf snapshot ({} scale)", scale.label());
+    let repeat: usize = args.get("--repeat")?.unwrap_or(1);
+    if repeat == 0 {
+        return Err("--repeat must be at least 1".to_string());
+    }
+    let runs: Vec<SelfProfiler> = (0..repeat).map(|_| measure(scale)).collect();
+    let profiler = SelfProfiler::median(&runs);
+    if repeat == 1 {
+        println!("perf snapshot ({} scale)", scale.label());
+    } else {
+        println!("perf snapshot ({} scale, median of {repeat} runs)", scale.label());
+    }
     let facet = |s: &str| if s.is_empty() { "unknown" } else { s }.to_string();
     println!(
         "host: {} | opt-level {} | {}\n",
@@ -473,11 +489,11 @@ fn cmd_perf(args: &Parsed) -> Result<ExitCode, String> {
     );
     print!(
         "{}",
-        fmt::header(&[("section", 18), ("seconds", 9), ("instrs", 12), ("instrs/sec", 12)])
+        fmt::header(&[("section", 20), ("seconds", 9), ("instrs", 12), ("instrs/sec", 12)])
     );
     for s in profiler.sections() {
         println!(
-            "{:>18}  {:>9.4}  {:>12}  {:>12}",
+            "{:>20}  {:>9.4}  {:>12}  {:>12}",
             s.name,
             s.seconds,
             s.instrs,
@@ -506,7 +522,7 @@ fn cmd_perf(args: &Parsed) -> Result<ExitCode, String> {
                 let unit = if d.throughput { "instrs/sec" } else { "sec" };
                 let tag = if d.regression { "  <-- REGRESSION" } else { "" };
                 println!(
-                    "  {:>18}  {:>10.3} -> {:>10.3} {unit}  ({:+.1}%){tag}",
+                    "  {:>20}  {:>10.3} -> {:>10.3} {unit}  ({:+.1}%){tag}",
                     d.name,
                     d.prev,
                     d.cur,

@@ -115,6 +115,33 @@ impl SelfProfiler {
         rows
     }
 
+    /// One profiler per repeated measurement folded into one: each
+    /// section of the first run, at the median of its seconds over the
+    /// runs that have it (the mean of the middle two for an even
+    /// count). Host load moves single runs far more than most changes
+    /// do, and the median is not pulled by a run that hit a busy spell.
+    #[must_use]
+    pub fn median(runs: &[SelfProfiler]) -> Self {
+        let mut out = Self::new();
+        let Some(first) = runs.first() else { return out };
+        for s in &first.sections {
+            let mut secs: Vec<f64> = runs
+                .iter()
+                .filter_map(|r| r.sections.iter().find(|t| t.name == s.name))
+                .map(|t| t.seconds)
+                .collect();
+            secs.sort_by(f64::total_cmp);
+            let mid = secs.len() / 2;
+            let median = if secs.len().is_multiple_of(2) {
+                (secs[mid - 1] + secs[mid]) / 2.0
+            } else {
+                secs[mid]
+            };
+            out.add(&s.name, median, s.instrs);
+        }
+        out
+    }
+
     /// Consumes the profiler into a dated snapshot stamped with the
     /// current host's provenance.
     #[must_use]
@@ -304,6 +331,30 @@ mod tests {
         assert!(rows.iter().any(|(n, _)| n == "selfprof.a.seconds"));
         assert!(rows.iter().any(|(n, _)| n == "selfprof.sim.ips"));
         assert!(!rows.iter().any(|(n, _)| n == "selfprof.a.ips"));
+    }
+
+    #[test]
+    fn median_takes_each_section_middle_over_runs() {
+        let run = |secs: &[(&str, f64)]| {
+            let mut p = SelfProfiler::new();
+            for &(name, s) in secs {
+                p.add(name, s, if name == "sim" { 100 } else { 0 });
+            }
+            p
+        };
+        let runs = [
+            run(&[("sim", 3.0), ("build", 1.0)]),
+            run(&[("sim", 1.0), ("build", 5.0)]),
+            run(&[("sim", 2.0), ("build", 2.0)]),
+        ];
+        let m = SelfProfiler::median(&runs);
+        let got: Vec<_> =
+            m.sections().iter().map(|s| (s.name.as_str(), s.seconds, s.instrs)).collect();
+        assert_eq!(got, [("sim", 2.0, 100), ("build", 2.0, 0)]);
+        // An even count takes the mean of the middle two.
+        let m = SelfProfiler::median(&runs[..2]);
+        assert_eq!(m.sections()[0].seconds, 2.0);
+        assert!(SelfProfiler::median(&[]).sections().is_empty());
     }
 
     fn snap(sections: &[(&str, f64, u64)]) -> PerfSnapshot {

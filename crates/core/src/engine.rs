@@ -475,12 +475,20 @@ impl<'p, P: Policy> Engine<'p, P> {
             // Replay the skipped cycles' trace output exactly: the class
             // and cause are unchanged (no transitions fire), so each
             // cycle contributes its completed-fill events and its
-            // occupancy sample, in per-cycle order.
-            let depth = self.policy.queue_depth();
-            for c in core.cycle..target {
+            // occupancy sample, in per-cycle order. Between two fills
+            // (a booked `MissEnd` or an MSHR entry completing) nothing
+            // changes, so each such sub-span is one run of identical
+            // samples.
+            let depth = self.policy.queue_depth() as u32;
+            let mut c = core.cycle;
+            while c < target {
                 core.cycle = c;
                 core.drain_pending_misses(sink);
-                core.sample(depth, sink);
+                let next_fill = core.pending_misses.iter().map(|m| m.0).min();
+                let end =
+                    next_fill.into_iter().chain(core.mshrs.next_wakeup(c)).fold(target, u64::min);
+                sink.emit_samples(c..end, depth, core.mshrs.outstanding(c) as u32);
+                c = end;
             }
         }
         core.cycle = target;

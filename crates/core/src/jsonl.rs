@@ -38,28 +38,73 @@ enum Val<'a> {
 trait Field: Sized {
     /// The type as named in error messages.
     const WHAT: &'static str;
-    fn put(self, out: &mut Vec<u8>);
+    /// Writes the value at `line[pos..]`; returns the position after it.
+    fn put(self, line: &mut Line, pos: usize) -> usize;
     fn take(v: Val<'_>) -> Option<Self>;
 }
 
-fn put_u64(out: &mut Vec<u8>, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+/// Room for the longest line [`encode`] writes, newline included:
+/// `CqDequeue` with its four integers at `u64::MAX` takes 130 bytes.
+pub(crate) const LINE_MAX: usize = 160;
+
+/// Room for one encoded line.
+pub(crate) type Line = [u8; LINE_MAX];
+
+/// Copies `lit` to `line[pos..]`; returns the position after it. Every
+/// caller passes a literal or a fixed-size array, so once inlined the
+/// copy has a constant length.
+#[inline(always)]
+fn put_lit(line: &mut Line, pos: usize, lit: &[u8]) -> usize {
+    let end = pos + lit.len();
+    line[pos..end].copy_from_slice(lit);
+    end
+}
+
+/// `"00"`, `"01"`, ..., `"99"`: the decimal digits of every value below
+/// 100, two bytes each.
+const PAIRS: [u8; 200] = {
+    let mut t = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    out.extend_from_slice(&digits[i..]);
+    t
+};
+
+/// Decimal digits of `n`.
+#[inline]
+fn digit_count(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Writes `n` in decimal at `line[pos..]`, two digits per step from the
+/// end of its known digit count; returns the position after it.
+#[inline]
+fn put_u64(line: &mut Line, pos: usize, mut n: u64) -> usize {
+    let end = pos + digit_count(n);
+    let out = &mut line[pos..end];
+    let mut i = out.len();
+    while n >= 100 {
+        let r = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        out[i..i + 2].copy_from_slice(&PAIRS[r..r + 2]);
+    }
+    if n >= 10 {
+        let r = n as usize * 2;
+        out[..2].copy_from_slice(&PAIRS[r..r + 2]);
+    } else {
+        out[0] = b'0' + n as u8;
+    }
+    end
 }
 
 impl Field for u64 {
     const WHAT: &'static str = "u64";
-    fn put(self, out: &mut Vec<u8>) {
-        put_u64(out, self);
+    fn put(self, line: &mut Line, pos: usize) -> usize {
+        put_u64(line, pos, self)
     }
     fn take(v: Val<'_>) -> Option<Self> {
         match v {
@@ -73,8 +118,8 @@ macro_rules! narrow_int {
     ($($t:ident),*) => {$(
         impl Field for $t {
             const WHAT: &'static str = stringify!($t);
-            fn put(self, out: &mut Vec<u8>) {
-                put_u64(out, self as u64);
+            fn put(self, line: &mut Line, pos: usize) -> usize {
+                put_u64(line, pos, self as u64)
             }
             fn take(v: Val<'_>) -> Option<Self> {
                 u64::take(v).and_then(|n| $t::try_from(n).ok())
@@ -86,8 +131,12 @@ narrow_int!(u32, usize);
 
 impl Field for bool {
     const WHAT: &'static str = "bool";
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(if self { b"true" } else { b"false" });
+    fn put(self, line: &mut Line, pos: usize) -> usize {
+        if self {
+            put_lit(line, pos, b"true")
+        } else {
+            put_lit(line, pos, b"false")
+        }
     }
     fn take(v: Val<'_>) -> Option<Self> {
         match v {
@@ -99,10 +148,10 @@ impl Field for bool {
 
 impl Field for Option<u64> {
     const WHAT: &'static str = "u64 or null";
-    fn put(self, out: &mut Vec<u8>) {
+    fn put(self, line: &mut Line, pos: usize) -> usize {
         match self {
-            Some(n) => put_u64(out, n),
-            None => out.extend_from_slice(b"null"),
+            Some(n) => put_u64(line, pos, n),
+            None => put_lit(line, pos, b"null"),
         }
     }
     fn take(v: Val<'_>) -> Option<Self> {
@@ -118,10 +167,10 @@ macro_rules! unit_enum {
     ($($t:ident { $($v:ident),* $(,)? })*) => {$(
         impl Field for $t {
             const WHAT: &'static str = stringify!($t);
-            fn put(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(match self {
-                    $($t::$v => concat!("\"", stringify!($v), "\"").as_bytes(),)*
-                });
+            fn put(self, line: &mut Line, pos: usize) -> usize {
+                match self {
+                    $($t::$v => put_lit(line, pos, concat!("\"", stringify!($v), "\"").as_bytes()),)*
+                }
             }
             fn take(v: Val<'_>) -> Option<Self> {
                 let Val::Str(s) = v else { return None };
@@ -207,21 +256,25 @@ impl<'a> Fields<'a> {
 /// `cycle`.
 macro_rules! codec {
     ($($v:ident { cycle $(, $f:ident)* })*) => {
-        /// Appends `e` as one JSON line, newline included, to `out`.
-        pub(crate) fn encode(e: &TraceEvent, out: &mut Vec<u8>) {
-            match *e {
+        /// Writes `e` as one JSON line, newline included, at the start
+        /// of `line`; returns its length.
+        pub(crate) fn encode(e: &TraceEvent, line: &mut Line) -> usize {
+            let pos = match *e {
                 $(TraceEvent::$v { cycle $(, $f)* } => {
-                    out.extend_from_slice(
+                    let pos = put_lit(
+                        line,
+                        0,
                         concat!("{\"", stringify!($v), "\":{\"cycle\":").as_bytes(),
                     );
-                    put_u64(out, cycle);
+                    let mut pos = put_u64(line, pos, cycle);
                     $(
-                        out.extend_from_slice(concat!(",\"", stringify!($f), "\":").as_bytes());
-                        Field::put($f, out);
+                        pos = put_lit(line, pos, concat!(",\"", stringify!($f), "\":").as_bytes());
+                        pos = Field::put($f, line, pos);
                     )*
+                    pos
                 })*
-            }
-            out.extend_from_slice(b"}}\n");
+            };
+            put_lit(line, pos, b"}}\n")
         }
 
         /// Builds the event named by `fields.tag`.
@@ -258,6 +311,44 @@ codec! {
     QueueSample { cycle, depth, mshr }
     RunaheadEnter { cycle, pc }
     RunaheadExit { cycle, pc, discarded }
+}
+
+/// What every `QueueSample` line has before its cycle.
+const SAMPLE_HEAD: &[u8] = b"{\"QueueSample\":{\"cycle\":";
+
+/// Longest text after a `QueueSample`'s cycle: both counts at
+/// `u32::MAX`.
+const SAMPLE_TAIL_MAX: usize = r#","depth":4294967295,"mshr":4294967295}}"#.len() + 1;
+
+/// The `QueueSample` lines of one occupancy: every line is the same
+/// but for its cycle, so the text after the cycle is encoded once.
+pub(crate) struct SampleLines {
+    tail: [u8; SAMPLE_TAIL_MAX],
+    tail_len: usize,
+}
+
+impl SampleLines {
+    pub(crate) fn new(depth: u32, mshr: u32) -> Self {
+        let mut line = [0; LINE_MAX];
+        let len = encode(&TraceEvent::QueueSample { cycle: 0, depth, mshr }, &mut line);
+        let tail_at = SAMPLE_HEAD.len() + 1;
+        debug_assert_eq!(&line[..tail_at], [SAMPLE_HEAD, b"0"].concat().as_slice());
+        let mut tail = [0; SAMPLE_TAIL_MAX];
+        tail[..len - tail_at].copy_from_slice(&line[tail_at..len]);
+        Self { tail, tail_len: len - tail_at }
+    }
+
+    /// Writes the line for `cycle` at the start of `line`, exactly as
+    /// [`encode`] would; returns its length. The tail is copied at its
+    /// longest, a constant-length copy whose excess bytes lie past the
+    /// returned length.
+    #[inline]
+    pub(crate) fn encode(&self, cycle: u64, line: &mut Line) -> usize {
+        let pos = put_lit(line, 0, SAMPLE_HEAD);
+        let pos = put_u64(line, pos, cycle);
+        put_lit(line, pos, &self.tail);
+        pos + self.tail_len
+    }
 }
 
 /// A byte cursor over one line.
@@ -394,9 +485,9 @@ mod tests {
     use super::*;
 
     fn encoded(e: &TraceEvent) -> String {
-        let mut out = Vec::new();
-        encode(e, &mut out);
-        String::from_utf8(out).unwrap()
+        let mut line = [0; LINE_MAX];
+        let len = encode(e, &mut line);
+        String::from_utf8(line[..len].to_vec()).unwrap()
     }
 
     /// Every variant, with each field at its edge values and every
@@ -459,6 +550,54 @@ mod tests {
         let kinds: std::collections::HashSet<_> =
             events.iter().map(std::mem::discriminant).collect();
         assert_eq!(kinds.len(), 19, "every TraceEvent variant is covered");
+    }
+
+    #[test]
+    fn digit_writer_matches_to_string_at_every_digit_count_edge() {
+        let mut cases = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            cases.extend([p - 1, p, p + 1]);
+        }
+        for n in cases {
+            let mut line = [b'#'; LINE_MAX];
+            let end = put_u64(&mut line, 3, n);
+            let want = n.to_string();
+            assert_eq!(end, 3 + want.len(), "{n}");
+            assert_eq!(&line[3..end], want.as_bytes(), "{n}");
+            assert!(line[..3].iter().chain(&line[end..]).all(|&b| b == b'#'), "{n}: stray bytes");
+        }
+    }
+
+    #[test]
+    fn the_longest_line_fits_line_max() {
+        let miss = TraceEvent::MissBegin {
+            cycle: u64::MAX,
+            pipe: Pipe::A,
+            level: MemLevel::Mem,
+            addr: u64::MAX,
+            fill_at: u64::MAX,
+        };
+        assert_eq!(encoded(&miss).len(), 129);
+        // Four full-width integers make `CqDequeue` a byte wider still.
+        let widest = edge_events().iter().map(|e| encoded(e).len()).max().unwrap();
+        assert_eq!(widest, 130);
+        assert!(widest <= LINE_MAX);
+        assert!(SAMPLE_HEAD.len() + 20 + SAMPLE_TAIL_MAX <= LINE_MAX);
+    }
+
+    #[test]
+    fn sample_lines_match_encode() {
+        for (depth, mshr) in [(0, 0), (7, 16), (u32::MAX, 9), (10, u32::MAX), (u32::MAX, u32::MAX)]
+        {
+            let lines = SampleLines::new(depth, mshr);
+            for cycle in [0, 9, 10, 12_345, u64::MAX] {
+                let mut line = [0; LINE_MAX];
+                let len = lines.encode(cycle, &mut line);
+                let want = encoded(&TraceEvent::QueueSample { cycle, depth, mshr });
+                assert_eq!(&line[..len], want.as_bytes());
+            }
+        }
     }
 
     #[test]

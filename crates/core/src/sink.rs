@@ -14,19 +14,37 @@
 //!   `serde` derive on [`TraceEvent`], which stays as the tests'
 //!   oracle.
 //!
+//! Besides single events, a sink takes runs of identical occupancy
+//! samples from fast-forwarded stalls through
+//! [`TraceSink::emit_samples`]. Its contract: the call is equivalent to
+//! one `emit(QueueSample { cycle, depth, mshr })` per cycle of the
+//! range, in order. The default does exactly that; an override may only
+//! do it faster.
+//!
 //! Models never see a sink directly; they receive a [`SinkHandle`],
 //! which is `None`-cheap when tracing is off: every probe site is
 //! `sink.emit_with(|| ...)`, a single branch before the closure (and
 //! its event construction) runs.
 
+use crate::jsonl::{Line, SampleLines, LINE_MAX};
 use crate::trace::{Trace, TraceEvent};
 use std::collections::VecDeque;
 use std::io;
+use std::ops::Range;
 
 /// A consumer of pipeline trace events.
 pub trait TraceSink {
     /// Accepts one event.
     fn emit(&mut self, e: TraceEvent);
+
+    /// Accepts one `QueueSample` per cycle of `cycles`, all with the
+    /// same `depth` and `mshr`. Must be equivalent to emitting them one
+    /// by one, in cycle order, which is what the default does.
+    fn emit_samples(&mut self, cycles: Range<u64>, depth: u32, mshr: u32) {
+        for cycle in cycles {
+            self.emit(TraceEvent::QueueSample { cycle, depth, mshr });
+        }
+    }
 
     /// Flushes any buffered output. Called once when a traced run ends.
     fn finish(&mut self) {}
@@ -108,9 +126,11 @@ const WRITE_AT: usize = 8 * 1024;
 
 /// Streams each event as one JSON object per line (JSONL).
 ///
-/// Each event is encoded straight into an internal buffer by the
-/// crate's hand-written codec, with no per-event allocation; the buffer
-/// goes to the writer whenever it passes 8 KiB. Buffered lines are
+/// Each event is encoded straight into a fixed internal buffer by the
+/// crate's hand-written codec, with no per-event allocation or capacity
+/// check; the buffer goes to the writer whenever it passes 8 KiB. A run
+/// of occupancy samples ([`TraceSink::emit_samples`]) encodes the text
+/// after the cycle once and rewrites only the cycle. Buffered lines are
 /// written and flushed by [`TraceSink::finish`] (done automatically by
 /// `run_with_sink`), by [`JsonlSink::into_inner`], and — so a panic or
 /// an early return cannot truncate the tail of a trace — by `Drop`.
@@ -118,8 +138,10 @@ pub struct JsonlSink<W: io::Write> {
     /// `None` only after [`JsonlSink::into_inner`] moved the writer out
     /// (so `Drop` has nothing left to flush).
     out: Option<W>,
-    /// Encoded lines not yet handed to `out`.
-    buf: Vec<u8>,
+    /// Encoded lines not yet handed to `out` are `buf[..len]`. `len`
+    /// stays below `WRITE_AT`, so a whole line always fits past it.
+    buf: Box<[u8]>,
+    len: usize,
     written: u64,
     errored: bool,
 }
@@ -127,7 +149,7 @@ pub struct JsonlSink<W: io::Write> {
 impl<W: io::Write> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("buffered", &self.buf.len())
+            .field("buffered", &self.len)
             .field("written", &self.written)
             .field("errored", &self.errored)
             .finish_non_exhaustive()
@@ -138,7 +160,13 @@ impl<W: io::Write> JsonlSink<W> {
     /// Wraps a writer. Lines are flushed on [`TraceSink::finish`] and
     /// on drop.
     pub fn new(out: W) -> Self {
-        Self { out: Some(out), buf: Vec::with_capacity(2 * WRITE_AT), written: 0, errored: false }
+        Self {
+            out: Some(out),
+            buf: vec![0; WRITE_AT + LINE_MAX].into_boxed_slice(),
+            len: 0,
+            written: 0,
+            errored: false,
+        }
     }
 
     /// Number of events successfully serialized.
@@ -165,9 +193,28 @@ impl<W: io::Write> JsonlSink<W> {
     /// Hands the buffered lines to the writer (dropping them on error).
     fn write_buf(&mut self) -> io::Result<()> {
         let Some(out) = self.out.as_mut() else { return Ok(()) };
-        let r = out.write_all(&self.buf);
-        self.buf.clear();
+        let r = out.write_all(&self.buf[..self.len]);
+        self.len = 0;
         r
+    }
+
+    /// The room for the next line, just past the buffered ones.
+    #[inline]
+    fn next_line(&mut self) -> &mut Line {
+        self.buf[self.len..].first_chunk_mut().expect("a line fits past the buffered ones")
+    }
+
+    /// Books a line of `len` bytes just written at [`Self::next_line`],
+    /// handing the buffer to the writer once it passes `WRITE_AT`.
+    /// Returns `false` when that write failed.
+    #[inline]
+    fn commit(&mut self, len: usize) -> bool {
+        self.len += len;
+        self.written += 1;
+        if self.len >= WRITE_AT && self.write_buf().is_err() {
+            self.errored = true;
+        }
+        !self.errored
     }
 
     /// Writes the buffered lines and flushes the writer.
@@ -182,10 +229,20 @@ impl<W: io::Write> TraceSink for JsonlSink<W> {
         if self.errored {
             return;
         }
-        crate::jsonl::encode(&e, &mut self.buf);
-        self.written += 1;
-        if self.buf.len() >= WRITE_AT && self.write_buf().is_err() {
-            self.errored = true;
+        let len = crate::jsonl::encode(&e, self.next_line());
+        self.commit(len);
+    }
+
+    fn emit_samples(&mut self, cycles: Range<u64>, depth: u32, mshr: u32) {
+        if self.errored {
+            return;
+        }
+        let lines = SampleLines::new(depth, mshr);
+        for cycle in cycles {
+            let len = lines.encode(cycle, self.next_line());
+            if !self.commit(len) {
+                return;
+            }
         }
     }
 
@@ -251,6 +308,15 @@ impl<'a> SinkHandle<'a> {
     pub fn emit_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = self.inner.as_deref_mut() {
             sink.emit(f());
+        }
+    }
+
+    /// Forwards a run of identical occupancy samples (see
+    /// [`TraceSink::emit_samples`]) if tracing is on.
+    #[inline]
+    pub fn emit_samples(&mut self, cycles: Range<u64>, depth: u32, mshr: u32) {
+        if let Some(sink) = self.inner.as_deref_mut() {
+            sink.emit_samples(cycles, depth, mshr);
         }
     }
 
@@ -462,6 +528,52 @@ mod tests {
         let text = String::from_utf8(shared.0.borrow().clone()).unwrap();
         let cycles: Vec<u64> = text.lines().map(|l| parse_jsonl_line(l).unwrap().cycle()).collect();
         assert_eq!(cycles, (0..c).collect::<Vec<_>>());
+    }
+
+    /// What a sink writes for `samples` runs, each handed over whole
+    /// (`bulk`) or one event at a time.
+    fn sample_bytes(samples: &[(Range<u64>, u32, u32)], bulk: bool) -> (Vec<u8>, u64) {
+        let shared = SharedBuf::default();
+        let mut sink = JsonlSink::new(shared.clone());
+        for (cycles, depth, mshr) in samples {
+            if bulk {
+                sink.emit_samples(cycles.clone(), *depth, *mshr);
+            } else {
+                for cycle in cycles.clone() {
+                    sink.emit(TraceEvent::QueueSample { cycle, depth: *depth, mshr: *mshr });
+                }
+            }
+        }
+        let written = sink.written();
+        drop(sink);
+        let bytes = shared.0.borrow().clone();
+        (bytes, written)
+    }
+
+    #[test]
+    fn jsonl_emit_samples_writes_the_bytes_of_one_emit_per_cycle() {
+        // Runs that cross digit-count changes of the cycle, one that
+        // spans several 8 KiB hand-offs, empty runs, and wide counts.
+        let samples = [
+            (0..12, 0, 0),
+            (12..12, 3, 3),
+            (95..105, 7, 16),
+            (998..1_003, u32::MAX, 9),
+            (9_990..10_600, 10, u32::MAX),
+            (99_999..100_001, 1, 2),
+            (u64::MAX - 3..u64::MAX, 4, 5),
+        ];
+        let (bulk, bulk_written) = sample_bytes(&samples, true);
+        let (single, single_written) = sample_bytes(&samples, false);
+        assert!(bulk.len() > 3 * WRITE_AT, "the runs cross several hand-offs");
+        assert_eq!(bulk_written, single_written);
+        assert!(bulk == single, "emit_samples bytes differ from per-event emit");
+        // And the trait default is one emit per cycle too.
+        let mut trace = Trace::new();
+        trace.emit_samples(95..98, 7, 16);
+        let want: Vec<_> =
+            (95..98).map(|cycle| TraceEvent::QueueSample { cycle, depth: 7, mshr: 16 }).collect();
+        assert_eq!(trace.events(), want.as_slice());
     }
 
     #[test]

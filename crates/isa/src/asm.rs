@@ -17,7 +17,8 @@
 //! * `;;` after an instruction sets the stop bit (issue-group boundary);
 //! * `(pN)` before a mnemonic sets the qualifying predicate;
 //! * `name:` on its own line (or before an instruction) binds a label;
-//!   labels force a group boundary, as branch targets must start groups;
+//!   labels force a group boundary, as branch targets must start groups.
+//!   A name may not be all digits: `br 3` means instruction 3;
 //! * `//` and `#` start comments;
 //! * an immediate is decimal, or hex (`0x..`, optionally negated) read
 //!   as a 64-bit pattern, so `0xffffffffffffffff` is `-1`.
@@ -176,6 +177,15 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
                 || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
             {
                 break;
+            }
+            // `br 3` means instruction 3, so a label named `3` could
+            // never be branched to by name; the likely source is a
+            // listing pasted with its `pc:` prefixes.
+            if name.bytes().all(|c| c.is_ascii_digit()) {
+                return Err(err(
+                    line,
+                    format!("label `{name}` is all digits (`br {name}` names instruction {name})"),
+                ));
             }
             let label = get_label(&mut b, &mut labels, name, line);
             // `bind` panics on double-binding; surface it as an error.
@@ -391,6 +401,16 @@ mod tests {
             assert_eq!(e.line, 2, "{text}");
             assert!(e.message.contains(token), "{text}: {e}");
         }
+    }
+
+    #[test]
+    fn all_digit_label_is_rejected() {
+        let e = parse_program("nop ;;\n12: nop ;;\nhalt").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "label `12` is all digits (`br 12` names instruction 12)")
+        );
+        parse_program("l2: nop ;;\n_1: halt").expect("a label may hold digits");
     }
 
     #[test]

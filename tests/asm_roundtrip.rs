@@ -41,6 +41,18 @@ fn paper_kernels_round_trip() {
     }
 }
 
+/// A listing pasted with its `pc:` prefixes is refused at its first
+/// line: read as labels, the prefixes would silently add a group
+/// boundary before every instruction and change the program's timing.
+#[test]
+fn listings_with_pc_prefixes_are_refused() {
+    for w in paper_benchmarks(Scale::Tiny) {
+        let e = parse_program(&w.program.to_string()).unwrap_err();
+        assert_eq!(e.line, 1, "{}: {e}", w.name);
+        assert!(e.message.starts_with("label `0` is all digits"), "{}: {e}", w.name);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

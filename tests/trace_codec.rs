@@ -7,7 +7,7 @@
 use ff_bench::traceview;
 use fleaflicker::core::{
     parse_jsonl_line, run_model, CycleClass, FlushKind, JsonlSink, MachineConfig, ModelKind, Pipe,
-    StallCause, TraceEvent, TraceSink,
+    StallCause, Trace, TraceEvent, TraceSink,
 };
 use fleaflicker::mem::MemLevel;
 use fleaflicker::workloads::{paper_benchmarks, Scale};
@@ -56,6 +56,35 @@ fn sink_bytes_and_replay_match_serde_on_every_kernel_and_model() {
                 expected.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
             assert!(loaded == by_serde, "{ctx}: load_events differs from serde's parse");
             assert!(loaded == tee.events, "{ctx}: replay differs from the emitted events");
+        }
+    }
+}
+
+/// A bare `JsonlSink` — not behind `Tee`, so the engine's bulk
+/// occupancy samples reach its `emit_samples` override rather than the
+/// per-event default — writes serde's bytes for the in-memory trace of
+/// the same run.
+#[test]
+fn bare_sink_bytes_match_serde_on_every_kernel_and_model() {
+    for w in paper_benchmarks(Scale::Tiny) {
+        for kind in ModelKind::ALL {
+            let ctx = format!("{} on {kind}", w.name);
+            let run = |sink: &mut dyn TraceSink| {
+                let cfg = MachineConfig::paper_table1();
+                run_model(kind, &w.program, w.memory.clone(), cfg, w.budget, Some(sink)).0
+            };
+            let mut trace = Trace::new();
+            let mut jsonl = JsonlSink::new(Vec::new());
+            assert_eq!(run(&mut trace), run(&mut jsonl), "{ctx}: reports differ");
+            assert!(!jsonl.errored(), "{ctx}: sink errored");
+            assert_eq!(jsonl.written(), trace.len() as u64, "{ctx}");
+            let bytes = jsonl.into_inner().unwrap();
+            let mut expected = String::new();
+            for e in trace.events() {
+                expected += &serde_json::to_string(e).unwrap();
+                expected.push('\n');
+            }
+            assert!(bytes == expected.as_bytes(), "{ctx}: sink bytes differ from serde's");
         }
     }
 }
