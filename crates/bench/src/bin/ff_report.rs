@@ -25,7 +25,7 @@
 
 use ff_bench::cli::{Cli, Command, Parsed};
 use ff_bench::experiments::REGISTRY;
-use ff_bench::fmt;
+use ff_bench::fmt::{pct, Table};
 use ff_bench::report::{
     diff_reports, golden_record, mark_frontier, perf_record, render_dashboard, sweep_points,
     DashboardData, Warehouse, DEFAULT_RUNS_DIR, KIND_GOLDEN, KIND_PERF,
@@ -185,10 +185,14 @@ fn cmd_list(args: &Parsed) -> Result<ExitCode, String> {
         println!("(empty warehouse)");
         return Ok(ExitCode::SUCCESS);
     }
-    print!("{}", fmt::header(&[("kind", 6), ("hash", 16), ("key", 48)]));
-    for rec in &records {
-        println!("{:>6}  {:>16}  {}", rec.kind, rec.content_hash, rec.key);
-    }
+    print!(
+        "{}",
+        Table::new(&records)
+            .col("kind", 6, |r| r.kind.clone())
+            .col("hash", 16, |r| r.content_hash.clone())
+            .ragged("key", 48, |r| r.key.clone())
+            .render()
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -210,24 +214,24 @@ fn cmd_diff(args: &Parsed) -> Result<ExitCode, String> {
     println!("A: {key_a}");
     println!("B: {key_b}");
     println!();
-    let head = fmt::header(&[("cause", 18), ("cpi A", 9), ("cpi B", 9), ("delta", 9), ("rel", 8)]);
-    print!("{head}");
-    let rows = diff.causes.iter().chain(std::iter::once(&diff.total));
-    for row in rows {
-        if row.cpi_a == 0.0 && row.cpi_b == 0.0 {
-            continue;
-        }
-        let rel = if row.rel.is_infinite() { "new".to_string() } else { fmt::pct(row.rel) };
-        println!(
-            "{:>18}  {:>9.4}  {:>9.4}  {:>+9.4}  {:>8}{}",
-            row.cause,
-            row.cpi_a,
-            row.cpi_b,
-            row.delta,
-            rel,
-            if row.regression { "  <-- REGRESSION" } else { "" }
-        );
-    }
+    let rows: Vec<_> = diff
+        .causes
+        .iter()
+        .chain(std::iter::once(&diff.total))
+        .filter(|row| row.cpi_a != 0.0 || row.cpi_b != 0.0)
+        .collect();
+    print!(
+        "{}",
+        Table::new(&rows)
+            .col("cause", 18, |r| r.cause.clone())
+            .col("cpi A", 9, |r| format!("{:.4}", r.cpi_a))
+            .col("cpi B", 9, |r| format!("{:.4}", r.cpi_b))
+            .col("delta", 9, |r| format!("{:+.4}", r.delta))
+            .col("rel", 8, |r| if r.rel.is_infinite() { "new".to_string() } else { pct(r.rel) })
+            .sep("")
+            .ragged("", 0, |r| if r.regression { "  <-- REGRESSION" } else { "" })
+            .render()
+    );
     if diff.regressed() {
         println!("\nCPI regression beyond {:.0}% threshold", 100.0 * threshold);
         return Ok(ExitCode::from(2));
@@ -266,19 +270,16 @@ fn cmd_pareto(args: &Parsed) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     println!("Pareto frontier of {experiment} (perf vs. {cost_field}); * = on frontier\n");
-    let head =
-        fmt::header(&[("group", 20), (cost_field, 10), ("perf", 12), ("cycles", 12), ("", 2)]);
-    print!("{head}");
-    for p in &points {
-        println!(
-            "{:>20}  {:>10}  {:>12.6}  {:>12}  {}",
-            p.group,
-            p.cost,
-            p.perf,
-            p.cycles,
-            if p.on_frontier { "*" } else { "" }
-        );
-    }
+    print!(
+        "{}",
+        Table::new(&points)
+            .col("group", 20, |p| p.group.clone())
+            .col(cost_field, 10, |p| p.cost)
+            .col("perf", 12, |p| format!("{:.6}", p.perf))
+            .col("cycles", 12, |p| p.cycles)
+            .ragged("", 2, |p| if p.on_frontier { "*" } else { "" })
+            .render()
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -489,17 +490,15 @@ fn cmd_perf(args: &Parsed) -> Result<ExitCode, String> {
     );
     print!(
         "{}",
-        fmt::header(&[("section", 20), ("seconds", 9), ("instrs", 12), ("instrs/sec", 12)])
+        Table::new(profiler.sections())
+            .col("section", 20, |s| s.name.clone())
+            .col("seconds", 9, |s| format!("{:.4}", s.seconds))
+            .col("instrs", 12, |s| s.instrs)
+            .col("instrs/sec", 12, |s| {
+                s.instrs_per_sec().map_or_else(|| "-".to_string(), |v| format!("{v:.0}"))
+            })
+            .render()
     );
-    for s in profiler.sections() {
-        println!(
-            "{:>20}  {:>9.4}  {:>12}  {:>12}",
-            s.name,
-            s.seconds,
-            s.instrs,
-            s.instrs_per_sec().map_or_else(|| "-".to_string(), |v| format!("{v:.0}")),
-        );
-    }
 
     let speedups = ff_ratios(&profiler);
     if !speedups.is_empty() {

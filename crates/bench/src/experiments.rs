@@ -1,30 +1,31 @@
 //! The experiment registry: every paper table and figure as one named
-//! [`Experiment`] — a [`Cell`] grid, a finalize pass, and a renderer.
+//! [`Experiment`] — a [`Cell`] grid, a finalize pass, and a renderer
+//! that declares each column of its table once (see [`crate::fmt`]).
 //!
 //! Each grid runs through the shared [`crate::sweep`] engine in parallel
 //! with result caching. A cell simulates exactly one (kernel, model,
-//! config) point and returns one typed row; quantities that relate cells
-//! — "normalized to the baseline run of the same benchmark" — are
-//! computed afterwards by the experiment's `*_finalize` function, which
-//! is pure and deterministic, so cached and freshly simulated cells
-//! produce identical output.
+//! config) point and returns one typed row; the one quantity that relates
+//! cells — cycles "normalized to the reference run of the same
+//! benchmark" — is filled in afterwards by `normalize`, which is pure
+//! and deterministic, so cached and freshly simulated cells produce
+//! identical output.
 //!
 //! [`REGISTRY`] lists every experiment: `ff_exp <name>` runs one, and
 //! `ff_report drift` runs them all against the committed
 //! `results/<name>.txt`.
 
-use crate::fmt::{header, pct, ratio};
+use crate::fmt::{pct, ratio, Table};
 use crate::report::warehouse::{runs_dir_for, sweep_record, Warehouse};
 use crate::sweep::{run_sweep, Cell, SweepOpts, SweepStats};
 use ff_core::{
     CycleClass, FeedbackLatency, MachineConfig, ModelKind, Pipe, SimReport, StallCause,
-    ThrottleConfig,
+    ThrottleConfig, L1I_GEOMETRY,
 };
 use ff_isa::ArchState;
+use ff_mem::CacheGeometry;
 use ff_predict::PredictorConfig;
 use ff_workloads::{benchmark_by_name, paper_benchmarks, Scale, Workload};
 use serde::{Deserialize, Serialize, Value};
-use std::fmt::Write as _;
 
 // ---- registry ---------------------------------------------------------------
 
@@ -66,7 +67,9 @@ pub static REGISTRY: [&dyn Experiment; 12] = [
         name: "fig6",
         title: "Figure 6 — normalized execution cycles",
         cells: fig6_cells,
-        finalize: fig6_finalize,
+        finalize: |rows| {
+            normalize(rows, |r| (&r.benchmark, r.cycles, r.model == "base", &mut r.normalized))
+        },
         render: render_fig6,
     },
     &Grid {
@@ -80,7 +83,9 @@ pub static REGISTRY: [&dyn Experiment; 12] = [
         name: "fig8",
         title: "Figure 8 — B→A feedback latency sweep",
         cells: fig8_cells,
-        finalize: fig8_finalize,
+        finalize: |rows| {
+            normalize(rows, |r| (&r.benchmark, r.cycles, r.latency == "1", &mut r.normalized))
+        },
         render: render_fig8,
     },
     &Grid {
@@ -101,7 +106,9 @@ pub static REGISTRY: [&dyn Experiment; 12] = [
         name: "ablate_queue",
         title: "Coupling-queue size sweep",
         cells: queue_sweep_cells,
-        finalize: queue_sweep_finalize,
+        finalize: |rows| {
+            normalize(rows, |r| (&r.benchmark, r.cycles, r.size == 64, &mut r.normalized))
+        },
         render: render_queue_sweep,
     },
     &Grid {
@@ -146,8 +153,8 @@ struct Grid<R> {
     title: &'static str,
     cells: fn(Scale, &MachineConfig) -> Vec<Cell<R>>,
     finalize: fn(&mut [R]),
-    /// Writes the table that follows the title line.
-    render: fn(&[R], &mut String) -> std::fmt::Result,
+    /// The table that follows the title line.
+    render: fn(&[R]) -> String,
 }
 
 impl<R: Serialize + Deserialize + Send> Experiment for Grid<R> {
@@ -179,15 +186,31 @@ impl<R: Serialize + Deserialize + Send> Experiment for Grid<R> {
         let text = if opts.json {
             json_text(&value)
         } else {
-            let mut text = format!("{} ({} scale)\n\n", self.title, opts.scale.label());
-            (self.render)(&rows, &mut text).expect("writing to a String cannot fail");
-            text
+            format!("{} ({} scale)\n\n{}", self.title, opts.scale.label(), (self.render)(&rows))
         };
         Output { rows: value, text, stats }
     }
 }
 
 fn no_finalize<R>(_: &mut [R]) {}
+
+/// Sets each row's normalized cycles: its cycles over those of its
+/// benchmark's reference row. `parts` splits a row into its benchmark,
+/// its cycles, whether it is the reference, and the slot to fill.
+fn normalize<R>(rows: &mut [R], parts: fn(&mut R) -> (&str, u64, bool, &mut f64)) {
+    let mut refs: Vec<(String, u64)> = Vec::new();
+    for r in rows.iter_mut() {
+        if let (benchmark, cycles, true, _) = parts(r) {
+            refs.push((benchmark.to_string(), cycles));
+        }
+    }
+    for r in rows {
+        let (benchmark, cycles, _, normalized) = parts(r);
+        if let Some((_, b)) = refs.iter().find(|(name, _)| name == benchmark) {
+            *normalized = cycles as f64 / *b as f64;
+        }
+    }
+}
 
 fn json_text(rows: &Value) -> String {
     serde_json::to_string_pretty(rows).expect("serializable rows") + "\n"
@@ -208,6 +231,15 @@ fn workload(name: &str, scale: Scale) -> Workload {
 /// Runs one workload on one model of machine `cfg`.
 fn simulate(kind: ModelKind, w: &Workload, cfg: &MachineConfig) -> SimReport {
     ff_core::run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, None).0
+}
+
+/// `n / d`, or 0 when `d` is 0.
+fn frac(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
+    }
 }
 
 /// Benchmark-name list for grid building (kernels are constructed
@@ -242,7 +274,7 @@ fn per_benchmark<R: 'static>(
     names: &[&'static str],
     scale: Scale,
     base: &MachineConfig,
-    (model, params): (&'static str, &'static str),
+    (model, params): (&'static str, &str),
     row: fn(&Workload, &MachineConfig) -> R,
 ) -> Vec<Cell<R>> {
     names
@@ -272,6 +304,9 @@ impl Experiment for Table1 {
     fn run(&self, opts: &SweepOpts) -> Output {
         let c = MachineConfig::paper_table1();
         let h = &c.hierarchy;
+        let cache = |latency: String, g: &CacheGeometry| {
+            format!("{latency}, {}KB, {}-way, {}B lines", g.size_bytes / 1024, g.ways, g.line_bytes)
+        };
         let rows: Vec<(&str, String)> = vec![
             (
                 "Functional Units",
@@ -280,27 +315,9 @@ impl Experiment for Table1 {
                     c.issue_width, c.fu_slots.alu, c.fu_slots.mem, c.fu_slots.fp, c.fu_slots.branch
                 ),
             ),
-            ("L1I Cache", "2 cycle, 16KB, 4-way, 64B lines (modeled pipelined)".to_string()),
-            (
-                "L1D Cache",
-                format!(
-                    "{} cycle, {}KB, {}-way, {}B lines",
-                    h.l1_latency,
-                    h.l1.size_bytes / 1024,
-                    h.l1.ways,
-                    h.l1.line_bytes
-                ),
-            ),
-            (
-                "L2 Cache",
-                format!(
-                    "{} cycles, {}KB, {}-way, {}B lines",
-                    h.l2_latency,
-                    h.l2.size_bytes / 1024,
-                    h.l2.ways,
-                    h.l2.line_bytes
-                ),
-            ),
+            ("L1I Cache", cache("2 cycle".into(), &L1I_GEOMETRY) + " (modeled pipelined)"),
+            ("L1D Cache", cache(format!("{} cycle", h.l1_latency), &h.l1)),
+            ("L2 Cache", cache(format!("{} cycles", h.l2_latency), &h.l2)),
             (
                 "L3 Cache",
                 format!(
@@ -367,21 +384,16 @@ pub fn table2_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Table2Row>> 
     })
 }
 
-fn render_table2(rows: &[Table2Row], out: &mut String) -> std::fmt::Result {
-    writeln!(
-        out,
-        "{:<14} {:<12} {:>13}  Synthetic input",
-        "Benchmark", "Stands for", "Instructions"
-    )?;
-    writeln!(out, "{}", "-".repeat(100))?;
-    for r in rows {
-        writeln!(
-            out,
-            "{:<14} {:<12} {:>13}  {}",
-            r.spec_ref, r.benchmark, r.instructions, r.description
-        )?;
-    }
-    Ok(())
+fn render_table2(rows: &[Table2Row]) -> String {
+    Table::new(rows)
+        .sep(" ")
+        .rule(100)
+        .left("Benchmark", 14, |r| r.spec_ref.clone())
+        .left("Stands for", 12, |r| r.benchmark.clone())
+        .col("Instructions", 13, |r| r.instructions)
+        .sep("  ")
+        .ragged("Synthetic input", 0, |r| r.description.clone())
+        .render()
 }
 
 // ---- Figure 6 ---------------------------------------------------------------
@@ -397,7 +409,7 @@ pub struct Fig6Row {
     /// Total cycles.
     pub cycles: u64,
     /// Cycles normalized to the baseline run of the same benchmark
-    /// (filled in by [`fig6_finalize`]).
+    /// (filled in by `normalize`).
     pub normalized: f64,
     /// Fraction of cycles in each [`CycleClass`] (display order).
     pub class_fractions: [f64; 6],
@@ -434,93 +446,46 @@ pub fn fig6_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig6Row>> {
     paper_grid(scale, base, fig6_row)
 }
 
-/// Fills `normalized` from each benchmark's `base` row.
-pub fn fig6_finalize(rows: &mut [Fig6Row]) {
-    let base: Vec<(String, u64)> = rows
-        .iter()
-        .filter(|r| r.model == "base")
-        .map(|r| (r.benchmark.clone(), r.cycles))
-        .collect();
-    for r in rows {
-        if let Some((_, b)) = base.iter().find(|(name, _)| *name == r.benchmark) {
-            r.normalized = r.cycles as f64 / *b as f64;
-        }
-    }
-}
-
-fn render_fig6(rows: &[Fig6Row], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("model", 5),
-        ("norm", 6),
-        ("unstall", 8),
-        ("load", 7),
-        ("nonload", 8),
-        ("resrc", 6),
-        ("front", 6),
-        ("a-pipe", 6),
-        ("cycles", 10),
-    ]));
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>5}  {:>6}  {:>8}  {:>7}  {:>8}  {:>6}  {:>6}  {:>6}  {:>10}",
-            r.benchmark,
-            r.model,
-            ratio(r.normalized),
-            pct(r.class_fractions[0]),
-            pct(r.class_fractions[1]),
-            pct(r.class_fractions[2]),
-            pct(r.class_fractions[3]),
-            pct(r.class_fractions[4]),
-            pct(r.class_fractions[5]),
-            r.cycles,
-        )?;
-        if r.model == "2Pre" {
-            writeln!(out)?;
-        }
-    }
+fn render_fig6(rows: &[Fig6Row]) -> String {
+    let class = |i: usize| move |r: &Fig6Row| pct(r.class_fractions[i]);
+    let mut out = Table::new(rows)
+        .gap_after(|r, _| r.model == "2Pre")
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("model", 5, |r| r.model.clone())
+        .col("norm", 6, |r| ratio(r.normalized))
+        .col("unstall", 8, class(0))
+        .col("load", 7, class(1))
+        .col("nonload", 8, class(2))
+        .col("resrc", 6, class(3))
+        .col("front", 6, class(4))
+        .col("a-pipe", 6, class(5))
+        .col("cycles", 10, |r| r.cycles)
+        .render();
     // Paper headline: 2Pre averages 1.08x over 2P; mcf-like sees a large
-    // overall cycle reduction.
+    // overall cycle reduction. (With no rows of a model, its mean is 0/0.)
     let mean = |model: &str| {
         let xs: Vec<f64> = rows.iter().filter(|r| r.model == model).map(|r| r.normalized).collect();
-        if xs.is_empty() {
-            f64::NAN
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
+        xs.iter().sum::<f64>() / xs.len() as f64
     };
     let (tp, re) = (mean("2P"), mean("2Pre"));
     if tp.is_finite() && re.is_finite() {
-        writeln!(
-            out,
-            "mean normalized cycles: 2P={tp:.3}  2Pre={re:.3}  (2Pre speedup over 2P: {:.3}x)",
+        out += &format!(
+            "mean normalized cycles: 2P={tp:.3}  2Pre={re:.3}  (2Pre speedup over 2P: {:.3}x)\n",
             tp / re
-        )?;
+        );
     }
 
     // Refined stall causes: only the columns that are nonzero somewhere,
     // so the compact table stays readable at every scale.
-    let active: Vec<usize> = (0..ff_core::N_CAUSES)
-        .filter(|&i| rows.iter().any(|r| r.cause_fractions[i] > 0.0))
-        .collect();
-    writeln!(out, "\nrefined stall causes (fraction of cycles; zero columns omitted)\n")?;
-    write!(out, "{:>14}  {:>5}", "benchmark", "model")?;
-    for &i in &active {
-        write!(out, "  {:>9}", StallCause::ALL[i].label())?;
+    let mut causes = Table::new(rows)
+        .rule(0)
+        .gap_after(|r, _| r.model == "2Pre")
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("model", 5, |r| r.model.clone());
+    for i in (0..ff_core::N_CAUSES).filter(|&i| rows.iter().any(|r| r.cause_fractions[i] > 0.0)) {
+        causes = causes.col(StallCause::ALL[i].label(), 9, move |r| pct(r.cause_fractions[i]));
     }
-    writeln!(out)?;
-    for r in rows {
-        write!(out, "{:>14}  {:>5}", r.benchmark, r.model)?;
-        for &i in &active {
-            write!(out, "  {:>9}", pct(r.cause_fractions[i]))?;
-        }
-        writeln!(out)?;
-        if r.model == "2Pre" {
-            writeln!(out)?;
-        }
-    }
-    Ok(())
+    out + "\nrefined stall causes (fraction of cycles; zero columns omitted)\n\n" + &causes.render()
 }
 
 // ---- Figure 7 ---------------------------------------------------------------
@@ -551,50 +516,32 @@ pub fn fig7_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig7Row>> {
     })
 }
 
-fn render_fig7(rows: &[Fig7Row], out: &mut String) -> std::fmt::Result {
-    writeln!(
-        out,
-        "{:>14} {:>5} | {:>9} {:>9} {:>9} {:>10} | {:>9} {:>9} {:>9} {:>10} | {:>6}",
-        "benchmark",
-        "model",
-        "A/L1",
-        "A/L2",
-        "A/L3",
-        "A/Mem",
-        "B/L1",
-        "B/L2",
-        "B/L3",
-        "B/Mem",
-        "A-frac"
-    )?;
-    writeln!(out, "{}", "-".repeat(132))?;
-    for r in rows {
+fn render_fig7(rows: &[Fig7Row]) -> String {
+    let a_frac = |r: &Fig7Row| {
         let a: u64 = r.cells[0].iter().sum();
         let b: u64 = r.cells[1].iter().sum();
-        let total = (a + b).max(1);
-        writeln!(
-            out,
-            "{:>14} {:>5} | {:>9} {:>9} {:>9} {:>10} | {:>9} {:>9} {:>9} {:>10} | {:>5.1}%",
-            r.benchmark,
-            r.model,
-            r.cells[0][0],
-            r.cells[0][1],
-            r.cells[0][2],
-            r.cells[0][3],
-            r.cells[1][0],
-            r.cells[1][1],
-            r.cells[1][2],
-            r.cells[1][3],
-            100.0 * a as f64 / total as f64,
-        )?;
-        if r.model == "2Pre" {
-            writeln!(out)?;
-        }
-    }
-    writeln!(
-        out,
-        "(paper: for most benchmarks the majority of access latency is initiated in the A-pipe)"
-    )
+        format!("{:.1}%", 100.0 * a as f64 / (a + b).max(1) as f64)
+    };
+    Table::new(rows)
+        .sep(" ")
+        .rule(132)
+        .gap_after(|r, _| r.model == "2Pre")
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("model", 5, |r| r.model.clone())
+        .col("|", 1, |_| "|")
+        .col("A/L1", 9, |r| r.cells[0][0])
+        .col("A/L2", 9, |r| r.cells[0][1])
+        .col("A/L3", 9, |r| r.cells[0][2])
+        .col("A/Mem", 10, |r| r.cells[0][3])
+        .col("|", 1, |_| "|")
+        .col("B/L1", 9, |r| r.cells[1][0])
+        .col("B/L2", 9, |r| r.cells[1][1])
+        .col("B/L3", 9, |r| r.cells[1][2])
+        .col("B/Mem", 10, |r| r.cells[1][3])
+        .col("|", 1, |_| "|")
+        .col("A-frac", 6, a_frac)
+        .render()
+        + "(paper: for most benchmarks the majority of access latency is initiated in the A-pipe)\n"
 }
 
 // ---- Figure 8 ---------------------------------------------------------------
@@ -628,7 +575,7 @@ pub struct Fig8Row {
     /// Total cycles.
     pub cycles: u64,
     /// Cycles normalized to the 1-cycle-feedback run (filled in by
-    /// [`fig8_finalize`]).
+    /// `normalize`).
     pub normalized: f64,
     /// Instructions deferred to the B-pipe.
     pub deferred: u64,
@@ -664,45 +611,17 @@ pub fn fig8_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig8Row>> {
     cells
 }
 
-/// Fills `normalized` from each benchmark's 1-cycle-feedback row.
-pub fn fig8_finalize(rows: &mut [Fig8Row]) {
-    let base: Vec<(String, u64)> =
-        rows.iter().filter(|r| r.latency == "1").map(|r| (r.benchmark.clone(), r.cycles)).collect();
-    for r in rows {
-        if let Some((_, b)) = base.iter().find(|(name, _)| *name == r.benchmark) {
-            r.normalized = r.cycles as f64 / *b as f64;
-        }
-    }
-}
-
-fn render_fig8(rows: &[Fig8Row], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("latency", 8),
-        ("cycles", 10),
-        ("norm", 6),
-        ("deferred", 10),
-        ("defer%", 7),
-    ]));
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>8}  {:>10}  {:>6}  {:>10}  {:>7}",
-            r.benchmark,
-            r.latency,
-            r.cycles,
-            ratio(r.normalized),
-            r.deferred,
-            pct(r.deferral_rate),
-        )?;
-        if r.latency == "inf" {
-            writeln!(out)?;
-        }
-    }
-    writeln!(
-        out,
-        "(paper: tolerant of moderate latency, especially up to ~4 cycles; 'inf' inflates deferral)"
-    )
+fn render_fig8(rows: &[Fig8Row]) -> String {
+    Table::new(rows)
+        .gap_after(|r, _| r.latency == "inf")
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("latency", 8, |r| r.latency.clone())
+        .col("cycles", 10, |r| r.cycles)
+        .col("norm", 6, |r| ratio(r.normalized))
+        .col("deferred", 10, |r| r.deferred)
+        .col("defer%", 7, |r| pct(r.deferral_rate))
+        .render()
+        + "(paper: tolerant of moderate latency, especially up to ~4 cycles; 'inf' inflates deferral)\n"
 }
 
 // ---- §4 branch statistics ---------------------------------------------------
@@ -736,48 +655,36 @@ pub fn branch_stats_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Branch
             mispredicted: b.mispredicted,
             rate: b.mispredict_rate(),
             repaired_in_a_frac: b.a_repair_fraction(),
-            repaired_in_b_frac: if b.mispredicted == 0 {
-                0.0
-            } else {
-                b.repaired_in_b as f64 / b.mispredicted as f64
-            },
+            repaired_in_b_frac: frac(b.repaired_in_b, b.mispredicted),
         }
     })
 }
 
-fn render_branch_stats(rows: &[BranchRow], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("branches", 9),
-        ("mispred", 8),
-        ("rate", 6),
-        ("A-DET", 6),
-        ("B-DET", 6),
-    ]));
-    let (mut misp, mut in_a) = (0u64, 0u64);
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>9}  {:>8}  {:>6}  {:>6}  {:>6}",
-            r.benchmark,
-            r.retired,
-            r.mispredicted,
-            pct(r.rate),
-            pct(r.repaired_in_a_frac),
-            pct(r.repaired_in_b_frac),
-        )?;
-        misp += r.mispredicted;
-        in_a += (r.repaired_in_a_frac * r.mispredicted as f64) as u64;
-    }
+/// Mispredictions of row `r` repaired at A-DET, recovered from its
+/// fraction (rounded: 1/49 × 49 is 0.999…).
+fn repaired_in_a(r: &BranchRow) -> u64 {
+    (r.repaired_in_a_frac * r.mispredicted as f64).round() as u64
+}
+
+fn render_branch_stats(rows: &[BranchRow]) -> String {
+    let mut out = Table::new(rows)
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("branches", 9, |r| r.retired)
+        .col("mispred", 8, |r| r.mispredicted)
+        .col("rate", 6, |r| pct(r.rate))
+        .col("A-DET", 6, |r| pct(r.repaired_in_a_frac))
+        .col("B-DET", 6, |r| pct(r.repaired_in_b_frac))
+        .render();
+    let misp: u64 = rows.iter().map(|r| r.mispredicted).sum();
+    let in_a: u64 = rows.iter().map(repaired_in_a).sum();
     if misp > 0 {
-        writeln!(
-            out,
-            "\naggregate: {:.0}% repaired at A-DET, {:.0}% at B-DET (paper: 32% / 68%)",
+        out += &format!(
+            "\naggregate: {:.0}% repaired at A-DET, {:.0}% at B-DET (paper: 32% / 68%)\n",
             100.0 * in_a as f64 / misp as f64,
             100.0 * (misp - in_a) as f64 / misp as f64
-        )?;
+        );
     }
-    Ok(())
+    out
 }
 
 // ---- §4 store-conflict statistics -------------------------------------------
@@ -811,40 +718,21 @@ pub fn conflict_stats_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Conf
             risky_clean_frac: tp.risky_load_clean_fraction(),
             conflict_flushes: tp.store_conflict_flushes,
             stores_retired: tp.stores_retired,
-            flushes_per_store: if tp.stores_retired == 0 {
-                0.0
-            } else {
-                tp.store_conflict_flushes as f64 / tp.stores_retired as f64
-            },
+            flushes_per_store: frac(tp.store_conflict_flushes, tp.stores_retired),
         }
     })
 }
 
-fn render_conflict_stats(rows: &[ConflictRow], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("risky-lds", 10),
-        ("clean", 7),
-        ("flushes", 8),
-        ("stores", 8),
-        ("fl/st", 6),
-    ]));
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>10}  {:>7}  {:>8}  {:>8}  {:>6}",
-            r.benchmark,
-            r.risky_loads,
-            pct(r.risky_clean_frac),
-            r.conflict_flushes,
-            r.stores_retired,
-            pct(r.flushes_per_store),
-        )?;
-    }
-    writeln!(
-        out,
-        "\n(paper: 97% of risky loads conflict-free; 1.6% of stores cause conflict flushes)"
-    )
+fn render_conflict_stats(rows: &[ConflictRow]) -> String {
+    Table::new(rows)
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("risky-lds", 10, |r| r.risky_loads)
+        .col("clean", 7, |r| pct(r.risky_clean_frac))
+        .col("flushes", 8, |r| r.conflict_flushes)
+        .col("stores", 8, |r| r.stores_retired)
+        .col("fl/st", 6, |r| pct(r.flushes_per_store))
+        .render()
+        + "\n(paper: 97% of risky loads conflict-free; 1.6% of stores cause conflict flushes)\n"
 }
 
 // ---- §3.1 queue-size ablation -----------------------------------------------
@@ -859,7 +747,7 @@ pub struct QueueRow {
     /// Total cycles.
     pub cycles: u64,
     /// Normalized to the 64-entry (paper) configuration (filled in by
-    /// [`queue_sweep_finalize`]).
+    /// `normalize`).
     pub normalized: f64,
     /// Cycles the A-pipe spent blocked on a full queue.
     pub queue_full_cycles: u64,
@@ -898,44 +786,18 @@ pub fn queue_sweep_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<QueueRo
     cells
 }
 
-/// Fills `normalized` from each benchmark's 64-entry (paper) row.
-pub fn queue_sweep_finalize(rows: &mut [QueueRow]) {
-    let base: Vec<(String, u64)> =
-        rows.iter().filter(|r| r.size == 64).map(|r| (r.benchmark.clone(), r.cycles)).collect();
-    for r in rows {
-        if let Some((_, b)) = base.iter().find(|(name, _)| *name == r.benchmark) {
-            r.normalized = r.cycles as f64 / *b as f64;
-        }
-    }
-}
-
-fn render_queue_sweep(rows: &[QueueRow], out: &mut String) -> std::fmt::Result {
-    out.push_str(
-        "(compress/equake/li vary smoothly around 64, as the paper reports; mcf-like\n \
-         shows a deterministic phase effect of queue-full backpressure — see EXPERIMENTS.md)\n\n",
-    );
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("size", 5),
-        ("cycles", 10),
-        ("vs 64", 6),
-        ("full-stalls", 12),
-    ]));
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>5}  {:>10}  {:>6}  {:>12}",
-            r.benchmark,
-            r.size,
-            r.cycles,
-            ratio(r.normalized),
-            r.queue_full_cycles,
-        )?;
-        if r.size == 256 {
-            writeln!(out)?;
-        }
-    }
-    Ok(())
+fn render_queue_sweep(rows: &[QueueRow]) -> String {
+    "(compress/equake/li vary smoothly around 64, as the paper reports; mcf-like\n \
+     shows a deterministic phase effect of queue-full backpressure — see EXPERIMENTS.md)\n\n"
+        .to_string()
+        + &Table::new(rows)
+            .gap_after(|r, _| r.size == 256)
+            .col("benchmark", 14, |r| r.benchmark.clone())
+            .col("size", 5, |r| r.size)
+            .col("cycles", 10, |r| r.cycles)
+            .col("vs 64", 6, |r| ratio(r.normalized))
+            .col("full-stalls", 12, |r| r.queue_full_cycles)
+            .render()
 }
 
 // ---- §4 stall-on-FP ablation ------------------------------------------------
@@ -977,39 +839,22 @@ pub fn fp_stall_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<FpStallRow
             stall_cycles: stall.cycles,
             defer_fp_deferred: ptp.fp_deferred,
             stall_fp_deferred: stp.fp_deferred,
-            defer_fp_rate: if ptp.fp_retired == 0 {
-                0.0
-            } else {
-                ptp.fp_deferred as f64 / ptp.fp_retired as f64
-            },
+            defer_fp_rate: frac(ptp.fp_deferred, ptp.fp_retired),
         }
     })
 }
 
-fn render_fp_stall(rows: &[FpStallRow], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("defer-cyc", 10),
-        ("stall-cyc", 10),
-        ("speedup", 8),
-        ("fp-def", 8),
-        ("fp-def'", 8),
-        ("fp-rate", 8),
-    ]));
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>10}  {:>10}  {:>8}  {:>8}  {:>8}  {:>8}",
-            r.benchmark,
-            r.defer_cycles,
-            r.stall_cycles,
-            ratio(r.defer_cycles as f64 / r.stall_cycles as f64),
-            r.defer_fp_deferred,
-            r.stall_fp_deferred,
-            pct(r.defer_fp_rate),
-        )?;
-    }
-    writeln!(out, "\n(paper: vpr defers 98% of its FP instructions in chains; stalling on these anticipable latencies is advisable)")
+fn render_fp_stall(rows: &[FpStallRow]) -> String {
+    Table::new(rows)
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("defer-cyc", 10, |r| r.defer_cycles)
+        .col("stall-cyc", 10, |r| r.stall_cycles)
+        .col("speedup", 8, |r| ratio(r.defer_cycles as f64 / r.stall_cycles as f64))
+        .col("fp-def", 8, |r| r.defer_fp_deferred)
+        .col("fp-def'", 8, |r| r.stall_fp_deferred)
+        .col("fp-rate", 8, |r| pct(r.defer_fp_rate))
+        .render()
+        + "\n(paper: vpr defers 98% of its FP instructions in chains; stalling on these anticipable latencies is advisable)\n"
 }
 
 // ---- §2 runahead comparison -------------------------------------------------
@@ -1049,28 +894,15 @@ pub fn runahead_compare_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Ru
     })
 }
 
-fn render_runahead_compare(rows: &[RunaheadRow], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("base", 10),
-        ("runahead", 10),
-        ("2P", 10),
-        ("RA-spdup", 9),
-        ("2P-spdup", 9),
-    ]));
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>10}  {:>10}  {:>10}  {:>9}  {:>9}",
-            r.benchmark,
-            r.base_cycles,
-            r.runahead_cycles,
-            r.two_pass_cycles,
-            ratio(r.runahead_speedup),
-            ratio(r.two_pass_speedup),
-        )?;
-    }
-    Ok(())
+fn render_runahead_compare(rows: &[RunaheadRow]) -> String {
+    Table::new(rows)
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("base", 10, |r| r.base_cycles)
+        .col("runahead", 10, |r| r.runahead_cycles)
+        .col("2P", 10, |r| r.two_pass_cycles)
+        .col("RA-spdup", 9, |r| ratio(r.runahead_speedup))
+        .col("2P-spdup", 9, |r| ratio(r.two_pass_speedup))
+        .render()
 }
 
 // ---- predictor ablation -----------------------------------------------------
@@ -1097,7 +929,7 @@ pub const PREDICTORS: [&str; 5] =
     ["static-NT", "bimodal-1k", "gshare-1k (paper)", "local-1k", "tournament-1k"];
 
 /// The benchmarks the predictor ablation sweeps.
-pub const PREDICTOR_BENCHMARKS: [&str; 3] = ["099.go", "300.twolf", "181.mcf"];
+pub const PREDICTOR_BENCHMARKS: [&str; 3] = ["go-like", "twolf-like", "mcf-like"];
 
 fn predictor_by_label(label: &str) -> PredictorConfig {
     match label {
@@ -1137,33 +969,16 @@ pub fn predictor_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Predictor
     cells
 }
 
-fn render_predictor(rows: &[PredictorRow], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("predictor", 22),
-        ("base-cyc", 10),
-        ("2P-cyc", 10),
-        ("2P-norm", 8),
-        ("mispred%", 9),
-    ]));
-    let mut last_benchmark = "";
-    for r in rows {
-        if !last_benchmark.is_empty() && last_benchmark != r.benchmark {
-            writeln!(out)?;
-        }
-        last_benchmark = &r.benchmark;
-        writeln!(
-            out,
-            "{:>14}  {:>22}  {:>10}  {:>10}  {:>8}  {:>9}",
-            r.benchmark,
-            r.predictor,
-            r.base_cycles,
-            r.two_pass_cycles,
-            ratio(r.normalized),
-            pct(r.mispredict_rate),
-        )?;
-    }
-    Ok(())
+fn render_predictor(rows: &[PredictorRow]) -> String {
+    Table::new(rows)
+        .gap_after(|r, next| next.is_some_and(|n| n.benchmark != r.benchmark))
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("predictor", 22, |r| r.predictor.clone())
+        .col("base-cyc", 10, |r| r.base_cycles)
+        .col("2P-cyc", 10, |r| r.two_pass_cycles)
+        .col("2P-norm", 8, |r| ratio(r.normalized))
+        .col("mispred%", 9, |r| pct(r.mispredict_rate))
+        .render()
 }
 
 // ---- §3.5 throttle ablation -------------------------------------------------
@@ -1187,13 +1002,18 @@ pub struct ThrottleRow {
     pub throttled_avg_occupancy: f64,
 }
 
+/// The throttle setting the §3.5 ablation engages.
+const THROTTLE: ThrottleConfig =
+    ThrottleConfig { window: 32, defer_threshold: 0.5, resume_occupancy: 8 };
+
 /// §3.5 grid: one cell per benchmark, running plain and throttled.
 #[must_use]
 pub fn throttle_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<ThrottleRow>> {
-    per_benchmark(&benchmark_names(scale), scale, base, ("2P", "throttle=w32-t0.5-r8"), |w, cfg| {
+    let t = THROTTLE;
+    let params = format!("throttle=w{}-t{}-r{}", t.window, t.defer_threshold, t.resume_occupancy);
+    per_benchmark(&benchmark_names(scale), scale, base, ("2P", &params), |w, cfg| {
         let mut t_cfg = cfg.clone();
-        t_cfg.two_pass.throttle =
-            Some(ThrottleConfig { window: 32, defer_threshold: 0.5, resume_occupancy: 8 });
+        t_cfg.two_pass.throttle = Some(THROTTLE);
         let plain = simulate(ModelKind::TwoPass, w, cfg);
         let thr = simulate(ModelKind::TwoPass, w, &t_cfg);
         let ps = plain.two_pass.expect("two-pass stats");
@@ -1210,28 +1030,36 @@ pub fn throttle_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<ThrottleRo
     })
 }
 
-fn render_throttle(rows: &[ThrottleRow], out: &mut String) -> std::fmt::Result {
-    out.push_str(&header(&[
-        ("benchmark", 14),
-        ("plain-cyc", 10),
-        ("thrl-cyc", 10),
-        ("delta", 7),
-        ("thrl-cycles", 12),
-        ("avg-occ", 8),
-        ("occ'", 8),
-    ]));
-    for r in rows {
-        writeln!(
-            out,
-            "{:>14}  {:>10}  {:>10}  {:>7}  {:>12}  {:>8.1}  {:>8.1}",
-            r.benchmark,
-            r.plain_cycles,
-            r.throttled_cycles,
-            ratio(r.normalized),
-            r.throttle_engaged_cycles,
-            r.plain_avg_occupancy,
-            r.throttled_avg_occupancy,
-        )?;
+fn render_throttle(rows: &[ThrottleRow]) -> String {
+    Table::new(rows)
+        .col("benchmark", 14, |r| r.benchmark.clone())
+        .col("plain-cyc", 10, |r| r.plain_cycles)
+        .col("thrl-cyc", 10, |r| r.throttled_cycles)
+        .col("delta", 7, |r| ratio(r.normalized))
+        .col("thrl-cycles", 12, |r| r.throttle_engaged_cycles)
+        .col("avg-occ", 8, |r| format!("{:.1}", r.plain_avg_occupancy))
+        .col("occ'", 8, |r| format!("{:.1}", r.throttled_avg_occupancy))
+        .render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn branch_aggregate_counts_one_a_det_repair_in_forty_nine() {
+        let row = BranchRow {
+            benchmark: "x-like".to_string(),
+            retired: 100,
+            mispredicted: 49,
+            rate: 0.49,
+            repaired_in_a_frac: 1.0 / 49.0,
+            repaired_in_b_frac: 48.0 / 49.0,
+        };
+        assert_eq!(repaired_in_a(&row), 1);
+        let text = render_branch_stats(&[row]);
+        assert!(
+            text.ends_with("aggregate: 2% repaired at A-DET, 98% at B-DET (paper: 32% / 68%)\n")
+        );
     }
-    Ok(())
 }

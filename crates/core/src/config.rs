@@ -1,8 +1,12 @@
 //! Machine configuration (the paper's Table 1, plus two-pass knobs).
 
-use ff_mem::{AlatConfig, HierarchyConfig};
+use ff_mem::{AlatConfig, CacheGeometry, HierarchyConfig};
 use ff_predict::PredictorConfig;
 use serde::{Deserialize, Serialize};
+
+/// The paper's L1 instruction cache (Table 1 L1I: 16 KB, 4-way, 64-byte
+/// lines), which every model's front end uses.
+pub const L1I_GEOMETRY: CacheGeometry = CacheGeometry::new(16 * 1024, 4, 64);
 
 /// Per-cycle functional-unit issue slots (Table 1: "8-issue, 5 ALU,
 /// 3 Memory, 3 FP, 3 Branch").

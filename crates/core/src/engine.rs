@@ -26,7 +26,7 @@
 
 use crate::accounting::{CauseBreakdown, StallAttr, StallCause, StallProfile};
 use crate::baseline::BaselinePolicy;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, L1I_GEOMETRY};
 use crate::decoded::DecodedProgram;
 use crate::exec_common::fitting_prefix_classes;
 use crate::frontend::{Frontend, FrontendConfig};
@@ -132,7 +132,7 @@ impl<'p> Core<'p> {
             fetch_width: cfg.issue_width,
             buffer_capacity: cfg.fetch_buffer,
             icache_miss_latency: cfg.icache_miss_latency,
-            icache: ff_mem::CacheGeometry::new(16 * 1024, 4, 64),
+            icache: L1I_GEOMETRY,
         };
         Core {
             frontend: Frontend::new(program, cfg.predictor.build(), fe_cfg),

@@ -272,7 +272,7 @@ mod tests {
             fetch_width: 8,
             buffer_capacity: 32,
             icache_miss_latency: 10,
-            icache: CacheGeometry::new(16 * 1024, 4, 64),
+            icache: crate::L1I_GEOMETRY,
         }
     }
 

@@ -46,6 +46,7 @@ pub use accounting::{
 pub use baseline::Baseline;
 pub use config::{
     FeedbackLatency, FuSlots, MachineConfig, OpLatencies, ThrottleConfig, TwoPassConfig,
+    L1I_GEOMETRY,
 };
 pub use engine::run_model;
 pub use metrics::{
