@@ -156,7 +156,8 @@ fn pipeview_degenerate_windows_render_clean_empty_diagrams() {
 }
 
 /// Every text view of `ff_trace` on gap-like at `tiny` scale, on the
-/// two-pass and the runahead model, is pinned byte for byte against
+/// two-pass and the runahead model (`profile` on the two-pass model
+/// only), is pinned byte for byte against
 /// `tests/golden/ff_trace/`. The Chrome export is too large to commit,
 /// so it is pinned by its length and FNV-1a hash.
 #[test]
@@ -171,7 +172,7 @@ fn views_of_gap_like_match_the_golden_files() {
         let trace = trace.to_str().unwrap();
         let out = ff_trace(&["record", trace, "--model", model, "--bench", "gap-like"]);
         assert!(out.status.success(), "record failed: {}", String::from_utf8_lossy(&out.stderr));
-        let views: &[(&str, &[&str])] = &[
+        let mut views: Vec<(&str, &[&str])> = vec![
             ("summary", &[]),
             ("cpi", &[]),
             ("queue", &[]),
@@ -180,7 +181,10 @@ fn views_of_gap_like_match_the_golden_files() {
             ("pipeview", &[]),
             ("snapshot", &["--start", "0", "--end", "64"]),
         ];
-        for (view, extra) in views {
+        if model == "2p" {
+            views.push(("profile", &["--bench", "gap-like"]));
+        }
+        for (view, extra) in &views {
             let mut args = vec![*view, trace];
             args.extend_from_slice(extra);
             let out = ff_trace(&args);
