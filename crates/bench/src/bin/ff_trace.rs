@@ -18,6 +18,7 @@
 //! `chrome://tracing`.
 
 use ff_bench::cli::{Cli, Command, Parsed};
+use ff_bench::fmt::Table;
 use ff_bench::traceview;
 use ff_core::{run_model, CycleClass, JsonlSink, MachineConfig, ModelKind, TraceEvent};
 use ff_workloads::Scale;
@@ -195,20 +196,22 @@ fn profile_cmd(args: &Parsed) -> Result<(), String> {
         cycles,
         profile.len()
     );
-    println!("{:>6}  {:<16} {:>12}  {:>6}  instruction", "pc", "cause", "cycles", "share");
-    for site in profile.top(top) {
-        let share = if total == 0 { 0.0 } else { 100.0 * site.cycles as f64 / total as f64 };
-        let insn = program
-            .as_ref()
-            .and_then(|p| p.get(site.pc))
-            .map_or_else(String::new, ToString::to_string);
-        println!(
-            "{:>6}  {:<16} {:>12}  {share:>5.1}%  {insn}",
-            site.pc,
-            site.cause.label(),
-            site.cycles
-        );
-    }
+    let sites = profile.top(top);
+    let table = Table::new(&sites)
+        .rule(0)
+        .col("pc", 6, |s| s.pc)
+        .left("cause", 16, |s| s.cause.label())
+        .sep(" ")
+        .col("cycles", 12, |s| s.cycles)
+        .sep("  ")
+        .col("share", 6, |s| {
+            let share = if total == 0 { 0.0 } else { 100.0 * s.cycles as f64 / total as f64 };
+            format!("{share:.1}%")
+        })
+        .ragged("instruction", 0, |s| {
+            program.as_ref().and_then(|p| p.get(s.pc)).map_or_else(String::new, ToString::to_string)
+        });
+    print!("{}", table.render());
     Ok(())
 }
 

@@ -10,6 +10,7 @@
 //! follows single instructions pairs their lifecycle events through
 //! one [`FlightReplay`].
 
+use crate::fmt::{pct, ratio, Table};
 use ff_core::{CauseBreakdown, CycleClass, Histogram, Pipe, StallCause, StallProfile, TraceEvent};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -345,30 +346,23 @@ pub fn cpi_stack(breakdown: &CauseBreakdown, retired: u64) -> CpiStack {
 /// Renders a [`CpiStack`] as an indented text table.
 #[must_use]
 pub fn render_cpi_stack(stack: &CpiStack) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "cycles={} retired={} cpi={:.3}", stack.cycles, stack.retired, stack.cpi);
-    let _ = writeln!(out, "{:<24} {:>12} {:>8} {:>8}", "class / cause", "cycles", "frac", "cpi");
+    // One row per class, each followed by its causes indented two places.
+    let mut rows: Vec<(String, u64, f64, f64)> = Vec::new();
     for class in &stack.classes {
-        let _ = writeln!(
-            out,
-            "{:<24} {:>12} {:>7.1}% {:>8.3}",
-            class.class,
-            class.cycles,
-            100.0 * class.fraction,
-            class.cpi
-        );
-        for cause in &class.causes {
-            let _ = writeln!(
-                out,
-                "  {:<22} {:>12} {:>7.1}% {:>8.3}",
-                cause.cause,
-                cause.cycles,
-                100.0 * cause.fraction,
-                cause.cpi
-            );
+        rows.push((class.class.clone(), class.cycles, class.fraction, class.cpi));
+        for c in &class.causes {
+            rows.push((format!("  {}", c.cause), c.cycles, c.fraction, c.cpi));
         }
     }
-    out
+    let table = Table::new(&rows)
+        .sep(" ")
+        .rule(0)
+        .left("class / cause", 24, |r| r.0.clone())
+        .col("cycles", 12, |r| r.1)
+        .col("frac", 8, |r| pct(r.2))
+        .col("cpi", 8, |r| ratio(r.3));
+    format!("cycles={} retired={} cpi={:.3}\n", stack.cycles, stack.retired, stack.cpi)
+        + &table.render()
 }
 
 // ---- occupancy ---------------------------------------------------------
@@ -903,28 +897,25 @@ pub fn snapshot(events: &[TraceEvent], start: u64, end: u64) -> String {
             .find(|iv| iv.start <= cycle && cycle < iv.start + iv.len)
             .map_or("?", |iv| iv.class.label())
     };
-    let mut out = String::new();
-    let _ = writeln!(out, "cycles {start}..{end}  (* deferred, ! B-executed)");
-    let _ = writeln!(
-        out,
-        "{:>8}  {:<11} {:>3} {:>4}  {:<24} {:<24} notes",
-        "cycle", "class", "cq", "mshr", "A dispatch (pc)", "B retire (pc)"
-    );
-    for (cycle, row) in &rows {
-        let (cq, mshr) = row
-            .sample
-            .map_or(("-".to_string(), "-".to_string()), |(d, m)| (d.to_string(), m.to_string()));
-        let _ = writeln!(
-            out,
-            "{cycle:>8}  {:<11} {cq:>3} {mshr:>4}  {:<24} {:<24} {}",
-            class_at(*cycle),
-            row.a.join(","),
-            row.b.join(","),
-            row.notes.join("; ")
-        );
-    }
+    let rows: Vec<(&u64, &Row)> = rows.iter().collect();
+    let sample = |r: &Row, field: fn((u32, u32)) -> u32| {
+        r.sample.map_or("-".into(), |s| field(s).to_string())
+    };
+    let table = Table::new(&rows)
+        .rule(0)
+        .col("cycle", 8, |(cycle, _)| **cycle)
+        .left("class", 11, |(cycle, _)| class_at(**cycle))
+        .sep(" ")
+        .col("cq", 3, |(_, r)| sample(r, |s| s.0))
+        .col("mshr", 4, |(_, r)| sample(r, |s| s.1))
+        .sep("  ")
+        .left("A dispatch (pc)", 24, |(_, r)| r.a.join(","))
+        .sep(" ")
+        .left("B retire (pc)", 24, |(_, r)| r.b.join(","))
+        .ragged("notes", 0, |(_, r)| r.notes.join("; "));
+    let mut out = format!("cycles {start}..{end}  (* deferred, ! B-executed)\n") + &table.render();
     if rows.is_empty() {
-        let _ = writeln!(out, "(no events in window)");
+        out.push_str("(no events in window)\n");
     }
     out
 }
