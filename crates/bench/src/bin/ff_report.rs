@@ -190,7 +190,7 @@ fn cmd_list(args: &Parsed) -> Result<ExitCode, String> {
         Table::new(&records)
             .col("kind", 6, |r| r.kind.clone())
             .col("hash", 16, |r| r.content_hash.clone())
-            .ragged("key", 48, |r| r.key.clone())
+            .ragged("key", 0, |r| r.key.clone())
             .render()
     );
     Ok(ExitCode::SUCCESS)

@@ -64,6 +64,23 @@ fn a_full_cached_sweep_is_readable_by_pareto_without_ingest() {
 }
 
 #[test]
+fn ff_report_list_heads_the_key_column_where_the_keys_start() {
+    let dir = temp_dir("list");
+    let dir_arg = dir.to_str().unwrap();
+    let perf = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perf");
+    let out = run(env!("CARGO_BIN_EXE_ff_report"), &["ingest-perf", perf, "--dir", dir_arg]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = run(env!("CARGO_BIN_EXE_ff_report"), &["list", "--dir", dir_arg]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines();
+    let header = lines.next().expect("a header line");
+    let first = lines.find(|l| !l.starts_with('-')).expect("a record line");
+    assert_eq!(header.find("key"), first.find("perf;file="), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn capture_rejects_an_unknown_model_and_keys_known_ones_canonically() {
     let dir = temp_dir("capture");
     let dir_arg = dir.to_str().unwrap();
