@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ff_bench::experiments::REGISTRY;
-use ff_bench::sweep::SweepOpts;
+use ff_bench::sweep::{RunStore, SweepOpts};
 use ff_workloads::Scale;
 
 fn bench_figures(c: &mut Criterion) {
@@ -18,7 +18,9 @@ fn bench_figures(c: &mut Criterion) {
     let mut group = c.benchmark_group("figures/tiny");
     group.sample_size(10);
     for experiment in REGISTRY {
-        group.bench_function(experiment.name(), |b| b.iter(|| experiment.run(&opts)));
+        group.bench_function(experiment.name(), |b| {
+            b.iter(|| experiment.run(&opts, &mut RunStore::default()))
+        });
     }
     group.finish();
     let _ = std::fs::remove_dir_all(&opts.cache_dir);

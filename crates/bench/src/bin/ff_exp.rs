@@ -10,7 +10,7 @@
 //! the usage and the list of experiments.
 
 use ff_bench::experiments::{find, REGISTRY};
-use ff_bench::sweep::{SweepOpts, COMMAND};
+use ff_bench::sweep::{RunStore, SweepOpts, COMMAND};
 use std::process::ExitCode;
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -30,7 +30,7 @@ fn main() -> ExitCode {
     };
     match SweepOpts::parse(args) {
         Ok(opts) => {
-            print!("{}", experiment.run(&opts).text);
+            print!("{}", experiment.run(&opts, &mut RunStore::default()).text);
             ExitCode::SUCCESS
         }
         Err(msg) => usage_error(&msg),

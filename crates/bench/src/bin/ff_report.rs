@@ -31,7 +31,7 @@ use ff_bench::report::{
     DashboardData, Warehouse, DEFAULT_RUNS_DIR, KIND_GOLDEN, KIND_PERF,
 };
 use ff_bench::selfprof::{HostInfo, PerfSnapshot, SelfProfiler};
-use ff_bench::sweep::SweepOpts;
+use ff_bench::sweep::{RunStore, SweepOpts};
 use ff_core::{run_model, MachineConfig, ModelKind, StallCause, TwoPass};
 use ff_workloads::{paper_benchmarks, Scale};
 use serde::{Deserialize, Value};
@@ -342,10 +342,12 @@ fn cmd_drift(args: &Parsed) -> Result<ExitCode, String> {
         cache: args.has("--use-cache"),
         ..SweepOpts::default()
     };
+    // One store for the whole registry: each distinct run simulates once.
+    let mut store = RunStore::default();
     let mut drifted: Vec<&str> = Vec::new();
     for experiment in REGISTRY {
         let name = experiment.name();
-        let fresh = experiment.run(&opts).text;
+        let fresh = experiment.run(&opts, &mut store).text;
         let committed_path = results_dir.join(format!("{name}.txt"));
         let committed = std::fs::read_to_string(&committed_path).unwrap_or_default();
         if fresh == committed {

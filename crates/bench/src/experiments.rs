@@ -2,29 +2,30 @@
 //! [`Experiment`] — a [`Cell`] grid, a finalize pass, and a renderer
 //! that declares each column of its table once (see [`crate::fmt`]).
 //!
-//! Each grid runs through the shared [`crate::sweep`] engine in parallel
-//! with result caching. A cell simulates exactly one (kernel, model,
-//! config) point and returns one typed row; the one quantity that relates
-//! cells — cycles "normalized to the reference run of the same
-//! benchmark" — is filled in afterwards by `normalize`, which is pure
-//! and deterministic, so cached and freshly simulated cells produce
-//! identical output.
+//! An experiment is data: each cell names the [`Run`]s it reads (a
+//! kernel on one model of one machine) and a pure function from their
+//! reports to one typed row. The shared [`crate::sweep`] engine
+//! simulates each distinct run once — Table 2, Figures 6 and 7 and the
+//! §4 statistics all read the same Table-1 runs — in parallel and
+//! cached. The one quantity that relates rows — cycles "normalized to
+//! the reference run of the same benchmark" — is filled in afterwards
+//! by `normalize`, which is pure and deterministic, so cached and
+//! freshly simulated runs produce identical output.
 //!
 //! [`REGISTRY`] lists every experiment: `ff_exp <name>` runs one, and
-//! `ff_report drift` runs them all against the committed
-//! `results/<name>.txt`.
+//! `ff_report drift` runs them all, through one [`RunStore`], against
+//! the committed `results/<name>.txt`.
 
 use crate::fmt::{pct, ratio, Table};
 use crate::report::warehouse::{runs_dir_for, sweep_record, Warehouse};
-use crate::sweep::{run_sweep, Cell, SweepOpts, SweepStats};
+use crate::sweep::{run_sweep, Cell, Run, RunStore, SweepOpts, SweepStats};
 use ff_core::{
     CycleClass, FeedbackLatency, MachineConfig, ModelKind, Pipe, SimReport, StallCause,
     ThrottleConfig, L1I_GEOMETRY,
 };
-use ff_isa::ArchState;
 use ff_mem::CacheGeometry;
 use ff_predict::PredictorConfig;
-use ff_workloads::{benchmark_by_name, paper_benchmarks, Scale, Workload};
+use ff_workloads::{paper_benchmarks, Scale};
 use serde::{Deserialize, Serialize, Value};
 
 // ---- registry ---------------------------------------------------------------
@@ -44,13 +45,14 @@ pub struct Output {
 
 /// One paper table or figure, runnable by name.
 pub trait Experiment: Sync {
-    /// Registry name: the `ff_exp` argument, the cache and warehouse
-    /// key, and the stem of the committed `results/<name>.txt`.
+    /// Registry name: the `ff_exp` argument, the warehouse key, and
+    /// the stem of the committed `results/<name>.txt`.
     fn name(&self) -> &'static str;
     /// One-line description, also the heading of the rendered table.
     fn title(&self) -> &'static str;
-    /// Runs the experiment under the shared sweep options.
-    fn run(&self, opts: &SweepOpts) -> Output;
+    /// Runs the experiment under the shared sweep options, reusing the
+    /// reports `store` holds and adding the ones it simulates or loads.
+    fn run(&self, opts: &SweepOpts, store: &mut RunStore) -> Output;
 }
 
 /// Every experiment, in paper order.
@@ -147,7 +149,7 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     REGISTRY.iter().copied().find(|e| e.name() == name)
 }
 
-/// A swept experiment: grid builder, cross-cell finalize pass, renderer.
+/// A swept experiment: grid builder, cross-row finalize pass, renderer.
 struct Grid<R> {
     name: &'static str,
     title: &'static str,
@@ -157,7 +159,7 @@ struct Grid<R> {
     render: fn(&[R]) -> String,
 }
 
-impl<R: Serialize + Deserialize + Send> Experiment for Grid<R> {
+impl<R: Serialize> Experiment for Grid<R> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -166,10 +168,10 @@ impl<R: Serialize + Deserialize + Send> Experiment for Grid<R> {
         self.title
     }
 
-    fn run(&self, opts: &SweepOpts) -> Output {
+    fn run(&self, opts: &SweepOpts, store: &mut RunStore) -> Output {
         let base =
             MachineConfig { fast_forward: opts.fast_forward, ..MachineConfig::paper_table1() };
-        let run = run_sweep(self.name, opts, (self.cells)(opts.scale, &base));
+        let run = run_sweep(self.name, opts, store, (self.cells)(opts.scale, &base));
         let stats = run.stats;
         let mut rows = run.into_rows();
         (self.finalize)(&mut rows);
@@ -222,17 +224,6 @@ fn json_text(rows: &Value) -> String {
 const PAPER_MODELS: [ModelKind; 3] =
     [ModelKind::Baseline, ModelKind::TwoPass, ModelKind::TwoPassRegroup];
 
-/// Looks a built-in benchmark up by name, panicking with a clear
-/// message otherwise (cells run under panic isolation).
-fn workload(name: &str, scale: Scale) -> Workload {
-    benchmark_by_name(name, scale).expect("built-in benchmark")
-}
-
-/// Runs one workload on one model of machine `cfg`.
-fn simulate(kind: ModelKind, w: &Workload, cfg: &MachineConfig) -> SimReport {
-    ff_core::run_model(kind, &w.program, w.memory.clone(), cfg.clone(), w.budget, None).0
-}
-
 /// `n / d`, or 0 when `d` is 0.
 fn frac(n: u64, d: u64) -> f64 {
     if d == 0 {
@@ -242,48 +233,35 @@ fn frac(n: u64, d: u64) -> f64 {
     }
 }
 
-/// Benchmark-name list for grid building (kernels are constructed
-/// inside cells, not captured).
+/// The paper benchmarks' names, in Table 2 order.
 fn benchmark_names(scale: Scale) -> Vec<&'static str> {
     paper_benchmarks(scale).iter().map(|w| w.name).collect()
 }
 
-/// Every paper benchmark on base, 2P, and 2Pre: one cell each, turning
-/// the run's report into a row.
-fn paper_grid<R: 'static>(
-    scale: Scale,
-    base: &MachineConfig,
-    row: fn(&str, &SimReport) -> R,
+/// `base` with one setting changed.
+fn with(base: &MachineConfig, edit: impl FnOnce(&mut MachineConfig)) -> MachineConfig {
+    let mut cfg = base.clone();
+    edit(&mut cfg);
+    cfg
+}
+
+/// One cell per benchmark of `names` and point of `points`: `runs`
+/// lists the (model, machine) pairs a point reads, and `row` turns
+/// their reports, in that order, into the cell's row.
+fn grid<P: Copy + 'static, R: 'static>(
+    names: &[&'static str],
+    points: &[P],
+    runs: impl Fn(P) -> Vec<(ModelKind, MachineConfig)>,
+    row: fn(&'static str, P, &[&SimReport]) -> R,
 ) -> Vec<Cell<R>> {
     let mut cells = Vec::new();
-    for name in benchmark_names(scale) {
-        for kind in PAPER_MODELS {
-            let cfg = base.clone();
-            cells.push(Cell::new(name, kind.to_string(), "", move || {
-                let w = workload(name, scale);
-                row(w.name, &simulate(kind, &w, &cfg))
-            }));
+    for &kernel in names {
+        for &p in points {
+            let runs = runs(p).into_iter().map(|(model, config)| Run { kernel, model, config });
+            cells.push(Cell::new(runs.collect(), move |r| row(kernel, p, r)));
         }
     }
     cells
-}
-
-/// One cell per named benchmark, computing `row` from its workload and
-/// the base machine.
-fn per_benchmark<R: 'static>(
-    names: &[&'static str],
-    scale: Scale,
-    base: &MachineConfig,
-    (model, params): (&'static str, &str),
-    row: fn(&Workload, &MachineConfig) -> R,
-) -> Vec<Cell<R>> {
-    names
-        .iter()
-        .map(|&name| {
-            let cfg = base.clone();
-            Cell::new(name, model, params, move || row(&workload(name, scale), &cfg))
-        })
-        .collect()
 }
 
 // ---- Table 1 ----------------------------------------------------------------
@@ -301,7 +279,7 @@ impl Experiment for Table1 {
         "Table 1 — experimental machine configuration"
     }
 
-    fn run(&self, opts: &SweepOpts) -> Output {
+    fn run(&self, opts: &SweepOpts, _: &mut RunStore) -> Output {
         let c = MachineConfig::paper_table1();
         let h = &c.hierarchy;
         let cache = |latency: String, g: &CacheGeometry| {
@@ -362,26 +340,29 @@ pub struct Table2Row {
     pub spec_ref: String,
     /// Kernel name, e.g. `"mcf-like"`.
     pub benchmark: String,
-    /// Dynamic instructions retired by the golden interpreter.
+    /// Dynamic instructions retired (by the base run; every model and
+    /// the golden interpreter retire the same count).
     pub instructions: u64,
     /// One-line synthetic-input description.
     pub description: String,
 }
 
-/// Table 2 grid: one interpreter run per benchmark (the machine is
-/// unused).
+/// Table 2 grid: each benchmark's base run.
 #[must_use]
 pub fn table2_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Table2Row>> {
-    per_benchmark(&benchmark_names(scale), scale, base, ("interp", ""), |w, _| {
-        let mut interp = ArchState::new(&w.program, w.memory.clone());
-        interp.run(w.budget);
-        Table2Row {
-            spec_ref: w.spec_ref.to_string(),
-            benchmark: w.name.to_string(),
-            instructions: interp.instr_count(),
-            description: w.description.to_string(),
-        }
-    })
+    paper_benchmarks(scale)
+        .into_iter()
+        .map(|w| {
+            let (spec_ref, benchmark, description) = (w.spec_ref, w.name, w.description);
+            let run = Run { kernel: benchmark, model: ModelKind::Baseline, config: base.clone() };
+            Cell::new(vec![run], move |r| Table2Row {
+                spec_ref: spec_ref.to_string(),
+                benchmark: benchmark.to_string(),
+                instructions: r[0].retired,
+                description: description.to_string(),
+            })
+        })
+        .collect()
 }
 
 fn render_table2(rows: &[Table2Row]) -> String {
@@ -443,7 +424,8 @@ fn fig6_row(benchmark: &str, r: &SimReport) -> Fig6Row {
 /// Figure 6 grid: 10 benchmarks × {base, 2P, 2Pre}.
 #[must_use]
 pub fn fig6_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig6Row>> {
-    paper_grid(scale, base, fig6_row)
+    let names = benchmark_names(scale);
+    grid(&names, &PAPER_MODELS, |m| vec![(m, base.clone())], |name, _, r| fig6_row(name, r[0]))
 }
 
 fn render_fig6(rows: &[Fig6Row]) -> String {
@@ -508,12 +490,18 @@ pub struct Fig7Row {
 /// Figure 7 grid: 10 benchmarks × {base, 2P, 2Pre}.
 #[must_use]
 pub fn fig7_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig7Row>> {
-    paper_grid(scale, base, |benchmark, r| Fig7Row {
-        benchmark: benchmark.to_string(),
-        model: r.model.to_string(),
-        cells: r.mem.load_latency_cycles,
-        loads: [r.mem.loads_in(Pipe::A), r.mem.loads_in(Pipe::B)],
-    })
+    let names = benchmark_names(scale);
+    grid(
+        &names,
+        &PAPER_MODELS,
+        |m| vec![(m, base.clone())],
+        |name, _, r| Fig7Row {
+            benchmark: name.to_string(),
+            model: r[0].model.to_string(),
+            cells: r[0].mem.load_latency_cycles,
+            loads: [r[0].mem.loads_in(Pipe::A), r[0].mem.loads_in(Pipe::B)],
+        },
+    )
 }
 
 fn render_fig7(rows: &[Fig7Row]) -> String {
@@ -586,29 +574,19 @@ pub struct Fig8Row {
 /// Figure 8 grid: 3 benchmarks × 5 feedback latencies, on the two-pass
 /// machine.
 #[must_use]
-pub fn fig8_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig8Row>> {
-    let mut cells = Vec::new();
-    for name in FIG8_BENCHMARKS {
-        for lat in FIG8_LATENCIES {
-            let label = latency_label(lat);
-            let mut cfg = base.clone();
-            cfg.two_pass.feedback_latency = lat;
-            cells.push(Cell::new(name, "2P", format!("latency={label}"), move || {
-                let w = workload(name, scale);
-                let r = simulate(ModelKind::TwoPass, &w, &cfg);
-                let tp = r.two_pass.expect("two-pass stats");
-                Fig8Row {
-                    benchmark: w.name.to_string(),
-                    latency: latency_label(lat),
-                    cycles: r.cycles,
-                    normalized: 0.0,
-                    deferred: tp.deferred,
-                    deferral_rate: tp.deferral_rate(),
-                }
-            }));
+pub fn fig8_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<Fig8Row>> {
+    let runs = |lat| vec![(ModelKind::TwoPass, with(base, |c| c.two_pass.feedback_latency = lat))];
+    grid(&FIG8_BENCHMARKS, &FIG8_LATENCIES, runs, |name, lat, r| {
+        let tp = r[0].two_pass.expect("two-pass stats");
+        Fig8Row {
+            benchmark: name.to_string(),
+            latency: latency_label(lat),
+            cycles: r[0].cycles,
+            normalized: 0.0,
+            deferred: tp.deferred,
+            deferral_rate: tp.deferral_rate(),
         }
-    }
-    cells
+    })
 }
 
 fn render_fig8(rows: &[Fig8Row]) -> String {
@@ -647,10 +625,11 @@ pub struct BranchRow {
 /// Branch-statistics grid: 10 benchmarks on the two-pass machine.
 #[must_use]
 pub fn branch_stats_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<BranchRow>> {
-    per_benchmark(&benchmark_names(scale), scale, base, ("2P", ""), |w, cfg| {
-        let b = simulate(ModelKind::TwoPass, w, cfg).branches;
+    let runs = |()| vec![(ModelKind::TwoPass, base.clone())];
+    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+        let b = r[0].branches;
         BranchRow {
-            benchmark: w.name.to_string(),
+            benchmark: name.to_string(),
             retired: b.retired,
             mispredicted: b.mispredicted,
             rate: b.mispredict_rate(),
@@ -710,10 +689,11 @@ pub struct ConflictRow {
 /// Store-conflict grid: 10 benchmarks on the two-pass machine.
 #[must_use]
 pub fn conflict_stats_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<ConflictRow>> {
-    per_benchmark(&benchmark_names(scale), scale, base, ("2P", ""), |w, cfg| {
-        let tp = simulate(ModelKind::TwoPass, w, cfg).two_pass.expect("two-pass stats");
+    let runs = |()| vec![(ModelKind::TwoPass, base.clone())];
+    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+        let tp = r[0].two_pass.expect("two-pass stats");
         ConflictRow {
-            benchmark: w.name.to_string(),
+            benchmark: name.to_string(),
             risky_loads: tp.loads_past_deferred_store,
             risky_clean_frac: tp.risky_load_clean_fraction(),
             conflict_flushes: tp.store_conflict_flushes,
@@ -763,27 +743,15 @@ pub const QUEUE_SWEEP_BENCHMARKS: [&str; 4] =
 /// §3.1 grid: [`QUEUE_SWEEP_BENCHMARKS`] × [`QUEUE_SIZES`] on the
 /// two-pass machine.
 #[must_use]
-pub fn queue_sweep_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<QueueRow>> {
-    let mut cells = Vec::new();
-    for name in QUEUE_SWEEP_BENCHMARKS {
-        for size in QUEUE_SIZES {
-            let mut cfg = base.clone();
-            cfg.two_pass.queue_size = size;
-            cells.push(Cell::new(name, "2P", format!("queue={size}"), move || {
-                let w = workload(name, scale);
-                let r = simulate(ModelKind::TwoPass, &w, &cfg);
-                let tp = r.two_pass.expect("two-pass stats");
-                QueueRow {
-                    benchmark: w.name.to_string(),
-                    size,
-                    cycles: r.cycles,
-                    normalized: 0.0,
-                    queue_full_cycles: tp.queue_full_cycles,
-                }
-            }));
-        }
-    }
-    cells
+pub fn queue_sweep_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<QueueRow>> {
+    let runs = |size| vec![(ModelKind::TwoPass, with(base, |c| c.two_pass.queue_size = size))];
+    grid(&QUEUE_SWEEP_BENCHMARKS, &QUEUE_SIZES, runs, |name, size, r| QueueRow {
+        benchmark: name.to_string(),
+        size,
+        cycles: r[0].cycles,
+        normalized: 0.0,
+        queue_full_cycles: r[0].two_pass.expect("two-pass stats").queue_full_cycles,
+    })
 }
 
 fn render_queue_sweep(rows: &[QueueRow]) -> String {
@@ -822,21 +790,19 @@ pub struct FpStallRow {
 /// The benchmarks the FP-stall ablation compares.
 pub const FP_STALL_BENCHMARKS: [&str; 2] = ["vpr-like", "equake-like"];
 
-/// §4 grid: one cell per [`FP_STALL_BENCHMARKS`] entry, running both FP
-/// policies.
+/// §4 grid: one cell per [`FP_STALL_BENCHMARKS`] entry, reading the
+/// two-pass run under both FP policies.
 #[must_use]
-pub fn fp_stall_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<FpStallRow>> {
-    per_benchmark(&FP_STALL_BENCHMARKS, scale, base, ("2P", "policy=defer+stall"), |w, cfg| {
-        let mut stall_cfg = cfg.clone();
-        stall_cfg.two_pass.stall_on_anticipable_fp = true;
-        let plain = simulate(ModelKind::TwoPass, w, cfg);
-        let stall = simulate(ModelKind::TwoPass, w, &stall_cfg);
-        let ptp = plain.two_pass.expect("two-pass stats");
-        let stp = stall.two_pass.expect("two-pass stats");
+pub fn fp_stall_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<FpStallRow>> {
+    let stall = with(base, |c| c.two_pass.stall_on_anticipable_fp = true);
+    let runs = |()| vec![(ModelKind::TwoPass, base.clone()), (ModelKind::TwoPass, stall.clone())];
+    grid(&FP_STALL_BENCHMARKS, &[()], runs, |name, (), r| {
+        let ptp = r[0].two_pass.expect("two-pass stats");
+        let stp = r[1].two_pass.expect("two-pass stats");
         FpStallRow {
-            benchmark: w.name.to_string(),
-            defer_cycles: plain.cycles,
-            stall_cycles: stall.cycles,
+            benchmark: name.to_string(),
+            defer_cycles: r[0].cycles,
+            stall_cycles: r[1].cycles,
             defer_fp_deferred: ptp.fp_deferred,
             stall_fp_deferred: stp.fp_deferred,
             defer_fp_rate: frac(ptp.fp_deferred, ptp.fp_retired),
@@ -876,15 +842,16 @@ pub struct RunaheadRow {
     pub two_pass_speedup: f64,
 }
 
-/// §2 grid: one cell per benchmark, running base, runahead, and 2P.
+/// §2 grid: one cell per benchmark, reading its base, runahead, and 2P
+/// runs.
 #[must_use]
 pub fn runahead_compare_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<RunaheadRow>> {
-    per_benchmark(&benchmark_names(scale), scale, base, ("base+runahead+2P", ""), |w, cfg| {
-        let base = simulate(ModelKind::Baseline, w, cfg).cycles;
-        let ra = simulate(ModelKind::Runahead, w, cfg).cycles;
-        let tp = simulate(ModelKind::TwoPass, w, cfg).cycles;
+    let models = [ModelKind::Baseline, ModelKind::Runahead, ModelKind::TwoPass];
+    let runs = |()| models.map(|m| (m, base.clone())).to_vec();
+    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+        let [base, ra, tp] = [r[0].cycles, r[1].cycles, r[2].cycles];
         RunaheadRow {
-            benchmark: w.name.to_string(),
+            benchmark: name.to_string(),
             base_cycles: base,
             runahead_cycles: ra,
             two_pass_cycles: tp,
@@ -942,31 +909,22 @@ fn predictor_by_label(label: &str) -> PredictorConfig {
     }
 }
 
-/// Predictor-ablation grid: benchmarks × predictors, each cell running
-/// baseline and two-pass.
+/// Predictor-ablation grid: benchmarks × predictors, each cell reading
+/// the baseline and two-pass runs.
 #[must_use]
-pub fn predictor_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<PredictorRow>> {
-    let mut cells = Vec::new();
-    for name in PREDICTOR_BENCHMARKS {
-        for label in PREDICTORS {
-            let mut cfg = base.clone();
-            cfg.predictor = predictor_by_label(label);
-            cells.push(Cell::new(name, "base+2P", format!("predictor={label}"), move || {
-                let w = workload(name, scale);
-                let base = simulate(ModelKind::Baseline, &w, &cfg);
-                let tp = simulate(ModelKind::TwoPass, &w, &cfg);
-                PredictorRow {
-                    benchmark: w.name.to_string(),
-                    predictor: label.to_string(),
-                    base_cycles: base.cycles,
-                    two_pass_cycles: tp.cycles,
-                    normalized: tp.cycles as f64 / base.cycles as f64,
-                    mispredict_rate: tp.branches.mispredict_rate(),
-                }
-            }));
-        }
-    }
-    cells
+pub fn predictor_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<PredictorRow>> {
+    let runs = |label| {
+        let cfg = with(base, |c| c.predictor = predictor_by_label(label));
+        vec![(ModelKind::Baseline, cfg.clone()), (ModelKind::TwoPass, cfg)]
+    };
+    grid(&PREDICTOR_BENCHMARKS, &PREDICTORS, runs, |name, label, r| PredictorRow {
+        benchmark: name.to_string(),
+        predictor: label.to_string(),
+        base_cycles: r[0].cycles,
+        two_pass_cycles: r[1].cycles,
+        normalized: r[1].cycles as f64 / r[0].cycles as f64,
+        mispredict_rate: r[1].branches.mispredict_rate(),
+    })
 }
 
 fn render_predictor(rows: &[PredictorRow]) -> String {
@@ -1006,20 +964,19 @@ pub struct ThrottleRow {
 const THROTTLE: ThrottleConfig =
     ThrottleConfig { window: 32, defer_threshold: 0.5, resume_occupancy: 8 };
 
-/// §3.5 grid: one cell per benchmark, running plain and throttled.
+/// §3.5 grid: one cell per benchmark, reading its plain and throttled
+/// two-pass runs.
 #[must_use]
 pub fn throttle_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<ThrottleRow>> {
-    let t = THROTTLE;
-    let params = format!("throttle=w{}-t{}-r{}", t.window, t.defer_threshold, t.resume_occupancy);
-    per_benchmark(&benchmark_names(scale), scale, base, ("2P", &params), |w, cfg| {
-        let mut t_cfg = cfg.clone();
-        t_cfg.two_pass.throttle = Some(THROTTLE);
-        let plain = simulate(ModelKind::TwoPass, w, cfg);
-        let thr = simulate(ModelKind::TwoPass, w, &t_cfg);
+    let throttled = with(base, |c| c.two_pass.throttle = Some(THROTTLE));
+    let runs =
+        |()| vec![(ModelKind::TwoPass, base.clone()), (ModelKind::TwoPass, throttled.clone())];
+    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+        let (plain, thr) = (r[0], r[1]);
         let ps = plain.two_pass.expect("two-pass stats");
         let ts = thr.two_pass.expect("two-pass stats");
         ThrottleRow {
-            benchmark: w.name.to_string(),
+            benchmark: name.to_string(),
             plain_cycles: plain.cycles,
             throttled_cycles: thr.cycles,
             normalized: thr.cycles as f64 / plain.cycles as f64,

@@ -23,9 +23,10 @@
 //! | `cargo run -p ff-bench --bin ff_verify` | static legality, cycle bounds and the differential oracle (see [`ff_verify`]) |
 //!
 //! Every experiment runs its grid through the shared [`sweep`] engine:
-//! cells fan out across all cores (`--jobs N|max`), completed cells are
-//! cached as warehouse records under `results/cache/` (`--no-cache` to
-//! disable), the grid can be narrowed with `--filter <glob>`, and
+//! each distinct simulation the cells read runs once, across all cores
+//! (`--jobs N|max`), and is cached as a warehouse record under
+//! `results/cache/` (`--no-cache` to disable), the grid can be narrowed
+//! with `--filter <glob>`, and
 //! `--scale tiny|test|ref` (or the bare positional) picks the workload
 //! scale. `--json` emits machine-readable rows — byte-identical for any
 //! `--jobs` value. Run under `--release`; the harness simulates

@@ -616,16 +616,16 @@ fn hitrate_panel(out: &mut String, log: &[SweepLogEntry]) {
         );
         return;
     }
-    let total_cells: u64 = log.iter().map(|e| e.cells).sum();
+    let total_runs: u64 = log.iter().map(|e| e.runs).sum();
     let total_cached: u64 = log.iter().map(|e| e.cached).sum();
-    let overall = if total_cells == 0 { 1.0 } else { total_cached as f64 / total_cells as f64 };
+    let overall = if total_runs == 0 { 1.0 } else { total_cached as f64 / total_runs as f64 };
     let shown = &log[log.len().saturating_sub(MAX_LOG_ROWS)..];
     let _ = write!(
         out,
-        "<p class=\"note\">Overall hit rate {} across {} invocations ({} cells).{}</p>",
+        "<p class=\"note\">Overall hit rate {} across {} invocations ({} runs).{}</p>",
         pct1(overall),
         log.len(),
-        total_cells,
+        total_runs,
         if shown.len() < log.len() {
             format!(" Showing the most recent {} of {}.", shown.len(), log.len())
         } else {
@@ -634,7 +634,7 @@ fn hitrate_panel(out: &mut String, log: &[SweepLogEntry]) {
     );
     out.push_str(
         "<table><thead><tr><th>experiment</th><th>date</th><th>scale</th><th>jobs</th>\
-         <th>cells</th><th>computed</th><th>cached</th><th>hit rate</th><th>wall ms</th>\
+         <th>runs</th><th>computed</th><th>cached</th><th>hit rate</th><th>wall ms</th>\
          </tr></thead><tbody>",
     );
     for e in shown {
@@ -647,7 +647,7 @@ fn hitrate_panel(out: &mut String, log: &[SweepLogEntry]) {
             esc(&e.date),
             esc(&e.scale),
             e.jobs,
-            e.cells,
+            e.runs,
             e.computed,
             e.cached,
             100.0 * e.hit_rate(),

@@ -21,5 +21,5 @@ pub use query::{
 };
 pub use warehouse::{
     content_hash, golden_record, perf_record, runs_dir_for, sweep_record, RunRecord, SweepLogEntry,
-    Warehouse, DEFAULT_RUNS_DIR, KIND_CELL, KIND_GOLDEN, KIND_PERF, KIND_SWEEP, WAREHOUSE_VERSION,
+    Warehouse, DEFAULT_RUNS_DIR, KIND_GOLDEN, KIND_PERF, KIND_RUN, KIND_SWEEP, WAREHOUSE_VERSION,
 };

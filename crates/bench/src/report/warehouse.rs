@@ -5,9 +5,10 @@
 //!
 //! * **sweep** — the finalized row array of one complete experiment
 //!   sweep, keyed by `(experiment, scale, CODE_VERSION)`;
-//! * **cell** — one sweep cell's row, keyed by `(experiment, kernel,
-//!   model, params, scale, CODE_VERSION)`: the sweep result cache is a
-//!   warehouse of cell records under `results/cache/`;
+//! * **run** — one simulation's full [`ff_core::SimReport`], keyed by
+//!   `(kernel, scale, budget, model, machine configuration,
+//!   CODE_VERSION)`: the sweep cache is a warehouse of run records
+//!   under `results/cache/` (see [`crate::sweep::run_key`]);
 //! * **golden** — one full [`ff_core::SimReport`] (cycles, retired,
 //!   six-class and fifteen-cause breakdowns, stall profile, cache
 //!   stats, metrics), keyed by `(kernel, model, params, scale,
@@ -42,8 +43,8 @@ pub const DEFAULT_RUNS_DIR: &str = "results/runs";
 
 /// Record kind for complete sweep row arrays.
 pub const KIND_SWEEP: &str = "sweep";
-/// Record kind for single cached sweep cells.
-pub const KIND_CELL: &str = "cell";
+/// Record kind for cached sweep runs.
+pub const KIND_RUN: &str = "run";
 /// Record kind for captured golden [`ff_core::SimReport`]s.
 pub const KIND_GOLDEN: &str = "golden";
 /// Record kind for ingested `perf/BENCH_*.json` snapshots.
@@ -52,7 +53,7 @@ pub const KIND_PERF: &str = "perf";
 /// One warehouse record: a keyed, content-hashed payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// [`KIND_SWEEP`], [`KIND_CELL`], [`KIND_GOLDEN`], or [`KIND_PERF`].
+    /// [`KIND_SWEEP`], [`KIND_RUN`], [`KIND_GOLDEN`], or [`KIND_PERF`].
     pub kind: String,
     /// Canonical identity, e.g.
     /// `golden;kernel=mcf-like;model=2P;params=;scale=test;code=3`.
@@ -63,8 +64,8 @@ pub struct RunRecord {
     /// The key's axes echoed as ordered `(name, value)` pairs, for
     /// queries that don't want to re-parse the key string.
     pub meta: Vec<(String, String)>,
-    /// The stored result: a sweep row array, one cell's row, a
-    /// serialized `SimReport`, or a perf snapshot.
+    /// The stored result: a sweep row array, a serialized `SimReport`,
+    /// or a perf snapshot.
     pub payload: Value,
 }
 
@@ -137,25 +138,25 @@ pub fn content_hash(payload: &Value) -> String {
 
 /// The canonical key of a record: `kind;name=value;...` over its axes.
 #[must_use]
-pub(crate) fn record_key(kind: &str, axes: &[(&str, &str)]) -> String {
+pub(crate) fn record_key(kind: &str, axes: &[(&str, impl AsRef<str>)]) -> String {
     let mut key = kind.to_string();
     for (name, value) in axes {
         key.push(';');
         key.push_str(name);
         key.push('=');
-        key.push_str(value);
+        key.push_str(value.as_ref());
     }
     key
 }
 
 /// Builds a record of any kind from its key axes and payload.
 #[must_use]
-pub(crate) fn record(kind: &str, axes: &[(&str, &str)], payload: Value) -> RunRecord {
+pub(crate) fn record(kind: &str, axes: &[(&str, impl AsRef<str>)], payload: Value) -> RunRecord {
     RunRecord {
         kind: kind.to_string(),
         key: record_key(kind, axes),
         content_hash: content_hash(&payload),
-        meta: axes.iter().map(|(k, v)| ((*k).to_string(), (*v).to_string())).collect(),
+        meta: axes.iter().map(|(k, v)| ((*k).to_string(), v.as_ref().to_string())).collect(),
         payload,
     }
 }
@@ -212,27 +213,27 @@ pub struct SweepLogEntry {
     pub code: String,
     /// Worker threads used.
     pub jobs: u64,
-    /// Cells in the grid after filtering.
-    pub cells: u64,
-    /// Cells simulated this run (cache misses that succeeded).
+    /// Distinct runs the kept cells read.
+    pub runs: u64,
+    /// Runs simulated (cache misses that succeeded).
     pub computed: u64,
-    /// Cells satisfied from the result cache.
+    /// Runs loaded from the disk cache.
     pub cached: u64,
-    /// Cells whose simulation panicked.
+    /// Runs whose simulation panicked.
     pub failed: u64,
     /// Wall-clock time of the whole sweep, in milliseconds.
     pub wall_ms: u64,
 }
 
 impl SweepLogEntry {
-    /// Cache hit rate of the invocation, in `[0, 1]` (1.0 for an empty
-    /// grid: nothing needed computing).
+    /// Disk-cache hit rate of the invocation, in `[0, 1]` (1.0 when no
+    /// run was read: nothing needed computing).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        if self.cells == 0 {
+        if self.runs == 0 {
             1.0
         } else {
-            self.cached as f64 / self.cells as f64
+            self.cached as f64 / self.runs as f64
         }
     }
 }

@@ -1,43 +1,56 @@
 //! Parallel, cached experiment sweep engine.
 //!
-//! An experiment is a grid of [`Cell`]s — one (kernel, model, params)
-//! triple each — that the engine fans out across worker threads
-//! ([`std::thread::scope`], dynamic load balancing via a shared work
-//! index), with:
+//! The unit of work is a [`Run`]: one kernel, at the sweep's scale, on
+//! one [`ModelKind`] of one full [`MachineConfig`]. An experiment is a
+//! grid of [`Cell`]s, each naming the runs it reads and a pure function
+//! from their [`SimReport`]s to its row. [`run_sweep`] collects the runs
+//! of the cells `--filter` keeps, keeps each distinct run once, and
 //!
-//! * **deterministic result ordering** — results are collected by cell
-//!   index, so the output is byte-identical whatever `--jobs` is or how
-//!   the scheduler interleaves workers;
-//! * **per-cell panic isolation** — a diverging or asserting simulation
-//!   marks its own cell failed ([`CellResult::outcome`]) instead of
-//!   killing the whole sweep;
-//! * **a result cache** — every computed cell is stored as a
-//!   [`KIND_CELL`] warehouse record under `results/cache/`, keyed by
-//!   (experiment, kernel, model, params, scale, code version), so
-//!   unchanged cells are loaded instead of re-simulated.
+//! * **reuses what it can** — a run already in the caller's
+//!   [`RunStore`] (an in-process memo; `ff_report drift` passes one
+//!   store through every experiment) is not simulated again, and a run
+//!   stored as a [`KIND_RUN`] warehouse record under `results/cache/`
+//!   is loaded instead of simulated;
+//! * **simulates the rest in parallel** — across `--jobs` worker
+//!   threads ([`std::thread::scope`], dynamic load balancing via a
+//!   shared work index), each panic isolated to its run: a cell that
+//!   reads a failed run fails ([`CellResult::outcome`]), every other
+//!   cell still gets its row;
+//! * **builds the rows serially, in grid order** — so the output is
+//!   byte-identical whatever `--jobs` is and wherever each report came
+//!   from.
+//!
+//! A run's cache key ([`run_key`]) is its content: kernel, scale,
+//! budget, model, the canonical serialized machine (with `fast_forward`
+//! normalised out, since it never changes a report) and
+//! [`CODE_VERSION`]. Editing a configuration therefore never returns a
+//! stale report, and renaming an experiment or changing its rows never
+//! invalidates one.
 //!
 //! Every experiment in [`crate::experiments::REGISTRY`] shares one CLI,
 //! parsed by [`SweepOpts`]: `ff_exp <name>` followed by [`COMMAND`]'s
 //! arguments.
 
+use std::collections::HashMap;
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::cli::Command;
 use crate::report::warehouse::{
-    record, record_key, runs_dir_for, SweepLogEntry, Warehouse, KIND_CELL,
+    record, record_key, runs_dir_for, SweepLogEntry, Warehouse, KIND_RUN,
 };
-use ff_workloads::Scale;
+use ff_core::{MachineConfig, ModelKind, SimReport};
+use ff_workloads::{paper_benchmarks, Scale, Workload};
 use serde::{Deserialize, Serialize, Value};
 
-/// Cache schema / simulator-semantics version. Part of every cache key:
-/// bump it whenever a change anywhere in the simulator (or in a row
-/// type) can alter cell results, and every previously cached cell is
-/// invalidated at once.
+/// Simulator-semantics version, part of every run's cache key: bump it
+/// whenever a change to the simulator or to a kernel can alter a
+/// report, and every cached run is invalidated at once. A change to a
+/// machine configuration needs no bump: the configuration is in the key.
 pub const CODE_VERSION: &str = "3";
 
 /// Default cache directory, relative to the working directory.
@@ -127,58 +140,59 @@ impl SweepOpts {
     }
 }
 
-// ---- cells --------------------------------------------------------------
+// ---- runs and cells -----------------------------------------------------
 
-/// One unit of sweep work: a (kernel, model, params) grid point and the
-/// closure that simulates it.
+/// One simulation: a kernel, at the sweep's scale, on one model of one
+/// machine.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Paper kernel name, e.g. `"mcf-like"`.
+    pub kernel: &'static str,
+    /// The model simulated.
+    pub model: ModelKind,
+    /// The machine it runs on.
+    pub config: MachineConfig,
+}
+
+/// Reports of the runs simulated or loaded so far, by [`run_key`]. The
+/// sweeps that share one store simulate each distinct run once.
+#[derive(Debug, Default)]
+pub struct RunStore {
+    reports: HashMap<String, SimReport>,
+}
+
+/// One row of an experiment: the runs it reads and the pure function
+/// that turns their reports into the row.
 pub struct Cell<R> {
     /// Kernel (workload) name, e.g. `"mcf-like"` — `--filter` target.
     pub kernel: String,
-    /// Model or policy label, e.g. `"2P"` — `--filter` target.
+    /// The distinct models of its runs joined by `+`, e.g. `"base+2P"`
+    /// — `--filter` target.
     pub model: String,
-    /// Extra configuration key material, e.g. `"latency=4"` (empty when
-    /// the experiment has no extra axis).
-    pub params: String,
-    /// Computes the cell's row. Must be deterministic: the cache
-    /// replays results across processes.
+    /// The runs the row reads.
+    pub runs: Vec<Run>,
+    /// Builds the row from the reports of `runs`, in their order.
     #[allow(clippy::type_complexity)]
-    pub run: Box<dyn Fn() -> R + Send + Sync>,
+    pub row: Box<dyn Fn(&[&SimReport]) -> R>,
 }
 
 impl<R> Cell<R> {
-    /// A new cell; `params` may be empty.
-    pub fn new(
-        kernel: impl Into<String>,
-        model: impl Into<String>,
-        params: impl Into<String>,
-        run: impl Fn() -> R + Send + Sync + 'static,
-    ) -> Self {
+    /// A cell reading `runs` (all of one kernel), labelled by its
+    /// kernel and models.
+    pub fn new(runs: Vec<Run>, row: impl Fn(&[&SimReport]) -> R + 'static) -> Self {
+        let mut models: Vec<String> = Vec::new();
+        for m in runs.iter().map(|r| r.model.to_string()) {
+            if !models.contains(&m) {
+                models.push(m);
+            }
+        }
         Cell {
-            kernel: kernel.into(),
-            model: model.into(),
-            params: params.into(),
-            run: Box::new(run),
+            kernel: runs.first().map_or("", |r| r.kernel).to_string(),
+            model: models.join("+"),
+            runs,
+            row: Box::new(row),
         }
     }
-}
-
-impl<R> std::fmt::Debug for Cell<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cell")
-            .field("kernel", &self.kernel)
-            .field("model", &self.model)
-            .field("params", &self.params)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Where a successful cell's row came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellSource {
-    /// Simulated in this run.
-    Computed,
-    /// Loaded from the result cache.
-    Cached,
 }
 
 /// One cell's result, in grid order.
@@ -188,10 +202,8 @@ pub struct CellResult<R> {
     pub kernel: String,
     /// Model label (echoed from the cell).
     pub model: String,
-    /// Params (echoed from the cell).
-    pub params: String,
-    /// The row, or the panic message of a failed cell.
-    pub outcome: Result<(R, CellSource), String>,
+    /// The row, or the panic message of a run the cell reads.
+    pub outcome: Result<R, String>,
 }
 
 /// Sweep bookkeeping, printed to stderr by [`run_sweep`].
@@ -201,25 +213,27 @@ pub struct SweepStats {
     pub grid: usize,
     /// Cells dropped by `--filter`.
     pub filtered_out: usize,
-    /// Cells simulated this run.
+    /// Distinct runs the kept cells read.
+    pub runs: usize,
+    /// Runs simulated by this sweep.
     pub computed: usize,
-    /// Cells loaded from the cache.
+    /// Runs loaded from the disk cache.
     pub cached: usize,
-    /// Cells whose simulation panicked.
+    /// Runs whose simulation panicked.
     pub failed: usize,
     /// Wall-clock time of the whole sweep, in milliseconds.
     pub wall_ms: u64,
 }
 
 impl SweepStats {
-    /// Cells satisfied from the result cache (alias of `cached`, named
-    /// to match the `--json` summary counter).
+    /// Runs this sweep did not have to simulate: loaded from the disk
+    /// cache or already in the [`RunStore`].
     #[must_use]
     pub fn cache_hits(&self) -> usize {
-        self.cached
+        self.runs - self.cache_misses()
     }
 
-    /// Cells the cache could not satisfy (simulated or failed).
+    /// Runs this sweep simulated (successfully or not).
     #[must_use]
     pub fn cache_misses(&self) -> usize {
         self.computed + self.failed
@@ -239,115 +253,113 @@ impl<R> SweepRun<R> {
     /// The successful rows, in grid order (failed cells are skipped).
     #[must_use]
     pub fn into_rows(self) -> Vec<R> {
-        self.cells.into_iter().filter_map(|c| c.outcome.ok().map(|(row, _)| row)).collect()
+        self.cells.into_iter().filter_map(|c| c.outcome.ok()).collect()
     }
 }
 
 // ---- engine -------------------------------------------------------------
 
-/// Runs `cells` across `opts.jobs` worker threads, consulting the
-/// result cache first. See the module docs for the guarantees.
-pub fn run_sweep<R>(experiment: &str, opts: &SweepOpts, cells: Vec<Cell<R>>) -> SweepRun<R>
-where
-    R: Serialize + Deserialize + Send,
-{
+/// Builds the rows of `cells`, simulating each distinct run they read
+/// that neither `store` nor the disk cache holds, across `opts.jobs`
+/// worker threads. See the module docs for the guarantees.
+pub fn run_sweep<R>(
+    experiment: &str,
+    opts: &SweepOpts,
+    store: &mut RunStore,
+    cells: Vec<Cell<R>>,
+) -> SweepRun<R> {
     let started = Instant::now();
     let mut stats = SweepStats { grid: cells.len(), ..SweepStats::default() };
-    let cells: Vec<Cell<R>> = match &opts.filter {
-        Some(pat) => {
-            let kept: Vec<Cell<R>> = cells
-                .into_iter()
-                .filter(|c| glob_match(pat, &c.kernel) || glob_match(pat, &c.model))
-                .collect();
-            stats.filtered_out = stats.grid - kept.len();
-            kept
-        }
-        None => cells,
+    let kept = |c: &Cell<R>| {
+        opts.filter.as_deref().is_none_or(|p| glob_match(p, &c.kernel) || glob_match(p, &c.model))
     };
+    let cells: Vec<Cell<R>> = cells.into_iter().filter(kept).collect();
+    stats.filtered_out = stats.grid - cells.len();
 
-    // Phase 1: satisfy what we can from the cache (serial: pure I/O).
+    // Each distinct run once; `reads[c]` indexes cell c's runs in `keys`.
+    let workloads = paper_benchmarks(opts.scale);
+    let budget = |kernel: &str| workloads.iter().find(|w| w.name == kernel).map_or(0, |w| w.budget);
+    let (mut keys, mut runs): (Vec<String>, Vec<&Run>) = (Vec::new(), Vec::new());
+    let mut reads: Vec<Vec<usize>> = Vec::with_capacity(cells.len());
+    for cell in &cells {
+        let mut read = Vec::with_capacity(cell.runs.len());
+        for run in &cell.runs {
+            let key = run_key(run, opts.scale, budget(run.kernel));
+            read.push(keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                runs.push(run);
+                keys.len() - 1
+            }));
+        }
+        reads.push(read);
+    }
+    stats.runs = keys.len();
+
+    // What the store lacks comes from the disk cache, else the pool.
     let cache = Warehouse::open(&opts.cache_dir);
-    let mut slots: Vec<Option<Result<(R, CellSource), String>>> = Vec::new();
     let mut pending: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let hit = if opts.cache {
-            let key = cache_key(experiment, cell, opts.scale);
-            cache.get(&key).ok().and_then(|rec| R::from_value(&rec.payload).ok())
-        } else {
-            None
-        };
-        match hit {
-            Some(row) => slots.push(Some(Ok((row, CellSource::Cached)))),
-            None => {
-                slots.push(None);
-                pending.push(i);
+    for (i, key) in keys.iter().enumerate() {
+        if store.reports.contains_key(key) {
+            continue;
+        }
+        let hit = opts.cache.then(|| cache.get(key).ok()).flatten();
+        match hit.and_then(|rec| SimReport::from_value(&rec.payload).ok()) {
+            Some(report) => {
+                stats.cached += 1;
+                store.reports.insert(key.clone(), report);
             }
+            None => pending.push(i),
         }
     }
 
-    // Phase 2: fan the remaining cells out over the worker pool. Workers
-    // pull the next un-run cell off a shared index — dynamic load
-    // balancing without any per-thread queues — and write into their
-    // cell's slot, so result order never depends on scheduling.
-    if !pending.is_empty() {
-        let computed: Vec<Mutex<Option<Result<R, String>>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = opts.jobs.min(pending.len()).max(1);
-        let progress = Progress::new(experiment, pending.len(), slots.len(), started);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&cell_idx) = pending.get(slot) else { break };
-                    let cell = &cells[cell_idx];
-                    let out = catch_unwind(AssertUnwindSafe(|| (cell.run)()));
-                    *computed[slot].lock().unwrap() = Some(out.map_err(|p| panic_message(&*p)));
-                    progress.tick();
-                });
-            }
-        });
-        progress.finish();
-        for (slot, &cell_idx) in pending.iter().enumerate() {
-            let result = computed[slot]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("worker pool drained every pending cell");
-            if let Ok(row) = &result {
+    // Workers pull the next pending run off a shared index — dynamic
+    // load balancing without per-thread queues — into its own slot.
+    let slots: Vec<OnceLock<Result<SimReport, String>>> =
+        pending.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let progress = Progress::new(experiment, pending.len(), keys.len(), started);
+    std::thread::scope(|s| {
+        for _ in 0..opts.jobs.min(pending.len()) {
+            s.spawn(|| loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&i) = pending.get(slot) else { break };
+                let out = catch_unwind(AssertUnwindSafe(|| simulate(runs[i], &workloads)));
+                let _ = slots[slot].set(out.map_err(|p| panic_message(&*p)));
+                progress.tick();
+            });
+        }
+    });
+    progress.finish();
+    let mut failures: HashMap<usize, String> = HashMap::new();
+    for (slot, &i) in slots.into_iter().zip(&pending) {
+        match slot.into_inner().expect("the pool drained every pending run") {
+            Ok(report) => {
+                stats.computed += 1;
                 if opts.cache {
                     // Best-effort: an unwritable cache only costs a re-run.
-                    let axes = cell_axes(experiment, &cells[cell_idx], opts.scale);
-                    let _ = cache.put(&record(KIND_CELL, &axes, row.to_value()));
+                    let axes = run_axes(runs[i], opts.scale, budget(runs[i].kernel));
+                    let _ = cache.put(&record(KIND_RUN, &axes, report.to_value()));
                 }
+                store.reports.insert(keys[i].clone(), report);
             }
-            slots[cell_idx] = Some(result.map(|row| (row, CellSource::Computed)));
+            Err(msg) => {
+                stats.failed += 1;
+                failures.insert(i, msg);
+            }
         }
     }
 
     let mut results = Vec::with_capacity(cells.len());
-    for (cell, slot) in cells.into_iter().zip(slots) {
-        let outcome = slot.expect("every kept cell resolved");
-        match &outcome {
-            Ok((_, CellSource::Cached)) => stats.cached += 1,
-            Ok((_, CellSource::Computed)) => stats.computed += 1,
-            Err(msg) => {
-                stats.failed += 1;
-                eprintln!(
-                    "sweep {experiment}: cell {}/{}{}{} FAILED: {msg}",
-                    cell.kernel,
-                    cell.model,
-                    if cell.params.is_empty() { "" } else { "/" },
-                    cell.params
-                );
-            }
+    for (cell, read) in cells.into_iter().zip(reads) {
+        let reports: Result<Vec<&SimReport>, String> = read
+            .iter()
+            .map(|&i| store.reports.get(&keys[i]).ok_or_else(|| failures[&i].clone()))
+            .collect();
+        let outcome = reports.map(|reports| (cell.row)(&reports));
+        if let Err(msg) = &outcome {
+            eprintln!("sweep {experiment}: cell {}/{} FAILED: {msg}", cell.kernel, cell.model);
         }
-        results.push(CellResult {
-            kernel: cell.kernel,
-            model: cell.model,
-            params: cell.params,
-            outcome,
-        });
+        results.push(CellResult { kernel: cell.kernel, model: cell.model, outcome });
     }
 
     stats.wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
@@ -360,20 +372,22 @@ where
         scale: opts.scale.label().to_string(),
         code: CODE_VERSION.to_string(),
         jobs: opts.jobs as u64,
-        cells: (stats.grid - stats.filtered_out) as u64,
+        runs: stats.runs as u64,
         computed: stats.computed as u64,
         cached: stats.cached as u64,
         failed: stats.failed as u64,
         wall_ms: stats.wall_ms,
     };
     let _ = Warehouse::open(runs_dir_for(&opts.cache_dir)).append_sweep_log(&entry);
+    let cells_kept = stats.grid - stats.filtered_out;
     if opts.json {
         // Machine-readable bookkeeping. Stays on stderr: `--json` row
         // output owns stdout and must remain byte-identical run to run.
         let summary = Value::Object(vec![
             ("sweep".to_string(), Value::Str(experiment.to_string())),
-            ("cells".to_string(), Value::UInt((stats.grid - stats.filtered_out) as u64)),
+            ("cells".to_string(), Value::UInt(cells_kept as u64)),
             ("filtered_out".to_string(), Value::UInt(stats.filtered_out as u64)),
+            ("runs".to_string(), Value::UInt(stats.runs as u64)),
             ("computed".to_string(), Value::UInt(stats.computed as u64)),
             ("failed".to_string(), Value::UInt(stats.failed as u64)),
             ("cache_hits".to_string(), Value::UInt(stats.cache_hits() as u64)),
@@ -385,10 +399,10 @@ where
         }
     } else {
         eprintln!(
-            "sweep {experiment}: {} cells ({} filtered out) — {} computed, {} cached, {} failed \
-             in {} ms [jobs={}, scale={}{}]",
-            stats.grid - stats.filtered_out,
+            "sweep {experiment}: {cells_kept} cells ({} filtered out) reading {} runs — {} \
+             computed, {} cached, {} failed in {} ms [jobs={}, scale={}{}]",
             stats.filtered_out,
+            stats.runs,
             stats.computed,
             stats.cached,
             stats.failed,
@@ -401,13 +415,21 @@ where
     SweepRun { cells: results, stats }
 }
 
-/// Live progress line for phase 2, written to stderr only when stderr
+/// Simulates one run on its kernel, looked up among `workloads`.
+fn simulate(run: &Run, workloads: &[Workload]) -> SimReport {
+    let w = workloads.iter().find(|w| w.name == run.kernel);
+    let w = w.unwrap_or_else(|| panic!("unknown kernel `{}`", run.kernel));
+    ff_core::run_model(run.model, &w.program, w.memory.clone(), run.config.clone(), w.budget, None)
+        .0
+}
+
+/// Live progress line of the simulations, written to stderr only when stderr
 /// is a terminal (CI logs stay clean; stdout is never touched).
 struct Progress {
     label: String,
-    /// Cells that must be simulated this run.
+    /// Runs that must be simulated.
     total: usize,
-    /// Cells already satisfied from the cache before phase 2 started.
+    /// Runs already in the store or loaded from the cache.
     hits: usize,
     done: AtomicUsize,
     started: Instant,
@@ -416,11 +438,11 @@ struct Progress {
 }
 
 impl Progress {
-    fn new(experiment: &str, total: usize, kept: usize, started: Instant) -> Progress {
+    fn new(experiment: &str, total: usize, runs: usize, started: Instant) -> Progress {
         Progress {
             label: experiment.to_string(),
             total,
-            hits: kept.saturating_sub(total),
+            hits: runs.saturating_sub(total),
             done: AtomicUsize::new(0),
             started,
             live: std::io::stderr().is_terminal(),
@@ -428,7 +450,7 @@ impl Progress {
         }
     }
 
-    /// Records one finished cell and redraws (throttled to ~10 Hz).
+    /// Records one finished run and redraws (throttled to ~10 Hz).
     fn tick(&self) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if !self.live {
@@ -470,7 +492,7 @@ fn progress_line(label: &str, done: usize, total: usize, hits: usize, elapsed: f
     let kept = total.saturating_add(hits);
     let hit_pct = if kept > 0 { 100.0 * hits as f64 / kept as f64 } else { 0.0 };
     format!(
-        "sweep {label}: {done}/{total} cells  elapsed {elapsed:.1}s  eta {eta:.1}s  \
+        "sweep {label}: {done}/{total} runs  elapsed {elapsed:.1}s  eta {eta:.1}s  \
          cache {hit_pct:.0}% hit"
     )
 }
@@ -487,25 +509,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 // ---- cache --------------------------------------------------------------
 
-fn cell_axes<'a, R>(
-    experiment: &'a str,
-    cell: &'a Cell<R>,
-    scale: Scale,
-) -> [(&'a str, &'a str); 6] {
+/// The axes of a run's cache record, in key order.
+fn run_axes(run: &Run, scale: Scale, budget: u64) -> [(&'static str, String); 6] {
+    let config = MachineConfig { fast_forward: true, ..run.config.clone() };
     [
-        ("experiment", experiment),
-        ("kernel", &cell.kernel),
-        ("model", &cell.model),
-        ("params", &cell.params),
-        ("scale", scale.label()),
-        ("code", CODE_VERSION),
+        ("kernel", run.kernel.to_string()),
+        ("scale", scale.label().to_string()),
+        ("budget", budget.to_string()),
+        ("model", run.model.to_string()),
+        ("config", serde_json::to_string(&config.to_value()).expect("a serializable machine")),
+        ("code", CODE_VERSION.to_string()),
     ]
 }
 
-/// The warehouse key of one cell's cached row.
+/// The warehouse key of a run's cached report, at `scale` with its
+/// kernel's instruction `budget`.
 #[must_use]
-pub fn cache_key<R>(experiment: &str, cell: &Cell<R>, scale: Scale) -> String {
-    record_key(KIND_CELL, &cell_axes(experiment, cell, scale))
+pub fn run_key(run: &Run, scale: Scale, budget: u64) -> String {
+    record_key(KIND_RUN, &run_axes(run, scale, budget))
 }
 
 // ---- filtering ----------------------------------------------------------
@@ -629,21 +650,81 @@ mod tests {
         assert!(SweepOpts::parse(["huge"].map(String::from)).is_err());
     }
 
+    /// Every copy of `v` with one number or boolean changed, named by
+    /// the path to it.
+    fn perturbed(v: &Value) -> Vec<(String, Value)> {
+        let each = |items: Vec<(String, Value)>, rebuild: &dyn Fn(Vec<Value>) -> Value| {
+            let mut out = Vec::new();
+            for (i, (name, item)) in items.iter().enumerate() {
+                for (path, changed) in perturbed(item) {
+                    let mut values: Vec<Value> = items.iter().map(|(_, v)| v.clone()).collect();
+                    values[i] = changed;
+                    out.push((format!("{name}.{path}"), rebuild(values)));
+                }
+            }
+            out
+        };
+        match v {
+            Value::Bool(b) => vec![(String::new(), Value::Bool(!b))],
+            Value::UInt(n) => vec![(String::new(), Value::UInt(n + 1))],
+            Value::Int(n) => vec![(String::new(), Value::Int(n - 1))],
+            Value::Float(x) => vec![(String::new(), Value::Float(x + 0.25))],
+            Value::Null | Value::Str(_) => Vec::new(),
+            Value::Array(items) => {
+                let items = items.iter().enumerate().map(|(i, v)| (i.to_string(), v.clone()));
+                each(items.collect(), &Value::Array)
+            }
+            Value::Object(fields) => {
+                let names: Vec<String> = fields.iter().map(|(k, _)| k.clone()).collect();
+                each(fields.clone(), &|values| {
+                    Value::Object(names.iter().cloned().zip(values).collect())
+                })
+            }
+        }
+    }
+
     #[test]
-    fn cache_key_distinguishes_every_axis() {
-        let cell = |k: &str, m: &str, p: &str| Cell::new(k, m, p, || 0u64);
+    fn run_key_changes_with_every_leaf_of_the_machine_but_fast_forward() {
+        let table1 = MachineConfig::paper_table1();
+        let run = |config| Run { kernel: "mcf-like", model: ModelKind::TwoPass, config };
+        let key = |config| run_key(&run(config), Scale::Tiny, 1024);
+        let base = key(table1.clone());
+        let variants = perturbed(&table1.to_value());
+        assert_eq!(variants.len(), 35, "numeric and boolean leaves of the Table-1 machine");
+        for (path, value) in variants {
+            let config =
+                MachineConfig::from_value(&value).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_ne!(config, table1, "{path} did not round-trip");
+            let moved = key(config) != base;
+            assert_eq!(moved, path != "fast_forward.", "{path}");
+        }
+        // The leaves a number cannot reach: an enum tag and an absent option.
+        let alat = ff_mem::AlatConfig::Finite { entries: 32 };
+        let throttle =
+            ff_core::ThrottleConfig { window: 1, defer_threshold: 1.0, resume_occupancy: 1 };
+        let mut other = table1.clone();
+        other.two_pass.alat = alat;
+        assert_ne!(key(other), base);
+        let mut other = table1.clone();
+        other.two_pass.throttle = Some(throttle);
+        assert_ne!(key(other), base);
+    }
+
+    #[test]
+    fn run_key_distinguishes_every_other_axis() {
+        let run = |kernel, model| Run { kernel, model, config: MachineConfig::paper_table1() };
         let keys = [
-            cache_key("e1", &cell("k", "m", "p"), Scale::Tiny),
-            cache_key("e2", &cell("k", "m", "p"), Scale::Tiny),
-            cache_key("e1", &cell("k2", "m", "p"), Scale::Tiny),
-            cache_key("e1", &cell("k", "m2", "p"), Scale::Tiny),
-            cache_key("e1", &cell("k", "m", "p2"), Scale::Tiny),
-            cache_key("e1", &cell("k", "m", "p"), Scale::Test),
+            run_key(&run("mcf-like", ModelKind::TwoPass), Scale::Tiny, 1024),
+            run_key(&run("gap-like", ModelKind::TwoPass), Scale::Tiny, 1024),
+            run_key(&run("mcf-like", ModelKind::TwoPassRegroup), Scale::Tiny, 1024),
+            run_key(&run("mcf-like", ModelKind::TwoPass), Scale::Test, 1024),
+            run_key(&run("mcf-like", ModelKind::TwoPass), Scale::Tiny, 1025),
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in keys.iter().skip(i + 1) {
                 assert_ne!(a, b);
             }
         }
+        assert!(keys[0].ends_with(&format!(";code={CODE_VERSION}")), "{}", keys[0]);
     }
 }

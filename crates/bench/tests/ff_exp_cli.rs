@@ -81,6 +81,23 @@ fn ff_report_list_heads_the_key_column_where_the_keys_start() {
 }
 
 #[test]
+fn fig7_after_fig6_simulates_nothing() {
+    let dir = temp_dir("shared-runs");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let sweep = |name: &str| {
+        let out =
+            run(env!("CARGO_BIN_EXE_ff_exp"), &[name, "tiny", "--json", "--cache-dir", cache]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    assert!(sweep("fig6").contains("\"computed\":30,"));
+    let fig7 = sweep("fig7");
+    assert!(fig7.contains("\"computed\":0,") && fig7.contains("\"cache_hits\":30,"), "{fig7}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn capture_rejects_an_unknown_model_and_keys_known_ones_canonically() {
     let dir = temp_dir("capture");
     let dir_arg = dir.to_str().unwrap();

@@ -16,7 +16,7 @@ use ff_bench::report::{
     RunRecord, SweepLogEntry, Warehouse, CPI_NOISE_FLOOR, KIND_GOLDEN,
 };
 use ff_bench::selfprof::{HostInfo, PerfSnapshot, Section};
-use ff_bench::sweep::{run_sweep, Cell, SweepOpts};
+use ff_bench::sweep::{run_sweep, Cell, Run, RunStore, SweepOpts};
 use ff_core::{SimReport, StallCause};
 use ff_workloads::Scale;
 use serde::{Deserialize, Serialize, Value};
@@ -191,7 +191,7 @@ fn dashboard_fixture(dir: &Path) -> (Warehouse, Vec<(String, PerfSnapshot)>) {
         ..SweepOpts::default()
     };
     for name in ["fig6", "fig7"] {
-        let rows = find(name).expect("registered").run(&opts).rows;
+        let rows = find(name).expect("registered").run(&opts, &mut RunStore::default()).rows;
         wh.put(&sweep_record(name, "tiny", rows)).unwrap();
     }
     wh.append_sweep_log(&SweepLogEntry {
@@ -200,7 +200,7 @@ fn dashboard_fixture(dir: &Path) -> (Warehouse, Vec<(String, PerfSnapshot)>) {
         scale: "tiny".into(),
         code: "3".into(),
         jobs: 4,
-        cells: 18,
+        runs: 18,
         computed: 18,
         cached: 0,
         failed: 0,
@@ -213,7 +213,7 @@ fn dashboard_fixture(dir: &Path) -> (Warehouse, Vec<(String, PerfSnapshot)>) {
         scale: "tiny".into(),
         code: "3".into(),
         jobs: 4,
-        cells: 18,
+        runs: 18,
         computed: 0,
         cached: 18,
         failed: 0,
@@ -292,12 +292,6 @@ fn dashboard_matches_the_golden_pin() {
     );
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct LogRow {
-    name: String,
-    value: u64,
-}
-
 #[test]
 fn run_sweep_appends_an_invocation_summary_to_the_warehouse_log() {
     let cache = temp_store("sweep-log");
@@ -310,23 +304,22 @@ fn run_sweep_appends_an_invocation_summary_to_the_warehouse_log() {
         cache_dir: cache.clone(),
         fast_forward: true,
     };
-    let cells = || -> Vec<Cell<LogRow>> {
-        (0..3)
-            .map(|i| {
-                Cell::new(format!("k{i}"), "m", "", move || LogRow {
-                    name: format!("k{i}"),
-                    value: i,
-                })
+    let cells = || -> Vec<Cell<u64>> {
+        ["li-like", "mcf-like", "gap-like"]
+            .map(|kernel| {
+                let config = ff_core::MachineConfig::paper_table1();
+                let run = Run { kernel, model: ff_core::ModelKind::Baseline, config };
+                Cell::new(vec![run], |r| r[0].cycles)
             })
-            .collect()
+            .into()
     };
-    run_sweep("log-test", &opts, cells());
-    run_sweep("log-test", &opts, cells());
+    run_sweep("log-test", &opts, &mut RunStore::default(), cells());
+    run_sweep("log-test", &opts, &mut RunStore::default(), cells());
 
     let wh = Warehouse::open(runs_dir_for(&cache));
     let log = wh.sweep_log();
     assert_eq!(log.len(), 2, "each invocation appends one line");
-    assert!(log.iter().all(|e| e.experiment == "log-test" && e.cells == 3));
+    assert!(log.iter().all(|e| e.experiment == "log-test" && e.runs == 3));
     assert_eq!(log[0].computed, 3);
     assert_eq!(log[0].cached, 0);
     assert_eq!(log[1].computed, 0, "second run is fully cached");
