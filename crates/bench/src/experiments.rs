@@ -370,7 +370,7 @@ fn render_table2(rows: &[Table2Row]) -> String {
         .sep(" ")
         .rule(100)
         .left("Benchmark", 14, |r| r.spec_ref.clone())
-        .left("Stands for", 12, |r| r.benchmark.clone())
+        .left("Stands for", 13, |r| r.benchmark.clone())
         .col("Instructions", 13, |r| r.instructions)
         .sep("  ")
         .ragged("Synthetic input", 0, |r| r.description.clone())
