@@ -491,17 +491,16 @@ pub struct Fig7Row {
 #[must_use]
 pub fn fig7_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig7Row>> {
     let names = benchmark_names(scale);
-    grid(
-        &names,
-        &PAPER_MODELS,
-        |m| vec![(m, base.clone())],
-        |name, _, r| Fig7Row {
-            benchmark: name.to_string(),
-            model: r[0].model.to_string(),
-            cells: r[0].mem.load_latency_cycles,
-            loads: [r[0].mem.loads_in(Pipe::A), r[0].mem.loads_in(Pipe::B)],
-        },
-    )
+    grid(&names, &PAPER_MODELS, |m| vec![(m, base.clone())], |name, _, r| fig7_row(name, r[0]))
+}
+
+fn fig7_row(benchmark: &str, r: &SimReport) -> Fig7Row {
+    Fig7Row {
+        benchmark: benchmark.to_string(),
+        model: r.model.to_string(),
+        cells: r.mem.load_latency_cycles,
+        loads: [r.mem.loads_in(Pipe::A), r.mem.loads_in(Pipe::B)],
+    }
 }
 
 fn render_fig7(rows: &[Fig7Row]) -> String {

@@ -330,7 +330,7 @@ pub fn run_sweep<R>(
         }
     });
     progress.finish();
-    let mut failures: HashMap<usize, String> = HashMap::new();
+    let mut failures: Vec<Option<String>> = vec![None; keys.len()];
     for (slot, &i) in slots.into_iter().zip(&pending) {
         match slot.into_inner().expect("the pool drained every pending run") {
             Ok(report) => {
@@ -344,7 +344,7 @@ pub fn run_sweep<R>(
             }
             Err(msg) => {
                 stats.failed += 1;
-                failures.insert(i, msg);
+                failures[i] = Some(msg);
             }
         }
     }
@@ -353,7 +353,12 @@ pub fn run_sweep<R>(
     for (cell, read) in cells.into_iter().zip(reads) {
         let reports: Result<Vec<&SimReport>, String> = read
             .iter()
-            .map(|&i| store.reports.get(&keys[i]).ok_or_else(|| failures[&i].clone()))
+            .map(|&i| {
+                store
+                    .reports
+                    .get(&keys[i])
+                    .ok_or_else(|| failures[i].clone().expect("a run without a report failed"))
+            })
             .collect();
         let outcome = reports.map(|reports| (cell.row)(&reports));
         if let Err(msg) = &outcome {

@@ -898,16 +898,13 @@ pub fn snapshot(events: &[TraceEvent], start: u64, end: u64) -> String {
             .map_or("?", |iv| iv.class.label())
     };
     let rows: Vec<(&u64, &Row)> = rows.iter().collect();
-    let sample = |r: &Row, field: fn((u32, u32)) -> u32| {
-        r.sample.map_or("-".into(), |s| field(s).to_string())
-    };
     let table = Table::new(&rows)
         .rule(0)
         .col("cycle", 8, |(cycle, _)| **cycle)
         .left("class", 11, |(cycle, _)| class_at(**cycle))
         .sep(" ")
-        .col("cq", 3, |(_, r)| sample(r, |s| s.0))
-        .col("mshr", 4, |(_, r)| sample(r, |s| s.1))
+        .col("cq", 3, |(_, r)| r.sample.map_or("-".into(), |(cq, _)| cq.to_string()))
+        .col("mshr", 4, |(_, r)| r.sample.map_or("-".into(), |(_, mshr)| mshr.to_string()))
         .sep("  ")
         .left("A dispatch (pc)", 24, |(_, r)| r.a.join(","))
         .sep(" ")
