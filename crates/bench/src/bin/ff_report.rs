@@ -1,14 +1,13 @@
 //! ff_report — the cross-run results warehouse CLI: capture golden
 //! reports, diff runs for CPI regressions, extract Pareto frontiers
-//! from stored sweeps, build the static HTML dashboard, check the
-//! committed `results/*.txt` outputs for drift, and self-profile the
-//! simulator into the `perf/BENCH_*.json` trajectory.
+//! from an experiment's rows, build the static HTML dashboard, check
+//! the committed `results/*.txt` outputs for drift, and self-profile
+//! the simulator into the `perf/BENCH_*.json` trajectory.
 //!
 //! ```text
-//! ff_exp fig6 test        # a full cached sweep stores its rows itself
 //! ff_report pareto ablate_queue --cost size
 //! ff_report capture --bench mcf-like --model 2P --scale test
-//! ff_report html --out results/dashboard.html
+//! ff_report html --out dashboard.html
 //! ff_report diff 'golden;kernel=...;code=3' 'golden;kernel=...;code=3'
 //! ff_report perf --scale ref --report-only --ff-gate 3
 //! ```
@@ -24,14 +23,14 @@
 //! like with like instead of two single draws.
 
 use ff_bench::cli::{Cli, Command, Parsed};
-use ff_bench::experiments::REGISTRY;
+use ff_bench::experiments::{find, REGISTRY};
 use ff_bench::fmt::{pct, Table};
 use ff_bench::report::{
-    diff_reports, golden_record, mark_frontier, perf_record, render_dashboard, sweep_points,
-    DashboardData, Warehouse, DEFAULT_RUNS_DIR, KIND_GOLDEN, KIND_PERF,
+    diff_reports, golden_record, mark_frontier, render_dashboard, sweep_points, DashboardData,
+    Warehouse, DEFAULT_RUNS_DIR, KIND_GOLDEN,
 };
 use ff_bench::selfprof::{HostInfo, PerfSnapshot, SelfProfiler};
-use ff_bench::sweep::{RunStore, SweepOpts};
+use ff_bench::sweep::{RunStore, SweepOpts, DEFAULT_CACHE_DIR};
 use ff_core::{run_model, MachineConfig, ModelKind, StallCause, TwoPass};
 use ff_workloads::{paper_benchmarks, Scale};
 use serde::{Deserialize, Value};
@@ -46,25 +45,18 @@ static CLI: Cli = Cli {
                    [--degrade CAUSE=FACTOR] [--dir DIR]",
             about: "simulate one config (--bench, --model) and store its golden SimReport",
         },
-        Command {
-            spec: "ingest-perf [PERFDIR] [--dir DIR]",
-            about: "store every BENCH_*.json snapshot of PERFDIR (default perf)",
-        },
-        Command {
-            spec: "list [--dir DIR]",
-            about: "list warehouse records; `ff_exp` stores complete cached sweeps there",
-        },
+        Command { spec: "list [--dir DIR]", about: "list warehouse records" },
         Command {
             spec: "diff <KEY_A> <KEY_B> [--threshold F] [--dir DIR]",
             about: "per-cause CPI regression diff of two golden runs; exits 2 on regression",
         },
         Command {
-            spec: "pareto <EXP> [--cost FIELD] [--scale tiny|test|ref] [--dir DIR] [--json]",
-            about: "Pareto frontier (perf vs. the --cost field) over a stored sweep grid",
+            spec: "pareto <EXP> [--cost FIELD] [--scale tiny|test|ref] [--cache-dir DIR] [--json]",
+            about: "Pareto frontier (perf vs. the --cost field) over an experiment's rows",
         },
         Command {
             spec: "html [--out FILE] [--dir DIR] [--perf-dir PERFDIR] [--generated-at TEXT]",
-            about: "build the static dashboard (default results/dashboard.html)",
+            about: "build the dashboard (default results/dashboard.html); simulates fig6/fig7",
         },
         Command {
             spec: "drift [--results-dir DIR] [--scale tiny|test|ref] [--bless] [--use-cache]",
@@ -85,7 +77,8 @@ fn warehouse(args: &Parsed) -> Warehouse {
 /// Multiplies one stall cause's charged cycles by `factor` — a
 /// synthetic regression for exercising the diff gate in CI and tests.
 /// The class breakdown and total cycles move by the same amount, so
-/// the two-level sum invariants keep holding.
+/// the two-level sum invariants keep holding; every other counter
+/// (a runahead report's `runahead.*`, say) stays as it was.
 fn degrade(report: &mut ff_core::SimReport, spec: &str) -> Result<String, String> {
     let (label, factor) = spec
         .split_once('=')
@@ -101,7 +94,14 @@ fn degrade(report: &mut ff_core::SimReport, spec: &str) -> Result<String, String
     report.breakdown2.charge_n(cause, added);
     report.breakdown.charge_n(cause.class(), added);
     report.cycles += added;
+    // `collect_metrics` rebuilds only the typed fields' counters: update
+    // those in place and keep the model's own.
+    let mut metrics = std::mem::take(&mut report.metrics);
     report.collect_metrics();
+    for c in &mut metrics.counters {
+        c.value = report.metrics.counter(&c.name).unwrap_or(c.value);
+    }
+    report.metrics = metrics;
     Ok(format!("degrade={label}x{factor}"))
 }
 
@@ -156,27 +156,6 @@ fn perf_snapshots_in(dir: &Path) -> Vec<(String, Result<Value, String>)> {
         .collect();
     found.sort_by(|a, b| a.0.cmp(&b.0));
     found
-}
-
-/// The snapshots of `dir` that read and parse.
-fn readable_snapshots_in(dir: &Path) -> Vec<(String, Value)> {
-    perf_snapshots_in(dir).into_iter().filter_map(|(stem, v)| Some((stem, v.ok()?))).collect()
-}
-
-fn cmd_ingest_perf(args: &Parsed) -> Result<ExitCode, String> {
-    let dir = args.positional().first().map_or("perf", String::as_str);
-    let snapshots = readable_snapshots_in(Path::new(dir));
-    if snapshots.is_empty() {
-        return Err(format!("no BENCH_*.json snapshots in {dir}"));
-    }
-    let wh = warehouse(args);
-    for (stem, value) in &snapshots {
-        let rec = perf_record(stem, value.clone());
-        wh.put(&rec)?;
-        println!("stored {} (hash {})", rec.key, rec.content_hash);
-    }
-    println!("{} snapshots ingested", snapshots.len());
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_list(args: &Parsed) -> Result<ExitCode, String> {
@@ -243,14 +222,14 @@ fn cmd_diff(args: &Parsed) -> Result<ExitCode, String> {
 fn cmd_pareto(args: &Parsed) -> Result<ExitCode, String> {
     let experiment = &args.positional()[0];
     let cost_field = args.value("--cost").ok_or("pareto needs --cost FIELD (e.g. --cost size)")?;
-    let scale = args.get("--scale")?.unwrap_or(Scale::Test);
-    let key = format!(
-        "sweep;experiment={experiment};scale={};code={}",
-        scale.label(),
-        ff_bench::sweep::CODE_VERSION
-    );
-    let rec = warehouse(args).get(&key)?;
-    let mut points = sweep_points(&rec.payload, cost_field)?;
+    let opts = SweepOpts {
+        scale: args.get("--scale")?.unwrap_or(Scale::Test),
+        cache_dir: PathBuf::from(args.value("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR)),
+        ..SweepOpts::default()
+    };
+    let exp = find(experiment).ok_or_else(|| format!("unknown experiment `{experiment}`"))?;
+    let rows = exp.run(&opts, &mut RunStore::default()).rows;
+    let mut points = sweep_points(&rows, cost_field)?;
     mark_frontier(&mut points);
     points.sort_by(|a, b| a.group.cmp(&b.group).then(a.cost.total_cmp(&b.cost)));
     if args.has("--json") {
@@ -287,28 +266,22 @@ fn cmd_html(args: &Parsed) -> Result<ExitCode, String> {
     let wh = warehouse(args);
     let records = wh.list()?;
     let sweep_log = wh.sweep_log();
-    // Perf trajectory: warehouse perf records, plus (and overridden
-    // by) whatever currently sits in the perf directory — the
-    // dashboard always reflects every committed BENCH file even when
-    // ingest-perf hasn't run since the last snapshot.
-    let mut perf: Vec<(String, PerfSnapshot)> = Vec::new();
-    for rec in records.iter().filter(|r| r.kind == KIND_PERF) {
-        let stem =
-            rec.meta.iter().find(|(k, _)| k == "file").map_or("", |(_, v)| v.as_str()).to_string();
-        if let Ok(snap) = PerfSnapshot::from_value(&rec.payload) {
-            perf.push((stem, snap));
-        }
-    }
     let perf_dir = args.value("--perf-dir").unwrap_or("perf");
-    for (stem, value) in readable_snapshots_in(Path::new(perf_dir)) {
-        if let Ok(snap) = PerfSnapshot::from_value(&value) {
-            perf.retain(|(s, _)| *s != stem);
-            perf.push((stem, snap));
-        }
-    }
+    let perf: Vec<(String, PerfSnapshot)> = perf_snapshots_in(Path::new(perf_dir))
+        .into_iter()
+        .filter_map(|(stem, value)| Some((stem, PerfSnapshot::from_value(&value.ok()?).ok()?)))
+        .collect();
+    // Uncached: a render reads only its inputs and writes only its output.
+    let opts = SweepOpts { scale: Scale::Test, cache: false, ..SweepOpts::default() };
+    let mut store = RunStore::default();
+    let [fig6, fig7] =
+        ["fig6", "fig7"].map(|name| find(name).expect("registered").run(&opts, &mut store).rows);
     let bounds = ff_bench::report::compute_bounds_rows();
     let data = DashboardData {
         records: &records,
+        scale: opts.scale.label(),
+        fig6: &fig6,
+        fig7: &fig7,
         sweep_log: &sweep_log,
         perf: &perf,
         bounds: &bounds,
@@ -579,7 +552,6 @@ fn main() -> ExitCode {
     }
     CLI.run(|args| match args.command() {
         "capture" => cmd_capture(args),
-        "ingest-perf" => cmd_ingest_perf(args),
         "list" => cmd_list(args),
         "diff" => cmd_diff(args),
         "pareto" => cmd_pareto(args),

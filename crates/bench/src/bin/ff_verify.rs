@@ -29,8 +29,8 @@ use ff_bench::cli::{Cli, Command, Parsed};
 use ff_core::MachineConfig;
 use ff_isa::Program;
 use ff_verify::{
-    analyze_program, cycle_bounds, differential_oracle, measured_cycles, AnalysisReport,
-    CycleBounds, ScheduleGraph, Severity, ANALYSIS_SCHEMA_VERSION,
+    analyze_program, bounds_vs_measured, differential_oracle, AnalysisReport, CycleBounds,
+    ScheduleGraph, Severity, ANALYSIS_SCHEMA_VERSION,
 };
 use ff_workloads::random::{random_program, GeneratorConfig};
 use ff_workloads::{Scale, Workload};
@@ -273,13 +273,6 @@ fn oracle_cmd(args: &Parsed) -> Result<bool, String> {
     Ok(ok)
 }
 
-/// Interpreter replay budget: the workload's dynamic-instruction budget
-/// with `issue_width` headroom, so the replay always covers the full
-/// stream the models retire.
-fn replay_budget(w: &Workload, cfg: &MachineConfig) -> u64 {
-    w.budget.saturating_mul(cfg.issue_width.max(1) as u64)
-}
-
 #[derive(Debug, Serialize)]
 struct MeasuredJson {
     model: String,
@@ -301,8 +294,8 @@ struct BoundsJson {
 }
 
 fn bounds_row(w: &Workload, cfg: &MachineConfig) -> BoundsJson {
-    let b = cycle_bounds(&w.program, &w.memory, cfg, replay_budget(w, cfg));
-    let measured: Vec<MeasuredJson> = measured_cycles(&w.program, &w.memory, cfg, w.budget)
+    let (b, measured) = bounds_vs_measured(&w.program, &w.memory, cfg, w.budget);
+    let measured: Vec<MeasuredJson> = measured
         .into_iter()
         .map(|(model, cycles)| MeasuredJson {
             model: model.to_string(),

@@ -17,7 +17,6 @@
 //! the committed `results/<name>.txt`.
 
 use crate::fmt::{pct, ratio, Table};
-use crate::report::warehouse::{runs_dir_for, sweep_record, Warehouse};
 use crate::sweep::{run_sweep, Cell, Run, RunStore, SweepOpts, SweepStats};
 use ff_core::{
     CycleClass, FeedbackLatency, MachineConfig, ModelKind, Pipe, SimReport, StallCause,
@@ -25,7 +24,7 @@ use ff_core::{
 };
 use ff_mem::CacheGeometry;
 use ff_predict::PredictorConfig;
-use ff_workloads::{paper_benchmarks, Scale};
+use ff_workloads::PAPER_BENCHMARKS;
 use serde::{Deserialize, Serialize, Value};
 
 // ---- registry ---------------------------------------------------------------
@@ -45,8 +44,8 @@ pub struct Output {
 
 /// One paper table or figure, runnable by name.
 pub trait Experiment: Sync {
-    /// Registry name: the `ff_exp` argument, the warehouse key, and
-    /// the stem of the committed `results/<name>.txt`.
+    /// Registry name: the `ff_exp` argument and the stem of the
+    /// committed `results/<name>.txt`.
     fn name(&self) -> &'static str;
     /// One-line description, also the heading of the rendered table.
     fn title(&self) -> &'static str;
@@ -153,7 +152,7 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
 struct Grid<R> {
     name: &'static str,
     title: &'static str,
-    cells: fn(Scale, &MachineConfig) -> Vec<Cell<R>>,
+    cells: fn(&MachineConfig) -> Vec<Cell<R>>,
     finalize: fn(&mut [R]),
     /// The table that follows the title line.
     render: fn(&[R]) -> String,
@@ -171,20 +170,11 @@ impl<R: Serialize> Experiment for Grid<R> {
     fn run(&self, opts: &SweepOpts, store: &mut RunStore) -> Output {
         let base =
             MachineConfig { fast_forward: opts.fast_forward, ..MachineConfig::paper_table1() };
-        let run = run_sweep(self.name, opts, store, (self.cells)(opts.scale, &base));
+        let run = run_sweep(self.name, opts, store, (self.cells)(&base));
         let stats = run.stats;
         let mut rows = run.into_rows();
         (self.finalize)(&mut rows);
         let value = rows.to_value();
-        // A complete cached sweep lands in the warehouse next to the
-        // cache, where `ff_report pareto` and `html` read it; a partial
-        // or uncached one must not overwrite a complete record.
-        if opts.cache && opts.filter.is_none() && stats.failed == 0 {
-            let runs = Warehouse::open(runs_dir_for(&opts.cache_dir));
-            if let Err(e) = runs.put(&sweep_record(self.name, opts.scale.label(), value.clone())) {
-                eprintln!("warning: {e}");
-            }
-        }
         let text = if opts.json {
             json_text(&value)
         } else {
@@ -234,8 +224,8 @@ fn frac(n: u64, d: u64) -> f64 {
 }
 
 /// The paper benchmarks' names, in Table 2 order.
-fn benchmark_names(scale: Scale) -> Vec<&'static str> {
-    paper_benchmarks(scale).iter().map(|w| w.name).collect()
+fn benchmark_names() -> Vec<&'static str> {
+    PAPER_BENCHMARKS.iter().map(|b| b.name).collect()
 }
 
 /// `base` with one setting changed.
@@ -349,20 +339,18 @@ pub struct Table2Row {
 
 /// Table 2 grid: each benchmark's base run.
 #[must_use]
-pub fn table2_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Table2Row>> {
-    paper_benchmarks(scale)
-        .into_iter()
-        .map(|w| {
-            let (spec_ref, benchmark, description) = (w.spec_ref, w.name, w.description);
-            let run = Run { kernel: benchmark, model: ModelKind::Baseline, config: base.clone() };
+pub fn table2_cells(base: &MachineConfig) -> Vec<Cell<Table2Row>> {
+    PAPER_BENCHMARKS
+        .map(|b| {
+            let run = Run { kernel: b.name, model: ModelKind::Baseline, config: base.clone() };
             Cell::new(vec![run], move |r| Table2Row {
-                spec_ref: spec_ref.to_string(),
-                benchmark: benchmark.to_string(),
+                spec_ref: b.spec_ref.to_string(),
+                benchmark: b.name.to_string(),
                 instructions: r[0].retired,
-                description: description.to_string(),
+                description: b.description.to_string(),
             })
         })
-        .collect()
+        .into()
 }
 
 fn render_table2(rows: &[Table2Row]) -> String {
@@ -423,8 +411,8 @@ fn fig6_row(benchmark: &str, r: &SimReport) -> Fig6Row {
 
 /// Figure 6 grid: 10 benchmarks × {base, 2P, 2Pre}.
 #[must_use]
-pub fn fig6_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig6Row>> {
-    let names = benchmark_names(scale);
+pub fn fig6_cells(base: &MachineConfig) -> Vec<Cell<Fig6Row>> {
+    let names = benchmark_names();
     grid(&names, &PAPER_MODELS, |m| vec![(m, base.clone())], |name, _, r| fig6_row(name, r[0]))
 }
 
@@ -489,8 +477,8 @@ pub struct Fig7Row {
 
 /// Figure 7 grid: 10 benchmarks × {base, 2P, 2Pre}.
 #[must_use]
-pub fn fig7_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<Fig7Row>> {
-    let names = benchmark_names(scale);
+pub fn fig7_cells(base: &MachineConfig) -> Vec<Cell<Fig7Row>> {
+    let names = benchmark_names();
     grid(&names, &PAPER_MODELS, |m| vec![(m, base.clone())], |name, _, r| fig7_row(name, r[0]))
 }
 
@@ -573,7 +561,7 @@ pub struct Fig8Row {
 /// Figure 8 grid: 3 benchmarks × 5 feedback latencies, on the two-pass
 /// machine.
 #[must_use]
-pub fn fig8_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<Fig8Row>> {
+pub fn fig8_cells(base: &MachineConfig) -> Vec<Cell<Fig8Row>> {
     let runs = |lat| vec![(ModelKind::TwoPass, with(base, |c| c.two_pass.feedback_latency = lat))];
     grid(&FIG8_BENCHMARKS, &FIG8_LATENCIES, runs, |name, lat, r| {
         let tp = r[0].two_pass.expect("two-pass stats");
@@ -623,9 +611,9 @@ pub struct BranchRow {
 
 /// Branch-statistics grid: 10 benchmarks on the two-pass machine.
 #[must_use]
-pub fn branch_stats_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<BranchRow>> {
+pub fn branch_stats_cells(base: &MachineConfig) -> Vec<Cell<BranchRow>> {
     let runs = |()| vec![(ModelKind::TwoPass, base.clone())];
-    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+    grid(&benchmark_names(), &[()], runs, |name, (), r| {
         let b = r[0].branches;
         BranchRow {
             benchmark: name.to_string(),
@@ -687,9 +675,9 @@ pub struct ConflictRow {
 
 /// Store-conflict grid: 10 benchmarks on the two-pass machine.
 #[must_use]
-pub fn conflict_stats_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<ConflictRow>> {
+pub fn conflict_stats_cells(base: &MachineConfig) -> Vec<Cell<ConflictRow>> {
     let runs = |()| vec![(ModelKind::TwoPass, base.clone())];
-    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+    grid(&benchmark_names(), &[()], runs, |name, (), r| {
         let tp = r[0].two_pass.expect("two-pass stats");
         ConflictRow {
             benchmark: name.to_string(),
@@ -742,7 +730,7 @@ pub const QUEUE_SWEEP_BENCHMARKS: [&str; 4] =
 /// §3.1 grid: [`QUEUE_SWEEP_BENCHMARKS`] × [`QUEUE_SIZES`] on the
 /// two-pass machine.
 #[must_use]
-pub fn queue_sweep_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<QueueRow>> {
+pub fn queue_sweep_cells(base: &MachineConfig) -> Vec<Cell<QueueRow>> {
     let runs = |size| vec![(ModelKind::TwoPass, with(base, |c| c.two_pass.queue_size = size))];
     grid(&QUEUE_SWEEP_BENCHMARKS, &QUEUE_SIZES, runs, |name, size, r| QueueRow {
         benchmark: name.to_string(),
@@ -792,7 +780,7 @@ pub const FP_STALL_BENCHMARKS: [&str; 2] = ["vpr-like", "equake-like"];
 /// §4 grid: one cell per [`FP_STALL_BENCHMARKS`] entry, reading the
 /// two-pass run under both FP policies.
 #[must_use]
-pub fn fp_stall_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<FpStallRow>> {
+pub fn fp_stall_cells(base: &MachineConfig) -> Vec<Cell<FpStallRow>> {
     let stall = with(base, |c| c.two_pass.stall_on_anticipable_fp = true);
     let runs = |()| vec![(ModelKind::TwoPass, base.clone()), (ModelKind::TwoPass, stall.clone())];
     grid(&FP_STALL_BENCHMARKS, &[()], runs, |name, (), r| {
@@ -844,10 +832,10 @@ pub struct RunaheadRow {
 /// §2 grid: one cell per benchmark, reading its base, runahead, and 2P
 /// runs.
 #[must_use]
-pub fn runahead_compare_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<RunaheadRow>> {
+pub fn runahead_compare_cells(base: &MachineConfig) -> Vec<Cell<RunaheadRow>> {
     let models = [ModelKind::Baseline, ModelKind::Runahead, ModelKind::TwoPass];
     let runs = |()| models.map(|m| (m, base.clone())).to_vec();
-    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+    grid(&benchmark_names(), &[()], runs, |name, (), r| {
         let [base, ra, tp] = [r[0].cycles, r[1].cycles, r[2].cycles];
         RunaheadRow {
             benchmark: name.to_string(),
@@ -911,7 +899,7 @@ fn predictor_by_label(label: &str) -> PredictorConfig {
 /// Predictor-ablation grid: benchmarks × predictors, each cell reading
 /// the baseline and two-pass runs.
 #[must_use]
-pub fn predictor_cells(_: Scale, base: &MachineConfig) -> Vec<Cell<PredictorRow>> {
+pub fn predictor_cells(base: &MachineConfig) -> Vec<Cell<PredictorRow>> {
     let runs = |label| {
         let cfg = with(base, |c| c.predictor = predictor_by_label(label));
         vec![(ModelKind::Baseline, cfg.clone()), (ModelKind::TwoPass, cfg)]
@@ -966,11 +954,11 @@ const THROTTLE: ThrottleConfig =
 /// §3.5 grid: one cell per benchmark, reading its plain and throttled
 /// two-pass runs.
 #[must_use]
-pub fn throttle_cells(scale: Scale, base: &MachineConfig) -> Vec<Cell<ThrottleRow>> {
+pub fn throttle_cells(base: &MachineConfig) -> Vec<Cell<ThrottleRow>> {
     let throttled = with(base, |c| c.two_pass.throttle = Some(THROTTLE));
     let runs =
         |()| vec![(ModelKind::TwoPass, base.clone()), (ModelKind::TwoPass, throttled.clone())];
-    grid(&benchmark_names(scale), &[()], runs, |name, (), r| {
+    grid(&benchmark_names(), &[()], runs, |name, (), r| {
         let (plain, thr) = (r[0], r[1]);
         let ps = plain.two_pass.expect("two-pass stats");
         let ts = thr.two_pass.expect("two-pass stats");

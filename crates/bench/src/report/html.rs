@@ -1,5 +1,6 @@
 //! Static HTML dashboard generator: one self-contained file, no
-//! external assets or scripts, rendered from the run warehouse.
+//! external assets or scripts, rendered from the run warehouse, the
+//! rows of Figures 6 and 7, and the perf snapshots.
 //!
 //! Determinism is a hard requirement (CI byte-compares two renders):
 //! every collection is iterated in sorted order, every float is
@@ -12,7 +13,7 @@
 //! are swapped by CSS custom properties, values and labels stay in
 //! ink tokens, and every chart ships its data table.
 
-use crate::report::warehouse::{RunRecord, SweepLogEntry, KIND_GOLDEN, KIND_SWEEP};
+use crate::report::warehouse::{RunRecord, SweepLogEntry, KIND_GOLDEN};
 use crate::selfprof::PerfSnapshot;
 use ff_core::{CycleClass, SimReport, StallCause};
 use ff_mem::MemLevel;
@@ -24,10 +25,18 @@ use std::fmt::Write as _;
 pub struct DashboardData<'a> {
     /// All warehouse records (any order; the renderer sorts).
     pub records: &'a [RunRecord],
+    /// Scale label of the [`Self::fig6`] and [`Self::fig7`] rows.
+    pub scale: &'a str,
+    /// Figure 6 rows, as `ff_exp fig6 --json` prints them. Anything
+    /// but an array renders no panel.
+    pub fig6: &'a Value,
+    /// Figure 7 rows, as `ff_exp fig7 --json` prints them. Anything
+    /// but an array renders no panel.
+    pub fig7: &'a Value,
     /// Sweep invocation history for the hit-rate panel.
     pub sweep_log: &'a [SweepLogEntry],
     /// Perf snapshots as `(file stem, snapshot)`, e.g. from
-    /// `perf/BENCH_*.json` and/or warehouse perf records.
+    /// `perf/BENCH_*.json`.
     pub perf: &'a [(String, PerfSnapshot)],
     /// Static cycle lower bounds vs. measured cycles per kernel, e.g.
     /// from [`compute_bounds_rows`]. Empty renders a placeholder.
@@ -64,15 +73,15 @@ pub fn compute_bounds_rows() -> Vec<BoundsRow> {
     ff_workloads::paper_benchmarks(ff_workloads::Scale::Tiny)
         .iter()
         .map(|w| {
-            let replay = w.budget.saturating_mul(cfg.issue_width as u64);
-            let b = ff_verify::cycle_bounds(&w.program, &w.memory, &cfg, replay);
+            let (b, measured) =
+                ff_verify::bounds_vs_measured(&w.program, &w.memory, &cfg, w.budget);
             BoundsRow {
                 kernel: w.name.to_string(),
                 retired: b.retired,
                 dep_height: b.dep_height_all_hit,
                 resource_bound: b.resource_bound(),
                 lower_bound: b.lower_bound(),
-                measured: ff_verify::measured_cycles(&w.program, &w.memory, &cfg, w.budget),
+                measured,
             }
         })
         .collect()
@@ -355,9 +364,8 @@ fn f64_array(v: &Value) -> Vec<f64> {
     }
 }
 
-fn fig6_panel(out: &mut String, rec: &RunRecord) {
-    let Value::Array(rows) = &rec.payload else { return };
-    let scale = meta_get(rec, "scale");
+fn fig6_panel(out: &mut String, rows: &Value, scale: &str) {
+    let Value::Array(rows) = rows else { return };
     let _ = write!(
         out,
         "<section><h2>Figure 6 — normalized execution cycles ({} scale)</h2>",
@@ -409,9 +417,8 @@ fn fig6_panel(out: &mut String, rec: &RunRecord) {
     out.push_str("</tbody></table></section>");
 }
 
-fn fig7_panel(out: &mut String, rec: &RunRecord) {
-    let Value::Array(rows) = &rec.payload else { return };
-    let scale = meta_get(rec, "scale");
+fn fig7_panel(out: &mut String, rows: &Value, scale: &str) {
+    let Value::Array(rows) = rows else { return };
     let _ = write!(
         out,
         "<section><h2>Figure 7 — initiated access cycles by pipe and level ({} scale)</h2>",
@@ -499,8 +506,8 @@ fn perf_panel(out: &mut String, perf: &[(String, PerfSnapshot)]) {
     out.push_str("<section><h2>Simulator performance trajectory</h2>");
     if perf.is_empty() {
         out.push_str(
-            "<p class=\"note\">No perf snapshots — run <code>ff_report perf</code> and \
-             <code>ff_report ingest-perf</code>.</p></section>",
+            "<p class=\"note\">No perf snapshots — run <code>ff_report perf</code>.</p>\
+             </section>",
         );
         return;
     }
@@ -779,7 +786,7 @@ const STYLE: &str = "\
 /// Byte-deterministic for identical input (see the module docs).
 #[must_use]
 pub fn render_dashboard(data: &DashboardData) -> String {
-    let mut records: Vec<&RunRecord> = data.records.iter().collect();
+    let mut records = data.records.to_vec();
     records.sort_by(|a, b| a.key.cmp(&b.key));
 
     let mut out = String::with_capacity(64 * 1024);
@@ -799,24 +806,15 @@ pub fn render_dashboard(data: &DashboardData) -> String {
     }
     let _ = writeln!(out, "<p class=\"meta\">{meta}</p>");
 
-    let owned: Vec<RunRecord> = records.iter().map(|r| (*r).clone()).collect();
-    golden_panel(&mut out, &owned);
-    for rec in &owned {
-        if rec.kind == KIND_SWEEP && meta_get(rec, "experiment") == "fig6" {
-            fig6_panel(&mut out, rec);
-        }
-    }
-    for rec in &owned {
-        if rec.kind == KIND_SWEEP && meta_get(rec, "experiment") == "fig7" {
-            fig7_panel(&mut out, rec);
-        }
-    }
+    golden_panel(&mut out, &records);
+    fig6_panel(&mut out, data.fig6, data.scale);
+    fig7_panel(&mut out, data.fig7, data.scale);
     let mut perf: Vec<(String, PerfSnapshot)> = data.perf.to_vec();
     perf.sort_by(|a, b| a.0.cmp(&b.0));
     perf_panel(&mut out, &perf);
     bounds_panel(&mut out, data.bounds);
     hitrate_panel(&mut out, data.sweep_log);
-    inventory_panel(&mut out, &owned);
+    inventory_panel(&mut out, &records);
     let _ = out.write_str("</body>\n</html>\n");
     out
 }
@@ -842,6 +840,9 @@ mod tests {
     fn empty_dashboard_renders_every_panel_placeholder() {
         let data = DashboardData {
             records: &[],
+            scale: "tiny",
+            fig6: &Value::Null,
+            fig7: &Value::Null,
             sweep_log: &[],
             perf: &[],
             bounds: &[],

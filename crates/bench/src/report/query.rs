@@ -1,5 +1,5 @@
 //! The warehouse query layer: run-vs-run CPI regression diffs and
-//! Pareto frontier extraction over stored sweep grids.
+//! Pareto frontier extraction over an experiment's rows.
 
 use ff_core::{SimReport, StallCause};
 use serde::Value;
@@ -103,9 +103,9 @@ fn field_f64(row: &Value, name: &str) -> Option<f64> {
     row.get(name).and_then(Value::as_f64)
 }
 
-/// Scores the rows of a stored sweep record for Pareto extraction,
-/// using `cost_field` (a numeric row field, e.g. `size`) as the
-/// structure-cost axis.
+/// Scores an experiment's rows (as `ff_exp <name> --json` prints them)
+/// for Pareto extraction, using `cost_field` (a numeric row field, e.g.
+/// `size`) as the structure-cost axis.
 ///
 /// # Errors
 ///
@@ -113,7 +113,7 @@ fn field_f64(row: &Value, name: &str) -> Option<f64> {
 /// lacks `cost_field`/`cycles`.
 pub fn sweep_points(rows: &Value, cost_field: &str) -> Result<Vec<ParetoPoint>, String> {
     let Value::Array(rows) = rows else {
-        return Err("sweep payload must be a row array".to_string());
+        return Err("the experiment's rows must be an array".to_string());
     };
     let mut points = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {

@@ -1,33 +1,32 @@
-//! The on-disk run warehouse: a versioned store under `results/runs/`
-//! for everything a sweep or a single simulation produces.
+//! The on-disk run warehouse: a versioned store of the simulation
+//! results that cannot be recomputed from the code at hand.
 //!
-//! Four record kinds share one layout:
+//! Two record kinds share one layout:
 //!
-//! * **sweep** — the finalized row array of one complete experiment
-//!   sweep, keyed by `(experiment, scale, CODE_VERSION)`;
 //! * **run** — one simulation's full [`ff_core::SimReport`], keyed by
 //!   `(kernel, scale, budget, model, machine configuration,
 //!   CODE_VERSION)`: the sweep cache is a warehouse of run records
 //!   under `results/cache/` (see [`crate::sweep::run_key`]);
-//! * **golden** — one full [`ff_core::SimReport`] (cycles, retired,
+//! * **golden** — one captured [`ff_core::SimReport`] (cycles, retired,
 //!   six-class and fifteen-cause breakdowns, stall profile, cache
-//!   stats, metrics), keyed by `(kernel, model, params, scale,
-//!   CODE_VERSION)`;
-//! * **perf** — one `perf/BENCH_*.json` self-profiling snapshot, keyed
-//!   by file stem (deliberately *not* code-versioned: the perf
-//!   trajectory spans code versions).
+//!   stats, metrics) under `results/runs/`, keyed by `(kernel, model,
+//!   params, scale, CODE_VERSION)`: it may be degraded on purpose or
+//!   taken at an older code version.
+//!
+//! Experiment rows and `perf/BENCH_*.json` snapshots are not stored:
+//! rows are a pure function of cached runs, and the snapshots are read
+//! from their directory.
 //!
 //! Every record carries a stable fnv1a64 content hash of its payload,
 //! so two records with the same key but different results are
-//! detectable, and re-ingesting identical data is byte-stable (no
-//! churn in a committed warehouse). Records live one-per-key at
-//! `<dir>/<fnv1a64(key):016x>.json`, so storing a key again overwrites
-//! it: latest wins.
+//! detectable, and storing identical data again is byte-stable.
+//! Records live one-per-key at `<dir>/<fnv1a64(key):016x>.json`, so
+//! storing a key again overwrites it: latest wins.
 //!
 //! The warehouse also owns `sweep_log.jsonl`, an append-only history
 //! of per-invocation sweep summaries (cache hits/misses, wall time,
-//! jobs) that [`crate::sweep::run_sweep`] writes on every run and the
-//! dashboard's hit-rate panel reads back.
+//! jobs) that [`crate::sweep::run_sweep`] writes on every cached run
+//! and the dashboard's hit-rate panel reads back.
 
 use crate::sweep::CODE_VERSION;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -41,19 +40,15 @@ pub const WAREHOUSE_VERSION: &str = "1";
 /// Default warehouse directory, relative to the working directory.
 pub const DEFAULT_RUNS_DIR: &str = "results/runs";
 
-/// Record kind for complete sweep row arrays.
-pub const KIND_SWEEP: &str = "sweep";
 /// Record kind for cached sweep runs.
 pub const KIND_RUN: &str = "run";
 /// Record kind for captured golden [`ff_core::SimReport`]s.
 pub const KIND_GOLDEN: &str = "golden";
-/// Record kind for ingested `perf/BENCH_*.json` snapshots.
-pub const KIND_PERF: &str = "perf";
 
 /// One warehouse record: a keyed, content-hashed payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// [`KIND_SWEEP`], [`KIND_RUN`], [`KIND_GOLDEN`], or [`KIND_PERF`].
+    /// [`KIND_RUN`] or [`KIND_GOLDEN`].
     pub kind: String,
     /// Canonical identity, e.g.
     /// `golden;kernel=mcf-like;model=2P;params=;scale=test;code=3`.
@@ -64,8 +59,7 @@ pub struct RunRecord {
     /// The key's axes echoed as ordered `(name, value)` pairs, for
     /// queries that don't want to re-parse the key string.
     pub meta: Vec<(String, String)>,
-    /// The stored result: a sweep row array, a serialized `SimReport`,
-    /// or a perf snapshot.
+    /// The stored result: a serialized `SimReport`.
     pub payload: Value,
 }
 
@@ -161,16 +155,6 @@ pub(crate) fn record(kind: &str, axes: &[(&str, impl AsRef<str>)], payload: Valu
     }
 }
 
-/// Builds the record for one experiment's finalized sweep row array.
-#[must_use]
-pub fn sweep_record(experiment: &str, scale: &str, rows: Value) -> RunRecord {
-    record(
-        KIND_SWEEP,
-        &[("experiment", experiment), ("scale", scale), ("code", CODE_VERSION)],
-        rows,
-    )
-}
-
 /// Builds the record for one captured golden [`ff_core::SimReport`].
 #[must_use]
 pub fn golden_record(
@@ -191,13 +175,6 @@ pub fn golden_record(
         ],
         report.to_value(),
     )
-}
-
-/// Builds the record for one `perf/BENCH_*.json` snapshot; `stem` is
-/// the file name without extension (e.g. `BENCH_2026-08-07_hotloop`).
-#[must_use]
-pub fn perf_record(stem: &str, snapshot: Value) -> RunRecord {
-    record(KIND_PERF, &[("file", stem)], snapshot)
 }
 
 /// One line of `sweep_log.jsonl`: the summary of one sweep invocation.

@@ -74,8 +74,8 @@ pub struct SweepOpts {
     pub json: bool,
     /// Worker threads (`--jobs N`, `--jobs max`; default: all cores).
     pub jobs: usize,
-    /// Whether the result cache is consulted and written
-    /// (`--no-cache` disables both).
+    /// Whether the result cache is consulted and written and the
+    /// sweep log appended to (`--no-cache` disables all three).
     pub cache: bool,
     /// Keep only cells whose kernel or model matches this glob
     /// (`--filter GLOB`, `*` and `?` wildcards).
@@ -368,22 +368,25 @@ pub fn run_sweep<R>(
     }
 
     stats.wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-    // Persist the invocation summary into the run warehouse next to
-    // the cache directory (the dashboard's hit-rate history).
-    // Best-effort: a read-only checkout must not fail the sweep.
-    let entry = SweepLogEntry {
-        experiment: experiment.to_string(),
-        date: crate::selfprof::today_utc(),
-        scale: opts.scale.label().to_string(),
-        code: CODE_VERSION.to_string(),
-        jobs: opts.jobs as u64,
-        runs: stats.runs as u64,
-        computed: stats.computed as u64,
-        cached: stats.cached as u64,
-        failed: stats.failed as u64,
-        wall_ms: stats.wall_ms,
-    };
-    let _ = Warehouse::open(runs_dir_for(&opts.cache_dir)).append_sweep_log(&entry);
+    // A cached sweep logs its summary into the run warehouse next to
+    // the cache directory (the dashboard's hit-rate history); an
+    // uncached one says nothing about the cache. Best-effort: a
+    // read-only checkout must not fail the sweep.
+    if opts.cache {
+        let entry = SweepLogEntry {
+            experiment: experiment.to_string(),
+            date: crate::selfprof::today_utc(),
+            scale: opts.scale.label().to_string(),
+            code: CODE_VERSION.to_string(),
+            jobs: opts.jobs as u64,
+            runs: stats.runs as u64,
+            computed: stats.computed as u64,
+            cached: stats.cached as u64,
+            failed: stats.failed as u64,
+            wall_ms: stats.wall_ms,
+        };
+        let _ = Warehouse::open(runs_dir_for(&opts.cache_dir)).append_sweep_log(&entry);
+    }
     let cells_kept = stats.grid - stats.filtered_out;
     if opts.json {
         // Machine-readable bookkeeping. Stays on stderr: `--json` row

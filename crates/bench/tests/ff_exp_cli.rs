@@ -1,12 +1,15 @@
 //! CLI contract tests for `ff_exp` and the `ff_report` commands that
-//! read what it stores: usage errors exit 2 and list the registry, a
-//! full cached sweep is queryable without an ingest step, and a bad
-//! model name is a clean error rather than a panic.
+//! read what it stores: usage errors exit 2 and list the registry,
+//! pareto reads a cached sweep's runs without simulating them, and a
+//! bad model name is a clean error rather than a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use ff_bench::experiments::REGISTRY;
+use ff_bench::report::{RunRecord, Warehouse};
+use ff_core::{CounterEntry, SimReport};
+use serde::Deserialize;
 
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe).args(args).output().expect("spawn")
@@ -34,30 +37,17 @@ fn missing_or_unknown_experiment_exits_2_and_lists_the_registry() {
 }
 
 #[test]
-fn a_full_cached_sweep_is_readable_by_pareto_without_ingest() {
+fn pareto_after_a_cached_sweep_simulates_nothing() {
     let dir = temp_dir("pareto");
     let cache = dir.join("cache");
-    let out = run(
-        env!("CARGO_BIN_EXE_ff_exp"),
-        &["ablate_queue", "tiny", "--cache-dir", cache.to_str().unwrap()],
-    );
+    let cache = cache.to_str().unwrap();
+    let out = run(env!("CARGO_BIN_EXE_ff_exp"), &["ablate_queue", "tiny", "--cache-dir", cache]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let runs = dir.join("runs");
-    let out = run(
-        env!("CARGO_BIN_EXE_ff_report"),
-        &[
-            "pareto",
-            "ablate_queue",
-            "--cost",
-            "size",
-            "--scale",
-            "tiny",
-            "--json",
-            "--dir",
-            runs.to_str().unwrap(),
-        ],
-    );
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let args = ["pareto", "ablate_queue", "--cost", "size", "--scale", "tiny", "--json"];
+    let out = run(env!("CARGO_BIN_EXE_ff_report"), &[&args[..], &["--cache-dir", cache]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("20 runs — 0 computed, 20 cached, 0 failed"), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"on_frontier\": true"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -67,8 +57,8 @@ fn a_full_cached_sweep_is_readable_by_pareto_without_ingest() {
 fn ff_report_list_heads_the_key_column_where_the_keys_start() {
     let dir = temp_dir("list");
     let dir_arg = dir.to_str().unwrap();
-    let perf = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perf");
-    let out = run(env!("CARGO_BIN_EXE_ff_report"), &["ingest-perf", perf, "--dir", dir_arg]);
+    let capture = ["capture", "--bench", "mcf-like", "--model", "2P", "--scale", "tiny"];
+    let out = run(env!("CARGO_BIN_EXE_ff_report"), &[&capture[..], &["--dir", dir_arg]].concat());
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let out = run(env!("CARGO_BIN_EXE_ff_report"), &["list", "--dir", dir_arg]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -76,7 +66,7 @@ fn ff_report_list_heads_the_key_column_where_the_keys_start() {
     let mut lines = stdout.lines();
     let header = lines.next().expect("a header line");
     let first = lines.find(|l| !l.starts_with('-')).expect("a record line");
-    assert_eq!(header.find("key"), first.find("perf;file="), "{stdout}");
+    assert_eq!(header.find("key"), first.find("golden;kernel="), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -116,6 +106,35 @@ fn capture_rejects_an_unknown_model_and_keys_known_ones_canonically() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("golden;kernel=mcf-like;model=2P;"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_degraded_capture_moves_only_the_degraded_cycles() {
+    let dir = temp_dir("degrade");
+    let dir_arg = dir.to_str().unwrap();
+    let capture = ["capture", "--bench", "mcf-like", "--model", "runahead", "--scale", "tiny"];
+    for degrade in [&[][..], &["--degrade", "load.mem=1.5"][..]] {
+        let args = [&capture[..], degrade, &["--dir", dir_arg]].concat();
+        let out = run(env!("CARGO_BIN_EXE_ff_report"), &args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let records = Warehouse::open(&dir).list().unwrap();
+    let [clean, degraded] = records.as_slice() else { panic!("want two records: {records:?}") };
+    assert!(degraded.key.contains("params=degrade=load.memx1.5"), "{}", degraded.key);
+    let counters = |rec: &RunRecord| SimReport::from_value(&rec.payload).unwrap().metrics.counters;
+    let (clean, degraded) = (counters(clean), counters(degraded));
+    let names = |cs: &[CounterEntry]| cs.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&clean), names(&degraded), "degrade keeps every counter, in order");
+    assert!(clean.iter().any(|c| c.name == "runahead.episodes" && c.value > 0));
+    let load_mem = clean.iter().find(|c| c.name == "stall.cause.load.mem").unwrap().value;
+    let added = (load_mem as f64 * 0.5).round() as u64;
+    assert!(added > 0, "tiny mcf-like must stall on memory");
+    for (c, d) in clean.iter().zip(&degraded) {
+        let moved = ["sim.cycles", "cycles.load_stall", "stall.cause.load.mem"];
+        let want = if moved.contains(&c.name.as_str()) { c.value + added } else { c.value };
+        assert_eq!(d.value, want, "{}", c.name);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

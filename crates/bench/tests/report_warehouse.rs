@@ -11,9 +11,9 @@
 
 use ff_bench::experiments::find;
 use ff_bench::report::{
-    compute_bounds_rows, content_hash, diff_reports, golden_record, mark_frontier, perf_record,
-    render_dashboard, runs_dir_for, sweep_points, sweep_record, DashboardData, ParetoPoint,
-    RunRecord, SweepLogEntry, Warehouse, CPI_NOISE_FLOOR, KIND_GOLDEN,
+    compute_bounds_rows, content_hash, diff_reports, golden_record, mark_frontier,
+    render_dashboard, runs_dir_for, sweep_points, DashboardData, ParetoPoint, RunRecord,
+    SweepLogEntry, Warehouse, CPI_NOISE_FLOOR, KIND_GOLDEN,
 };
 use ff_bench::selfprof::{HostInfo, PerfSnapshot, Section};
 use ff_bench::sweep::{run_sweep, Cell, Run, RunStore, SweepOpts};
@@ -73,16 +73,16 @@ fn sweep_rows() -> Value {
 #[test]
 fn warehouse_roundtrips_records_and_lists_them_sorted() {
     let wh = Warehouse::open(temp_store("roundtrip"));
-    let sweep = sweep_record("ablate_queue", "tiny", sweep_rows());
-    let path = wh.put(&sweep).expect("put sweep");
+    let base = golden_record("li-like", "base", "", "tiny", &tiny_report("li-like", "base"));
+    let path = wh.put(&base).expect("put base golden");
     assert!(path.exists());
-    assert_eq!(sweep.content_hash, content_hash(&sweep.payload));
+    assert_eq!(base.content_hash, content_hash(&base.payload));
 
     let report = tiny_report("mcf-like", "2P");
     let golden = golden_record("mcf-like", "2P", "", "tiny", &report);
     wh.put(&golden).expect("put golden");
-    let perf = perf_record("BENCH_2026-01-01", obj(vec![("date", Value::Str("x".into()))]));
-    wh.put(&perf).expect("put perf");
+    let degraded = golden_record("mcf-like", "2P", "degrade=x", "tiny", &report);
+    wh.put(&degraded).expect("put degraded golden");
 
     let back = wh.get(&golden.key).expect("get golden");
     assert_eq!(back, golden);
@@ -100,13 +100,13 @@ fn warehouse_roundtrips_records_and_lists_them_sorted() {
     // Re-putting identical data is byte-stable: no churn in a
     // committed warehouse.
     let before = std::fs::read(&path).unwrap();
-    wh.put(&sweep).expect("re-put");
+    wh.put(&base).expect("re-put");
     assert_eq!(before, std::fs::read(&path).unwrap());
 }
 
 #[test]
 fn warehouse_rejects_foreign_layout_versions() {
-    let rec = sweep_record("fig6", "tiny", sweep_rows());
+    let rec = golden_record("li-like", "base", "", "tiny", &tiny_report("li-like", "base"));
     let mut v = rec.to_value();
     if let Value::Object(fields) = &mut v {
         for (k, val) in fields.iter_mut() {
@@ -176,24 +176,24 @@ fn pareto_frontier_marks_dominance_within_groups() {
     assert!(sweep_points(&rows, "no_such_field").is_err());
 }
 
-/// Builds the fixed two-kernel warehouse behind the dashboard tests.
-fn dashboard_fixture(dir: &Path) -> (Warehouse, Vec<(String, PerfSnapshot)>) {
+/// Builds the fixed two-kernel warehouse behind the dashboard tests,
+/// plus the fig6 and fig7 rows at tiny scale.
+fn dashboard_fixture(dir: &Path) -> (Warehouse, Vec<(String, PerfSnapshot)>, [Value; 2]) {
     let wh = Warehouse::open(dir);
     for (bench, model) in [("mcf-like", "base"), ("mcf-like", "2P"), ("li-like", "2P")] {
         let report = tiny_report(bench, model);
         wh.put(&golden_record(bench, model, "", "tiny", &report)).unwrap();
     }
-    // Uncached, with the sweep log kept in a scratch dir of its own.
+    // Uncached, with the cache dir in a scratch dir of its own.
     let opts = SweepOpts {
         scale: Scale::Tiny,
         cache: false,
         cache_dir: dir.join("sweep-cache"),
         ..SweepOpts::default()
     };
-    for name in ["fig6", "fig7"] {
-        let rows = find(name).expect("registered").run(&opts, &mut RunStore::default()).rows;
-        wh.put(&sweep_record(name, "tiny", rows)).unwrap();
-    }
+    let mut store = RunStore::default();
+    let figures =
+        ["fig6", "fig7"].map(|name| find(name).expect("registered").run(&opts, &mut store).rows);
     wh.append_sweep_log(&SweepLogEntry {
         experiment: "fig6".into(),
         date: "2026-01-01".into(),
@@ -230,18 +230,21 @@ fn dashboard_fixture(dir: &Path) -> (Warehouse, Vec<(String, PerfSnapshot)>) {
         ("BENCH_2026-01-01".to_string(), snapshot("2026-01-01", 0.10)),
         ("BENCH_2026-01-02".to_string(), snapshot("2026-01-02", 0.08)),
     ];
-    (wh, perf)
+    (wh, perf, figures)
 }
 
 #[test]
 fn dashboard_is_deterministic_and_self_contained() {
     let dir = temp_store("dashboard-det");
-    let (wh, perf) = dashboard_fixture(&dir);
+    let (wh, perf, [fig6, fig7]) = dashboard_fixture(&dir);
     let records = wh.list().unwrap();
     let sweep_log = wh.sweep_log();
     let bounds = compute_bounds_rows();
     let data = DashboardData {
         records: &records,
+        scale: "tiny",
+        fig6: &fig6,
+        fig7: &fig7,
         sweep_log: &sweep_log,
         perf: &perf,
         bounds: &bounds,
@@ -258,7 +261,7 @@ fn dashboard_is_deterministic_and_self_contained() {
     assert!(first.starts_with("<!DOCTYPE html>"));
     assert!(first.contains("<svg"), "CPI stacks are inline SVG");
     assert!(first.contains("mcf-like"), "golden runs are shown");
-    assert!(first.contains("fig6"), "sweep records are shown");
+    assert!(first.contains("Figure 6") && first.contains("Figure 7"), "fig6 and fig7 are shown");
     assert!(first.contains("sim.2p"), "perf sections are shown");
     assert!(first.contains("fixture"), "the supplied timestamp is echoed");
 }
@@ -266,12 +269,15 @@ fn dashboard_is_deterministic_and_self_contained() {
 #[test]
 fn dashboard_matches_the_golden_pin() {
     let dir = temp_store("dashboard-pin");
-    let (wh, perf) = dashboard_fixture(&dir);
+    let (wh, perf, [fig6, fig7]) = dashboard_fixture(&dir);
     let records = wh.list().unwrap();
     let sweep_log = wh.sweep_log();
     let bounds = compute_bounds_rows();
     let data = DashboardData {
         records: &records,
+        scale: "tiny",
+        fig6: &fig6,
+        fig7: &fig7,
         sweep_log: &sweep_log,
         perf: &perf,
         bounds: &bounds,
@@ -325,6 +331,11 @@ fn run_sweep_appends_an_invocation_summary_to_the_warehouse_log() {
     assert_eq!(log[1].computed, 0, "second run is fully cached");
     assert_eq!(log[1].cached, 3);
     assert!((log[1].hit_rate() - 1.0).abs() < 1e-12);
+
+    // An uncached sweep says nothing about the cache.
+    let uncached = SweepOpts { cache: false, ..opts };
+    run_sweep("log-test", &uncached, &mut RunStore::default(), cells());
+    assert_eq!(wh.sweep_log(), log, "an uncached sweep leaves the log unchanged");
 
     // The golden-record constructor and the gate share KIND_GOLDEN.
     let report = tiny_report("li-like", "base");

@@ -133,6 +133,21 @@ pub fn measured_cycles(
     ["Base", "2P", "2Pre", "Ra"].into_iter().zip(ModelKind::ALL.map(run)).collect()
 }
 
+/// The [`CycleBounds`] of a run of at most `budget` instructions beside
+/// its [`measured_cycles`]. The interpreter replays up to
+/// `budget × issue_width` instructions, so the replay always covers
+/// the full stream the models retire.
+#[must_use]
+pub fn bounds_vs_measured(
+    program: &Program,
+    mem: &MemoryImage,
+    cfg: &MachineConfig,
+    budget: u64,
+) -> (CycleBounds, Vec<(&'static str, u64)>) {
+    let replay = budget.saturating_mul(cfg.issue_width.max(1) as u64);
+    (cycle_bounds(program, mem, cfg, replay), measured_cycles(program, mem, cfg, budget))
+}
+
 /// Replays `program` on the golden interpreter (up to `budget` dynamic
 /// instructions) and computes [`CycleBounds`].
 ///

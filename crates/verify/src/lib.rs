@@ -40,8 +40,8 @@ pub mod oracle;
 pub mod static_check;
 
 pub use analysis::{
-    cycle_bounds, measured_cycles, CriticalStep, CycleBounds, DepEdge, LatencyModel, ScheduleGraph,
-    CHAIN_LINT_MIN_LEN,
+    bounds_vs_measured, cycle_bounds, measured_cycles, CriticalStep, CycleBounds, DepEdge,
+    LatencyModel, ScheduleGraph, CHAIN_LINT_MIN_LEN,
 };
 pub use diag::{AnalysisReport, Check, Diagnostic, Severity, ANALYSIS_SCHEMA_VERSION};
 pub use oracle::{differential_oracle, OracleFailure, OracleReport};

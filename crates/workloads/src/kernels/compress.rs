@@ -10,13 +10,22 @@
 //! read-modify-writes over a 128 KB table.
 
 use crate::common::fill_random_words;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
 const TABLE_BASE: u64 = 0x0A00_0000;
 const TABLE_WORDS: u64 = 4_096; // 32 KB: misses L1 often, always hits L2
 const INDEX_MASK: i64 = (TABLE_WORDS as i64 - 1) << 3;
+
+/// compress-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const COMPRESS: PaperBenchmark = PaperBenchmark {
+    name: "compress-like",
+    spec_ref: "129.compress",
+    description: "L2-resident hash table updates: short ubiquitous L1 misses",
+    iters: 150,
+    kernel: compress_like,
+};
 
 /// Builds the compress-like hash-update kernel with `iters` probes.
 #[must_use]
@@ -70,9 +79,9 @@ pub fn compress_like(iters: u64) -> Workload {
     fill_random_words(&mut memory, TABLE_BASE, TABLE_WORDS, 0x129);
 
     Workload {
-        name: "compress-like",
-        spec_ref: "129.compress",
-        description: "L2-resident hash table updates: short ubiquitous L1 misses",
+        name: COMPRESS.name,
+        spec_ref: COMPRESS.spec_ref,
+        description: COMPRESS.description,
         program,
         memory,
         budget: 18 * iters + 64,

@@ -10,7 +10,7 @@
 //! stream (8 MB total) overflow the L3.
 
 use crate::common::fill_random_f64;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{FpReg, IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
@@ -20,6 +20,15 @@ const B_BASE: u64 = 0x0880_0000;
 const C_BASE: u64 = 0x0900_0000;
 const OUT_BASE: u64 = 0x0980_0000;
 const PARAM_ADDR: u64 = 0x07F0_0000;
+
+/// equake-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const EQUAKE: PaperBenchmark = PaperBenchmark {
+    name: "equake-like",
+    spec_ref: "183.equake",
+    description: "streaming FP stencil: independent long misses overlapped by the A-pipe",
+    iters: 60,
+    kernel: equake_like,
+};
 
 /// Builds the equake-like stencil kernel with `iters` elements.
 #[must_use]
@@ -117,9 +126,9 @@ pub fn equake_like(iters: u64) -> Workload {
     fill_random_f64(&mut memory, C_BASE, n, 0x185);
 
     Workload {
-        name: "equake-like",
-        spec_ref: "183.equake",
-        description: "streaming FP stencil: independent long misses overlapped by the A-pipe",
+        name: EQUAKE.name,
+        spec_ref: EQUAKE.spec_ref,
+        description: EQUAKE.description,
         program,
         memory,
         budget: 32 * iters + 64,

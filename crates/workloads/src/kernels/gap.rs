@@ -8,7 +8,7 @@
 //! each node — every next-pointer load depends on the previous miss.
 
 use crate::common::shuffled_chain;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
@@ -16,6 +16,15 @@ const BAG_BASE: u64 = 0x0400_0000;
 const BAG_STRIDE: u64 = 128;
 const BAG_COUNT: u64 = 32_768; // 4 MB
 const SIDE_BASE: u64 = 0x0480_0000;
+
+/// gap-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const GAP: PaperBenchmark = PaperBenchmark {
+    name: "gap-like",
+    spec_ref: "254.gap",
+    description: "main-memory pointer chase: dependent misses the A-pipe cannot start",
+    iters: 30,
+    kernel: gap_like,
+};
 
 /// Builds the gap-like dependent-chase kernel with `iters` node visits.
 #[must_use]
@@ -70,9 +79,9 @@ pub fn gap_like(iters: u64) -> Workload {
     let program = b.build().expect("gap kernel is well-formed");
 
     Workload {
-        name: "gap-like",
-        spec_ref: "254.gap",
-        description: "main-memory pointer chase: dependent misses the A-pipe cannot start",
+        name: GAP.name,
+        spec_ref: GAP.spec_ref,
+        description: GAP.description,
         program,
         memory,
         budget: 16 * iters + 64,

@@ -8,13 +8,22 @@
 //! miss — cap the benefit.
 
 use crate::common::fill_random_words;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
 const BOARD_BASE: u64 = 0x0C00_0000;
 const BOARD_WORDS: u64 = 4_096; // 32 KB: steady-state L1/L2 mix
 const INDEX_MASK: i64 = (BOARD_WORDS as i64 - 1) << 3;
+
+/// go-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const GO: PaperBenchmark = PaperBenchmark {
+    name: "go-like",
+    spec_ref: "099.go",
+    description: "branchy integer evaluation over a modest board footprint",
+    iters: 100,
+    kernel: go_like,
+};
 
 /// Builds the go-like evaluation kernel with `iters` position visits.
 #[must_use]
@@ -86,9 +95,9 @@ pub fn go_like(iters: u64) -> Workload {
     fill_random_words(&mut memory, BOARD_BASE, BOARD_WORDS, 0x099);
 
     Workload {
-        name: "go-like",
-        spec_ref: "099.go",
-        description: "branchy integer evaluation over a modest board footprint",
+        name: GO.name,
+        spec_ref: GO.spec_ref,
+        description: GO.description,
         program,
         memory,
         budget: 24 * iters + 64,

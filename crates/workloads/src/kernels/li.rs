@@ -8,13 +8,22 @@
 //! predicated bookkeeping.
 
 use crate::common::{shuffled_chain, XorShift64};
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
 const HEAP_BASE: u64 = 0x0B00_0000;
 const CELL_STRIDE: u64 = 32;
 const CELL_COUNT: u64 = 1_024; // 32 KB heap: misses L1, lives in L2
+
+/// li-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const LI: PaperBenchmark = PaperBenchmark {
+    name: "li-like",
+    spec_ref: "130.li",
+    description: "L2-resident cons-cell walk: dependent short misses with per-cell work",
+    iters: 150,
+    kernel: li_like,
+};
 
 /// Builds the li-like list-walk kernel visiting `iters` cells.
 #[must_use]
@@ -65,9 +74,9 @@ pub fn li_like(iters: u64) -> Workload {
     let program = b.build().expect("li kernel is well-formed");
 
     Workload {
-        name: "li-like",
-        spec_ref: "130.li",
-        description: "L2-resident cons-cell walk: dependent short misses with per-cell work",
+        name: LI.name,
+        spec_ref: LI.spec_ref,
+        description: LI.description,
         program,
         memory,
         budget: 14 * iters + 64,

@@ -10,7 +10,7 @@
 //! memory-stall reduction and 23% cycle reduction on.
 
 use crate::common::XorShift64;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
@@ -21,6 +21,15 @@ const NODE_BASE: u64 = 0x0200_0000;
 const NODE_STRIDE: u64 = 64;
 const NODE_COUNT: u64 = 65_536; // 4 MB of nodes
 const PARAM_ADDR: u64 = 0x00F0_0000;
+
+/// mcf-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const MCF: PaperBenchmark = PaperBenchmark {
+    name: "mcf-like",
+    spec_ref: "181.mcf",
+    description: "huge-footprint arc streaming with dependent node-field updates",
+    iters: 60,
+    kernel: mcf_like,
+};
 
 /// Builds the mcf-like arc-scan kernel with `iters` arc visits.
 #[must_use]
@@ -99,9 +108,9 @@ pub fn mcf_like(iters: u64) -> Workload {
     }
 
     Workload {
-        name: "mcf-like",
-        spec_ref: "181.mcf",
-        description: "huge-footprint arc streaming with dependent node-field updates",
+        name: MCF.name,
+        spec_ref: MCF.spec_ref,
+        description: MCF.description,
         program,
         memory,
         budget: 16 * iters + 64,

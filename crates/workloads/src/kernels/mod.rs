@@ -18,15 +18,25 @@ mod vortex;
 mod vpr;
 
 pub use compress::compress_like;
+pub(crate) use compress::COMPRESS;
 pub use equake::equake_like;
+pub(crate) use equake::EQUAKE;
 pub use gap::gap_like;
+pub(crate) use gap::GAP;
 pub use go::go_like;
+pub(crate) use go::GO;
 pub use li::li_like;
+pub(crate) use li::LI;
 pub use mcf::mcf_like;
+pub(crate) use mcf::MCF;
 pub use parser::parser_like;
+pub(crate) use parser::PARSER;
 pub use twolf::twolf_like;
+pub(crate) use twolf::TWOLF;
 pub use vortex::vortex_like;
+pub(crate) use vortex::VORTEX;
 pub use vpr::vpr_like;
+pub(crate) use vpr::VPR;
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -7,7 +7,7 @@
 //! biased — and hence mostly predictable — branch.
 
 use crate::common::{fill_random_words, XorShift64};
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
@@ -17,6 +17,15 @@ const INDEX_MASK: i64 = (DICT_WORDS as i64 - 1) << 3;
 const NODE_BASE: u64 = 0x0E80_0000;
 const NODE_STRIDE: u64 = 64;
 const NODE_COUNT: u64 = 2_048; // 128 KB of nodes
+
+/// parser-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const PARSER: PaperBenchmark = PaperBenchmark {
+    name: "parser-like",
+    spec_ref: "197.parser",
+    description: "dictionary probes plus short connector chains and biased branches",
+    iters: 80,
+    kernel: parser_like,
+};
 
 /// Builds the parser-like kernel with `iters` dictionary probes.
 #[must_use]
@@ -98,9 +107,9 @@ pub fn parser_like(iters: u64) -> Workload {
     fill_random_words(&mut memory, NODE_BASE + NODE_COUNT * NODE_STRIDE, 8, 0x197);
 
     Workload {
-        name: "parser-like",
-        spec_ref: "197.parser",
-        description: "dictionary probes plus short connector chains and biased branches",
+        name: PARSER.name,
+        spec_ref: PARSER.spec_ref,
+        description: PARSER.description,
         program,
         memory,
         budget: 30 * iters + 64,

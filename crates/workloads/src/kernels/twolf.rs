@@ -8,7 +8,7 @@
 //! stalled in the front end" for exactly this reason.
 
 use crate::common::fill_random_words;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
@@ -16,6 +16,15 @@ const GRID_BASE: u64 = 0x0D00_0000;
 const GRID_WORDS: u64 = 8_192; // 64 KB: L1 misses to L2 still defer the branch compare
 const PARAM_ADDR: u64 = 0x0CF0_0000;
 const INDEX_MASK: i64 = (GRID_WORDS as i64 - 1) << 3;
+
+/// twolf-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const TWOLF: PaperBenchmark = PaperBenchmark {
+    name: "twolf-like",
+    spec_ref: "300.twolf",
+    description: "misses feeding unpredictable branches: B-DET resolution pressure",
+    iters: 100,
+    kernel: twolf_like,
+};
 
 /// Builds the twolf-like kernel with `iters` cost evaluations.
 #[must_use]
@@ -91,9 +100,9 @@ pub fn twolf_like(iters: u64) -> Workload {
     fill_random_words(&mut memory, GRID_BASE, GRID_WORDS, 0x300);
 
     Workload {
-        name: "twolf-like",
-        spec_ref: "300.twolf",
-        description: "misses feeding unpredictable branches: B-DET resolution pressure",
+        name: TWOLF.name,
+        spec_ref: TWOLF.spec_ref,
+        description: TWOLF.description,
         program,
         memory,
         budget: 24 * iters + 64,

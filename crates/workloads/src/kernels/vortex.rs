@@ -8,7 +8,7 @@
 //! path with a realistic, mostly-conflict-free mix).
 
 use crate::common::fill_random_words;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
@@ -16,6 +16,15 @@ const STORE_BASE: u64 = 0x0F00_0000;
 const OBJ_STRIDE: u64 = 64;
 const OBJ_COUNT: u64 = 1_024; // 64 KB: steady-state L1/L2 object store
 const INDEX_MASK: i64 = (OBJ_COUNT as i64 - 1) << 6;
+
+/// vortex-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const VORTEX: PaperBenchmark = PaperBenchmark {
+    name: "vortex-like",
+    spec_ref: "255.vortex",
+    description: "object read-modify-write traffic with deferred stores and risky loads",
+    iters: 100,
+    kernel: vortex_like,
+};
 
 /// Builds the vortex-like kernel with `iters` object transactions.
 #[must_use]
@@ -82,9 +91,9 @@ pub fn vortex_like(iters: u64) -> Workload {
     fill_random_words(&mut memory, STORE_BASE, OBJ_COUNT * OBJ_STRIDE / 8, 0x255);
 
     Workload {
-        name: "vortex-like",
-        spec_ref: "255.vortex",
-        description: "object read-modify-write traffic with deferred stores and risky loads",
+        name: VORTEX.name,
+        spec_ref: VORTEX.spec_ref,
+        description: VORTEX.description,
         program,
         memory,
         budget: 26 * iters + 64,

@@ -11,7 +11,7 @@
 //! the writing store is often still deferred.
 
 use crate::common::fill_random_f64;
-use crate::Workload;
+use crate::{PaperBenchmark, Workload};
 use ff_isa::reg::{FpReg, IntReg, PredReg};
 use ff_isa::{CmpKind, MemoryImage, ProgramBuilder};
 
@@ -19,6 +19,15 @@ const NET_BASE: u64 = 0x1000_0000;
 const NET_WORDS: u64 = 4_096; // 32 KB of net coordinates (L2-resident)
 const NET_MASK: i64 = (NET_WORDS as i64 - 1) << 3;
 const HIST_BASE: u64 = 0x1080_0000;
+
+/// vpr-like's entry in [`crate::PAPER_BENCHMARKS`].
+pub(crate) const VPR: PaperBenchmark = PaperBenchmark {
+    name: "vpr-like",
+    spec_ref: "175.vpr",
+    description: "serial FP chains deferred wholesale, with history-slot store conflicts",
+    iters: 100,
+    kernel: vpr_like,
+};
 
 /// Builds the vpr-like FP-chain kernel with `iters` cost updates.
 #[must_use]
@@ -88,9 +97,9 @@ pub fn vpr_like(iters: u64) -> Workload {
     memory.write_f64(HIST_BASE - 8, 0.0);
 
     Workload {
-        name: "vpr-like",
-        spec_ref: "175.vpr",
-        description: "serial FP chains deferred wholesale, with history-slot store conflicts",
+        name: VPR.name,
+        spec_ref: VPR.spec_ref,
+        description: VPR.description,
         program,
         memory,
         budget: 24 * iters + 64,

@@ -109,29 +109,56 @@ impl std::str::FromStr for Scale {
     }
 }
 
+/// One paper benchmark before it is built: its names and description
+/// cost nothing to read, and [`PaperBenchmark::build`] makes only this
+/// workload.
+#[derive(Debug, Clone, Copy)]
+pub struct PaperBenchmark {
+    /// Kernel name, e.g. `"mcf-like"`.
+    pub name: &'static str,
+    /// The SPEC benchmark it stands in for, e.g. `"181.mcf"`.
+    pub spec_ref: &'static str,
+    /// One-line description of the modeled behaviour.
+    pub description: &'static str,
+    /// Kernel iterations at `Scale::Tiny`.
+    iters: u64,
+    kernel: fn(u64) -> Workload,
+}
+
+impl PaperBenchmark {
+    /// Builds the workload (program and memory image) at `scale`.
+    #[must_use]
+    pub fn build(&self, scale: Scale) -> Workload {
+        (self.kernel)(self.iters * scale.factor())
+    }
+}
+
+/// The ten paper benchmarks, in Table 2 order.
+pub const PAPER_BENCHMARKS: [PaperBenchmark; 10] = [
+    kernels::GO,
+    kernels::COMPRESS,
+    kernels::LI,
+    kernels::VPR,
+    kernels::MCF,
+    kernels::EQUAKE,
+    kernels::PARSER,
+    kernels::GAP,
+    kernels::VORTEX,
+    kernels::TWOLF,
+];
+
 /// All ten paper benchmarks at the given scale, in Table 2 order.
 #[must_use]
 pub fn paper_benchmarks(scale: Scale) -> Vec<Workload> {
-    let f = scale.factor();
-    vec![
-        kernels::go_like(100 * f),
-        kernels::compress_like(150 * f),
-        kernels::li_like(150 * f),
-        kernels::vpr_like(100 * f),
-        kernels::mcf_like(60 * f),
-        kernels::equake_like(60 * f),
-        kernels::parser_like(80 * f),
-        kernels::gap_like(30 * f),
-        kernels::vortex_like(100 * f),
-        kernels::twolf_like(100 * f),
-    ]
+    PAPER_BENCHMARKS.iter().map(|b| b.build(scale)).collect()
 }
 
 /// Looks up one paper benchmark by kernel name (e.g. `"mcf-like"`) or by
-/// SPEC reference (e.g. `"181.mcf"`).
+/// SPEC reference (e.g. `"181.mcf"`), building only that workload.
 #[must_use]
 pub fn benchmark_by_name(name: &str, scale: Scale) -> Option<Workload> {
-    paper_benchmarks(scale).into_iter().find(|w| w.name == name || w.spec_ref == name)
+    let found = PAPER_BENCHMARKS.iter().find(|b| b.name == name || b.spec_ref == name);
+    found.map(|b| b.build(scale))
 }
 
 #[cfg(test)]
