@@ -26,8 +26,8 @@ use ff_bench::cli::{Cli, Command, Parsed};
 use ff_bench::experiments::{find, REGISTRY};
 use ff_bench::fmt::{pct, Table};
 use ff_bench::report::{
-    diff_reports, golden_record, mark_frontier, render_dashboard, sweep_points, DashboardData,
-    Warehouse, DEFAULT_RUNS_DIR, KIND_GOLDEN,
+    diff_reports, golden_entries, golden_record, mark_frontier, render_dashboard, sweep_points,
+    DashboardData, Warehouse, DEFAULT_RUNS_DIR, KIND_GOLDEN,
 };
 use ff_bench::selfprof::{HostInfo, PerfSnapshot, SelfProfiler};
 use ff_bench::sweep::{RunStore, SweepOpts, DEFAULT_CACHE_DIR};
@@ -77,8 +77,8 @@ fn warehouse(args: &Parsed) -> Warehouse {
 /// Multiplies one stall cause's charged cycles by `factor` — a
 /// synthetic regression for exercising the diff gate in CI and tests.
 /// The class breakdown and total cycles move by the same amount, so
-/// the two-level sum invariants keep holding; every other counter
-/// (a runahead report's `runahead.*`, say) stays as it was.
+/// the two-level sum invariants keep holding; every other field stays
+/// as it was.
 fn degrade(report: &mut ff_core::SimReport, spec: &str) -> Result<String, String> {
     let (label, factor) = spec
         .split_once('=')
@@ -94,14 +94,6 @@ fn degrade(report: &mut ff_core::SimReport, spec: &str) -> Result<String, String
     report.breakdown2.charge_n(cause, added);
     report.breakdown.charge_n(cause.class(), added);
     report.cycles += added;
-    // `collect_metrics` rebuilds only the typed fields' counters: update
-    // those in place and keep the model's own.
-    let mut metrics = std::mem::take(&mut report.metrics);
-    report.collect_metrics();
-    for c in &mut metrics.counters {
-        c.value = report.metrics.counter(&c.name).unwrap_or(c.value);
-    }
-    report.metrics = metrics;
     Ok(format!("degrade={label}x{factor}"))
 }
 
@@ -265,6 +257,7 @@ fn cmd_pareto(args: &Parsed) -> Result<ExitCode, String> {
 fn cmd_html(args: &Parsed) -> Result<ExitCode, String> {
     let wh = warehouse(args);
     let records = wh.list()?;
+    let goldens = golden_entries(&records)?;
     let sweep_log = wh.sweep_log();
     let perf_dir = args.value("--perf-dir").unwrap_or("perf");
     let perf: Vec<(String, PerfSnapshot)> = perf_snapshots_in(Path::new(perf_dir))
@@ -279,6 +272,7 @@ fn cmd_html(args: &Parsed) -> Result<ExitCode, String> {
     let bounds = ff_bench::report::compute_bounds_rows();
     let data = DashboardData {
         records: &records,
+        goldens: &goldens,
         scale: opts.scale.label(),
         fig6: &fig6,
         fig7: &fig7,

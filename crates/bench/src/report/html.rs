@@ -25,6 +25,8 @@ use std::fmt::Write as _;
 pub struct DashboardData<'a> {
     /// All warehouse records (any order; the renderer sorts).
     pub records: &'a [RunRecord],
+    /// The golden records' reports, from [`golden_entries`].
+    pub goldens: &'a [Golden],
     /// Scale label of the [`Self::fig6`] and [`Self::fig7`] rows.
     pub scale: &'a str,
     /// Figure 6 rows, as `ff_exp fig6 --json` prints them. Anything
@@ -236,15 +238,28 @@ fn class_legend() -> String {
 
 // ---- golden CPI stacks --------------------------------------------------
 
-struct Golden {
-    label: String,
-    report: SimReport,
+/// One golden capture as the CPI-stack panel shows it.
+#[derive(Debug)]
+pub struct Golden {
+    /// `kernel · model · scale`, then ` · params` if any.
+    pub label: String,
+    /// The captured report.
+    pub report: SimReport,
 }
 
-fn golden_entries(records: &[RunRecord]) -> Vec<Golden> {
-    let mut out = Vec::new();
-    for rec in records.iter().filter(|r| r.kind == KIND_GOLDEN) {
-        let Ok(report) = SimReport::from_value(&rec.payload) else { continue };
+/// Parses the golden records among `records`, in key order.
+///
+/// # Errors
+///
+/// Returns `parse <key>: <error>` for a golden record whose payload is
+/// not a [`SimReport`] of this build's layout.
+pub fn golden_entries(records: &[RunRecord]) -> Result<Vec<Golden>, String> {
+    let mut golden: Vec<&RunRecord> = records.iter().filter(|r| r.kind == KIND_GOLDEN).collect();
+    golden.sort_by(|a, b| a.key.cmp(&b.key));
+    let mut out = Vec::with_capacity(golden.len());
+    for rec in golden {
+        let report =
+            SimReport::from_value(&rec.payload).map_err(|e| format!("parse {}: {e}", rec.key))?;
         let params = meta_get(rec, "params");
         let mut label = format!(
             "{} · {} · {}",
@@ -257,7 +272,7 @@ fn golden_entries(records: &[RunRecord]) -> Vec<Golden> {
         }
         out.push(Golden { label, report });
     }
-    out
+    Ok(out)
 }
 
 fn class_tooltip(r: &SimReport, class: CycleClass) -> String {
@@ -280,8 +295,7 @@ fn class_tooltip(r: &SimReport, class: CycleClass) -> String {
     tip
 }
 
-fn golden_panel(out: &mut String, records: &[RunRecord]) {
-    let entries = golden_entries(records);
+fn golden_panel(out: &mut String, entries: &[Golden]) {
     out.push_str("<section><h2>CPI stacks — captured golden runs</h2>");
     if entries.is_empty() {
         out.push_str(
@@ -322,7 +336,7 @@ fn golden_panel(out: &mut String, records: &[RunRecord]) {
         let _ = write!(out, "<th>{}</th>", class.label());
     }
     out.push_str("<th>L1D hit</th></tr></thead><tbody>");
-    for g in &entries {
+    for g in entries {
         let _ = write!(
             out,
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>",
@@ -806,7 +820,7 @@ pub fn render_dashboard(data: &DashboardData) -> String {
     }
     let _ = writeln!(out, "<p class=\"meta\">{meta}</p>");
 
-    golden_panel(&mut out, &records);
+    golden_panel(&mut out, data.goldens);
     fig6_panel(&mut out, data.fig6, data.scale);
     fig7_panel(&mut out, data.fig7, data.scale);
     let mut perf: Vec<(String, PerfSnapshot)> = data.perf.to_vec();
@@ -840,6 +854,7 @@ mod tests {
     fn empty_dashboard_renders_every_panel_placeholder() {
         let data = DashboardData {
             records: &[],
+            goldens: &[],
             scale: "tiny",
             fig6: &Value::Null,
             fig7: &Value::Null,

@@ -14,7 +14,9 @@ pub mod html;
 pub mod query;
 pub mod warehouse;
 
-pub use html::{compute_bounds_rows, render_dashboard, BoundsRow, DashboardData};
+pub use html::{
+    compute_bounds_rows, golden_entries, render_dashboard, BoundsRow, DashboardData, Golden,
+};
 pub use query::{
     diff_reports, mark_frontier, sweep_points, CauseDelta, DiffReport, ParetoPoint, CPI_NOISE_FLOOR,
 };

@@ -9,9 +9,13 @@
 //!   under `results/cache/` (see [`crate::sweep::run_key`]);
 //! * **golden** — one captured [`ff_core::SimReport`] (cycles, retired,
 //!   six-class and fifteen-cause breakdowns, stall profile, cache
-//!   stats, metrics) under `results/runs/`, keyed by `(kernel, model,
-//!   params, scale, CODE_VERSION)`: it may be degraded on purpose or
-//!   taken at an older code version.
+//!   stats, two-pass or runahead counters) under `results/runs/`, keyed
+//!   by `(kernel, model, params, scale, CODE_VERSION)`: it may be
+//!   degraded on purpose or taken at an older code version.
+//!
+//! A payload in another [`ff_core::SimReport`] layout fails to parse
+//! (a missing field): the sweep cache treats it as a miss and simulates
+//! the run again, and `ff_report` reports it as an error.
 //!
 //! Experiment rows and `perf/BENCH_*.json` snapshots are not stored:
 //! rows are a pure function of cached runs, and the snapshots are read

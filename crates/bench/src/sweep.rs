@@ -44,7 +44,7 @@ use crate::report::warehouse::{
     record, record_key, runs_dir_for, SweepLogEntry, Warehouse, KIND_RUN,
 };
 use ff_core::{MachineConfig, ModelKind, SimReport};
-use ff_workloads::{paper_benchmarks, Scale, Workload};
+use ff_workloads::{benchmark_by_name, Scale, Workload};
 use serde::{Deserialize, Serialize, Value};
 
 /// Simulator-semantics version, part of every run's cache key: bump it
@@ -277,7 +277,7 @@ pub fn run_sweep<R>(
     stats.filtered_out = stats.grid - cells.len();
 
     // Each distinct run once; `reads[c]` indexes cell c's runs in `keys`.
-    let workloads = paper_benchmarks(opts.scale);
+    let workloads = workloads_for(&cells, opts.scale);
     let budget = |kernel: &str| workloads.iter().find(|w| w.name == kernel).map_or(0, |w| w.budget);
     let (mut keys, mut runs): (Vec<String>, Vec<&Run>) = (Vec::new(), Vec::new());
     let mut reads: Vec<Vec<usize>> = Vec::with_capacity(cells.len());
@@ -421,6 +421,18 @@ pub fn run_sweep<R>(
         );
     }
     SweepRun { cells: results, stats }
+}
+
+/// Builds each distinct kernel the cells read, once. An unknown kernel
+/// builds nothing, so only the cells that read it fail.
+fn workloads_for<R>(cells: &[Cell<R>], scale: Scale) -> Vec<Workload> {
+    let mut kernels: Vec<&str> = Vec::new();
+    for run in cells.iter().flat_map(|c| &c.runs) {
+        if !kernels.contains(&run.kernel) {
+            kernels.push(run.kernel);
+        }
+    }
+    kernels.into_iter().filter_map(|k| benchmark_by_name(k, scale)).collect()
 }
 
 /// Simulates one run on its kernel, looked up among `workloads`.
@@ -586,6 +598,24 @@ mod tests {
         assert!(!glob_match("mcf", "mcf-like"));
         assert!(!glob_match("", "x"));
         assert!(glob_match("", ""));
+    }
+
+    #[test]
+    fn a_sweep_builds_only_the_kernels_its_cells_read() {
+        fn names<R>(cells: &[Cell<R>]) -> Vec<&'static str> {
+            workloads_for(cells, Scale::Tiny).iter().map(|w| w.name).collect()
+        }
+        let base = MachineConfig::paper_table1();
+        let fp_stall = crate::experiments::fp_stall_cells(&base);
+        assert_eq!(names(&fp_stall), ["vpr-like", "equake-like"]);
+        let queue = crate::experiments::queue_sweep_cells(&base);
+        assert_eq!(names(&queue), ["mcf-like", "compress-like", "equake-like", "li-like"]);
+        let run = |kernel| Run { kernel, model: ModelKind::Baseline, config: base.clone() };
+        let cells = vec![
+            Cell::new(vec![run("mcf-like"), run("no-such-kernel")], |r| r.len()),
+            Cell::new(vec![run("mcf-like")], |r| r.len()),
+        ];
+        assert_eq!(names(&cells), ["mcf-like"], "an unknown kernel builds nothing");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! CLI contract tests for `ff_exp` and the `ff_report` commands that
 //! read what it stores: usage errors exit 2 and list the registry,
 //! pareto reads a cached sweep's runs without simulating them, and a
-//! bad model name is a clean error rather than a panic.
+//! bad model name or a golden capture the dashboard cannot parse is a
+//! clean error rather than a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use ff_bench::experiments::REGISTRY;
 use ff_bench::report::{RunRecord, Warehouse};
-use ff_core::{CounterEntry, SimReport};
-use serde::Deserialize;
+use ff_core::{CycleClass, SimReport, StallCause};
+use serde::{Deserialize, Value};
 
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe).args(args).output().expect("spawn")
@@ -122,19 +123,43 @@ fn a_degraded_capture_moves_only_the_degraded_cycles() {
     let records = Warehouse::open(&dir).list().unwrap();
     let [clean, degraded] = records.as_slice() else { panic!("want two records: {records:?}") };
     assert!(degraded.key.contains("params=degrade=load.memx1.5"), "{}", degraded.key);
-    let counters = |rec: &RunRecord| SimReport::from_value(&rec.payload).unwrap().metrics.counters;
-    let (clean, degraded) = (counters(clean), counters(degraded));
-    let names = |cs: &[CounterEntry]| cs.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
-    assert_eq!(names(&clean), names(&degraded), "degrade keeps every counter, in order");
-    assert!(clean.iter().any(|c| c.name == "runahead.episodes" && c.value > 0));
-    let load_mem = clean.iter().find(|c| c.name == "stall.cause.load.mem").unwrap().value;
-    let added = (load_mem as f64 * 0.5).round() as u64;
+    let report = |rec: &RunRecord| SimReport::from_value(&rec.payload).unwrap();
+    let (clean, degraded) = (report(clean), report(degraded));
+    assert!(clean.runahead.is_some_and(|ra| ra.episodes > 0), "{:?}", clean.runahead);
+    let added = (clean.breakdown2[StallCause::LoadMem] as f64 * 0.5).round() as u64;
     assert!(added > 0, "tiny mcf-like must stall on memory");
-    for (c, d) in clean.iter().zip(&degraded) {
-        let moved = ["sim.cycles", "cycles.load_stall", "stall.cause.load.mem"];
-        let want = if moved.contains(&c.name.as_str()) { c.value + added } else { c.value };
-        assert_eq!(d.value, want, "{}", c.name);
-    }
+    let mut want = clean.clone();
+    want.cycles += added;
+    want.breakdown.charge_n(CycleClass::LoadStall, added);
+    want.breakdown2.charge_n(StallCause::LoadMem, added);
+    assert_eq!(degraded, want, "degrade moves only the degraded cycles");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn html_names_a_golden_capture_in_an_old_report_layout_and_writes_nothing() {
+    let dir = temp_dir("old-golden");
+    let dir_arg = dir.to_str().unwrap();
+    let capture = ["capture", "--bench", "li-like", "--model", "base", "--scale", "tiny"];
+    let out = run(env!("CARGO_BIN_EXE_ff_report"), &[&capture[..], &["--dir", dir_arg]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let wh = Warehouse::open(&dir);
+    let [rec]: [RunRecord; 1] = wh.list().unwrap().try_into().unwrap();
+    // The layout that carried a flat `metrics` copy and no `runahead`.
+    let Value::Object(mut fields) = rec.payload.clone() else { panic!("{:?}", rec.payload) };
+    fields.retain(|(name, _)| name != "runahead");
+    let metrics = serde_json::from_str(r#"{"counters": [], "histograms": []}"#).unwrap();
+    fields.push(("metrics".to_string(), metrics));
+    wh.put(&RunRecord { payload: Value::Object(fields), ..rec.clone() }).unwrap();
+
+    let out_file = dir.join("dashboard.html");
+    let html =
+        ["html", "--dir", dir_arg, "--perf-dir", dir_arg, "--out", out_file.to_str().unwrap()];
+    let out = run(env!("CARGO_BIN_EXE_ff_report"), &html);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("parse {}: missing field `runahead`", rec.key)), "{stderr}");
+    assert!(!out_file.exists(), "a failed render writes nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

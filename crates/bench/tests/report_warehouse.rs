@@ -11,7 +11,7 @@
 
 use ff_bench::experiments::find;
 use ff_bench::report::{
-    compute_bounds_rows, content_hash, diff_reports, golden_record, mark_frontier,
+    compute_bounds_rows, content_hash, diff_reports, golden_entries, golden_record, mark_frontier,
     render_dashboard, runs_dir_for, sweep_points, DashboardData, ParetoPoint, RunRecord,
     SweepLogEntry, Warehouse, CPI_NOISE_FLOOR, KIND_GOLDEN,
 };
@@ -134,7 +134,6 @@ fn diff_flags_only_regressions_beyond_threshold_and_noise_floor() {
     b.breakdown2.charge_n(cause, old / 2);
     b.breakdown.charge_n(cause.class(), old / 2);
     b.cycles += old / 2;
-    b.collect_metrics();
     let diff = diff_reports(&a, &b, 0.05);
     assert!(diff.regressed());
     let row = diff.causes.iter().find(|c| c.cause == cause.label()).unwrap();
@@ -242,6 +241,7 @@ fn dashboard_is_deterministic_and_self_contained() {
     let bounds = compute_bounds_rows();
     let data = DashboardData {
         records: &records,
+        goldens: &golden_entries(&records).unwrap(),
         scale: "tiny",
         fig6: &fig6,
         fig7: &fig7,
@@ -275,6 +275,7 @@ fn dashboard_matches_the_golden_pin() {
     let bounds = compute_bounds_rows();
     let data = DashboardData {
         records: &records,
+        goldens: &golden_entries(&records).unwrap(),
         scale: "tiny",
         fig6: &fig6,
         fig7: &fig7,

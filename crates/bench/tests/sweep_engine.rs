@@ -4,9 +4,11 @@
 
 use std::path::{Path, PathBuf};
 
+use ff_bench::report::{RunRecord, Warehouse};
 use ff_bench::sweep::{run_sweep, Cell, Run, RunStore, SweepOpts};
-use ff_core::{MachineConfig, ModelKind};
+use ff_core::{MachineConfig, ModelKind, SimReport};
 use ff_workloads::{paper_benchmarks, Scale};
+use serde::{Deserialize, Value};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
@@ -108,6 +110,57 @@ fn a_panicking_run_fails_only_the_cells_that_read_it() {
         run_sweep("panic-test", &opts(1, &dir, false), &mut RunStore::default(), grid())
             .into_rows()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_kernel_fails_only_the_cells_that_read_it() {
+    let table1 = MachineConfig::paper_table1();
+    let cells = vec![
+        cell("mcf-like", ModelKind::Baseline, table1.clone()),
+        cell("no-such-like", ModelKind::Baseline, table1),
+    ];
+    let dir = temp_cache("unknown");
+    let run = run_sweep("unknown-test", &opts(1, &dir, false), &mut RunStore::default(), cells);
+    assert_eq!((run.stats.computed, run.stats.failed), (1, 1));
+    assert!(run.cells[0].outcome.is_ok());
+    let err = run.cells[1].outcome.as_ref().unwrap_err();
+    assert!(err.contains("unknown kernel `no-such-like`"), "{err}");
+}
+
+/// `payload` in the `SimReport` layout that carried a flat `metrics`
+/// copy of the counters and no `runahead` field.
+fn in_the_old_report_layout(payload: &Value) -> Value {
+    let Value::Object(fields) = payload else { panic!("a report is an object: {payload:?}") };
+    let mut fields: Vec<(String, Value)> =
+        fields.iter().filter(|(name, _)| name != "runahead").cloned().collect();
+    let metrics = r#"{"counters": [{"name": "sim.cycles", "value": 1}], "histograms": []}"#;
+    fields.push(("metrics".to_string(), serde_json::from_str(metrics).unwrap()));
+    Value::Object(fields)
+}
+
+#[test]
+fn a_cached_run_in_an_old_report_layout_is_simulated_again_and_overwritten() {
+    let dir = temp_cache("old-layout");
+    let o = opts(1, &dir, true);
+    let one = || vec![cell("gap-like", ModelKind::TwoPass, MachineConfig::paper_table1())];
+    let cold = run_sweep("layout-test", &o, &mut RunStore::default(), one());
+    assert_eq!(cold.stats.computed, 1);
+    let cache = Warehouse::open(&dir);
+    let [fresh]: [RunRecord; 1] = cache.list().unwrap().try_into().unwrap();
+    let stale = RunRecord { payload: in_the_old_report_layout(&fresh.payload), ..fresh.clone() };
+    let err = SimReport::from_value(&stale.payload).unwrap_err().to_string();
+    assert!(err.contains("missing field `runahead`"), "{err}");
+    cache.put(&stale).unwrap();
+
+    let again = run_sweep("layout-test", &o, &mut RunStore::default(), one());
+    assert_eq!((again.stats.computed, again.stats.cached), (1, 0), "an old layout is a miss");
+    assert_eq!(cache.get(&fresh.key).unwrap(), fresh, "the new report overwrites it");
+    let warm = run_sweep("layout-test", &o, &mut RunStore::default(), one());
+    assert_eq!((warm.stats.computed, warm.stats.cached), (0, 1));
+    let rows = cold.into_rows();
+    assert_eq!(rows, again.into_rows());
+    assert_eq!(rows, warm.into_rows());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -295,8 +295,8 @@ impl StallCause {
         }
     }
 
-    /// Dotted metric-style label, e.g. `load.l2` (namespaced under
-    /// `stall.cause.` in [`crate::MetricsSnapshot`] exports).
+    /// Dotted label, e.g. `load.l2`: the cause's name in CPI stacks,
+    /// report diffs and command lines (see [`StallCause::from_label`]).
     #[must_use]
     pub const fn label(self) -> &'static str {
         match self {
@@ -595,13 +595,6 @@ impl StallProfile {
         self.sites == 0
     }
 
-    /// Merges another profile into this one.
-    pub fn merge(&mut self, other: &StallProfile) {
-        for s in other.sites() {
-            self.record_n(s.pc, s.cause, s.cycles);
-        }
-    }
-
     /// All sites in a deterministic order (pc, then cause).
     #[must_use]
     pub fn sites(&self) -> Vec<StallSite> {
@@ -804,9 +797,7 @@ mod tests {
         let top = p.top(2);
         assert_eq!(top[0], StallSite { pc: 7, cause: StallCause::LoadMem, cycles: 150 });
         assert_eq!(top[1], StallSite { pc: 3, cause: StallCause::ResMshr, cycles: 60 });
-        let mut q = StallProfile::new();
-        q.record(7, StallCause::DepFp);
-        p.merge(&q);
+        p.record(7, StallCause::DepFp);
         assert_eq!(p.total(), 221);
         let text = p.to_string();
         assert!(text.contains("load.mem"), "{text}");

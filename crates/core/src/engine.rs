@@ -30,7 +30,6 @@ use crate::config::{MachineConfig, L1I_GEOMETRY};
 use crate::decoded::DecodedProgram;
 use crate::exec_common::fitting_prefix_classes;
 use crate::frontend::{Frontend, FrontendConfig};
-use crate::metrics::{MetricsBuilder, MetricsSnapshot};
 use crate::report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport};
 use crate::runahead::RunaheadPolicy;
 use crate::sink::{SinkHandle, TraceSink};
@@ -315,9 +314,8 @@ pub trait Policy: Sized {
     /// halted, after the clock advances).
     fn drained(&self, core: &Core<'_>) -> bool;
 
-    /// Adds model-specific results to `report` (before its metrics are
-    /// collected) and extra counters to `extra` (appended after them).
-    fn report(self, _report: &mut SimReport, _extra: &mut MetricsBuilder) {}
+    /// Adds model-specific results to `report`.
+    fn report(self, _report: &mut SimReport) {}
 
     /// Audit probe: asserts that fast-forwarding `[core.cycle, target)`
     /// is legal — the last skipped cycle still repeats `attr` with
@@ -508,12 +506,9 @@ impl<'p, P: Policy> Engine<'p, P> {
             hierarchy: *core.hier.stats(),
             mshr: core.mshrs.stats(),
             two_pass: None,
-            metrics: MetricsSnapshot::default(),
+            runahead: None,
         };
-        let mut extra = MetricsBuilder::new();
-        policy.report(&mut report, &mut extra);
-        report.collect_metrics();
-        report.metrics.counters.extend(extra.build().counters);
+        policy.report(&mut report);
         (report, core.arch.regs, core.mem_img)
     }
 }

@@ -49,12 +49,8 @@ pub use config::{
     L1I_GEOMETRY,
 };
 pub use engine::run_model;
-pub use metrics::{
-    CounterEntry, Histogram, HistogramEntry, MetricSource, MetricsBuilder, MetricsSnapshot,
-};
-pub use report::{
-    BranchStats, MemAccessStats, ModelKind, Pipe, SimReport, TwoPassStats, REPORT_SCHEMA_VERSION,
-};
+pub use metrics::Histogram;
+pub use report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport, TwoPassStats};
 pub use runahead::{Runahead, RunaheadStats};
 pub use sink::{parse_jsonl_line, JsonlSink, RingSink, SinkHandle, TraceSink};
 pub use trace::{FlushKind, Trace, TraceEvent};

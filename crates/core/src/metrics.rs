@@ -1,17 +1,11 @@
-//! A small counter/histogram metrics registry.
+//! A fixed-size power-of-two-bucket [`Histogram`] of `u64` samples.
 //!
-//! The per-subsystem stats structs (cycle breakdown, cache hierarchy,
-//! MSHRs, ALAT, store buffer, two-pass counters) each keep their own
-//! typed fields; [`MetricSource`] lets every one of them export into a
-//! single flat, uniformly named [`MetricsSnapshot`] that rides along in
-//! [`crate::SimReport`]. Downstream tooling (`ff-trace`, experiment
-//! scripts) can then diff, plot, or aggregate runs without knowing any
-//! of the concrete stats types.
-//!
-//! Naming convention: `subsystem.metric` in snake case, e.g.
-//! `cycles.load_stall`, `mem.l2_hits`, `two_pass.deferred_loads`.
+//! Stats structs embed one per distribution they track (the two-pass
+//! coupling-queue depth and A-to-B slip in [`crate::TwoPassStats`]);
+//! it serializes sparsely, with every other counter, as a typed field
+//! of [`crate::SimReport`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of power-of-two histogram buckets: bucket `i` holds values
@@ -147,17 +141,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one. Like [`Self::observe`],
-    /// the sum saturates at `u64::MAX`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Serialize for Histogram {
@@ -195,183 +178,6 @@ impl serde::Deserialize for Histogram {
             h.buckets[i] = n;
         }
         Ok(h)
-    }
-}
-
-/// One named counter in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CounterEntry {
-    /// Dotted metric name, e.g. `two_pass.deferred_loads`.
-    pub name: String,
-    /// Monotonic count.
-    pub value: u64,
-}
-
-/// One named histogram in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistogramEntry {
-    /// Dotted metric name, e.g. `two_pass.queue_depth`.
-    pub name: String,
-    /// The distribution.
-    pub hist: Histogram,
-}
-
-/// A flat, uniform export of every subsystem's metrics for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// All counters, in registration order.
-    pub counters: Vec<CounterEntry>,
-    /// All histograms, in registration order.
-    pub histograms: Vec<HistogramEntry>,
-}
-
-impl MetricsSnapshot {
-    /// Looks up a counter by exact name.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
-    }
-
-    /// Looks up a histogram by exact name.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.iter().find(|h| h.name == name).map(|h| &h.hist)
-    }
-}
-
-impl fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for c in &self.counters {
-            writeln!(f, "{:<36} {:>14}", c.name, c.value)?;
-        }
-        for h in &self.histograms {
-            writeln!(
-                f,
-                "{:<36} n={} mean={:.2} p50<={} p95<={} p99<={} max={}",
-                h.name,
-                h.hist.count(),
-                h.hist.mean(),
-                h.hist.quantile_bound(0.50),
-                h.hist.quantile_bound(0.95),
-                h.hist.quantile_bound(0.99),
-                h.hist.max()
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Accumulates metrics from many [`MetricSource`]s into one snapshot.
-#[derive(Debug, Default)]
-pub struct MetricsBuilder {
-    snapshot: MetricsSnapshot,
-    prefix: String,
-}
-
-impl MetricsBuilder {
-    /// An empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Collects from `source` with `prefix` prepended (dotted) to every
-    /// metric it registers.
-    pub fn scope(&mut self, prefix: &str, source: &dyn MetricSource) -> &mut Self {
-        let saved = std::mem::replace(&mut self.prefix, format!("{prefix}."));
-        source.export_metrics(self);
-        self.prefix = saved;
-        self
-    }
-
-    /// Registers one counter.
-    pub fn counter(&mut self, name: &str, value: u64) -> &mut Self {
-        self.snapshot.counters.push(CounterEntry { name: format!("{}{name}", self.prefix), value });
-        self
-    }
-
-    /// Registers one histogram (copied), flattening its p50/p95/p99
-    /// bucket-bound quantiles into `<name>.p50` &c. counters so
-    /// flat-counter consumers see distribution shape, not just
-    /// count/mean/max. An empty histogram flattens to all-zero
-    /// quantiles (see [`Histogram::quantile_bound`]).
-    pub fn histogram(&mut self, name: &str, hist: &Histogram) -> &mut Self {
-        self.snapshot
-            .histograms
-            .push(HistogramEntry { name: format!("{}{name}", self.prefix), hist: *hist });
-        for (q, label) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
-            self.counter(&format!("{name}.{label}"), hist.quantile_bound(q));
-        }
-        self
-    }
-
-    /// Finishes and returns the snapshot.
-    #[must_use]
-    pub fn build(self) -> MetricsSnapshot {
-        self.snapshot
-    }
-}
-
-/// Implemented by stats structs that can export into the registry.
-pub trait MetricSource {
-    /// Registers this source's counters and histograms.
-    fn export_metrics(&self, m: &mut MetricsBuilder);
-}
-
-impl MetricSource for crate::accounting::CycleBreakdown {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        for class in crate::accounting::CycleClass::ALL {
-            m.counter(&class.label().replace('-', "_"), self[class]);
-        }
-    }
-}
-
-impl MetricSource for crate::accounting::CauseBreakdown {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        for cause in crate::accounting::StallCause::ALL {
-            m.counter(cause.label(), self[cause]);
-        }
-    }
-}
-
-impl MetricSource for ff_mem::HierarchyStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        for level in ff_mem::MemLevel::ALL {
-            let tag = level.to_string().to_lowercase();
-            m.counter(&format!("{tag}_load_hits"), self.load_hits[level.index()]);
-            m.counter(&format!("{tag}_store_hits"), self.store_hits[level.index()]);
-        }
-        for (i, &wb) in self.writebacks.iter().enumerate() {
-            m.counter(&format!("l{}_writebacks", i + 1), wb);
-        }
-    }
-}
-
-impl MetricSource for ff_mem::MshrStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        m.counter("allocations", self.allocations);
-        m.counter("merges", self.merges);
-        m.counter("full_reject_events", self.full_reject_events);
-        m.counter("full_stall_cycles", self.full_stall_cycles);
-    }
-}
-
-impl MetricSource for ff_mem::AlatStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        m.counter("allocations", self.allocations);
-        m.counter("store_invalidations", self.store_invalidations);
-        m.counter("capacity_evictions", self.capacity_evictions);
-        m.counter("clean_checks", self.clean_checks);
-        m.counter("conflict_checks", self.conflict_checks);
-    }
-}
-
-impl MetricSource for ff_mem::StoreBufferStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        m.counter("inserts", self.inserts);
-        m.counter("forwards", self.forwards);
-        m.counter("partial_conflicts", self.partial_conflicts);
-        m.counter("full_rejections", self.full_rejections);
     }
 }
 
@@ -466,30 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.observe(3);
-        b.observe(300);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), 303);
-        assert_eq!(a.max(), 300);
-    }
-
-    #[test]
-    fn histogram_merge_saturates_the_sum() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.observe(u64::MAX);
-        b.observe(u64::MAX);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), u64::MAX, "the sum sticks at u64::MAX, as observe's does");
-        assert_eq!(a.max(), u64::MAX);
-    }
-
-    #[test]
     fn histogram_serde_round_trip() {
         let mut h = Histogram::new();
         for v in [0, 5, 5, 900, u64::MAX] {
@@ -498,78 +280,5 @@ mod tests {
         let json = serde_json::to_string(&h).unwrap();
         let back: Histogram = serde_json::from_str(&json).unwrap();
         assert_eq!(back, h);
-    }
-
-    #[test]
-    fn builder_scopes_and_looks_up() {
-        struct Fake;
-        impl MetricSource for Fake {
-            fn export_metrics(&self, m: &mut MetricsBuilder) {
-                m.counter("hits", 7);
-                let mut h = Histogram::new();
-                h.observe(2);
-                m.histogram("depth", &h);
-            }
-        }
-        let mut b = MetricsBuilder::new();
-        b.scope("l1", &Fake).counter("cycles", 100);
-        let snap = b.build();
-        assert_eq!(snap.counter("l1.hits"), Some(7));
-        assert_eq!(snap.counter("cycles"), Some(100));
-        assert_eq!(snap.histogram("l1.depth").unwrap().count(), 1);
-        assert_eq!(snap.counter("missing"), None);
-        let text = snap.to_string();
-        assert!(text.contains("l1.hits") && text.contains("l1.depth"), "{text}");
-    }
-
-    #[test]
-    fn histogram_registration_flattens_quantile_counters() {
-        let mut h = Histogram::new();
-        for v in 0..100u64 {
-            h.observe(v);
-        }
-        let mut b = MetricsBuilder::new();
-        b.scope("tp", &{
-            struct S(Histogram);
-            impl MetricSource for S {
-                fn export_metrics(&self, m: &mut MetricsBuilder) {
-                    m.histogram("slip", &self.0);
-                }
-            }
-            S(h)
-        });
-        let snap = b.build();
-        assert_eq!(snap.counter("tp.slip.p50"), Some(h.quantile_bound(0.50)));
-        assert_eq!(snap.counter("tp.slip.p95"), Some(h.quantile_bound(0.95)));
-        assert_eq!(snap.counter("tp.slip.p99"), Some(h.quantile_bound(0.99)));
-        let text = snap.to_string();
-        assert!(text.contains("p95<="), "Display must carry the quantile summary: {text}");
-    }
-
-    #[test]
-    fn flattened_quantiles_handle_empty_and_single_sample() {
-        let empty = Histogram::new();
-        let mut single = Histogram::new();
-        single.observe(7);
-        let mut b = MetricsBuilder::new();
-        b.histogram("empty", &empty).histogram("single", &single);
-        let snap = b.build();
-        for q in ["p50", "p95", "p99"] {
-            assert_eq!(snap.counter(&format!("empty.{q}")), Some(0), "{q} of empty");
-            let bound = snap.counter(&format!("single.{q}")).unwrap();
-            assert!(bound >= 7, "{q} of a single sample must bound it, got {bound}");
-        }
-    }
-
-    #[test]
-    fn snapshot_serde_round_trip() {
-        let mut b = MetricsBuilder::new();
-        let mut h = Histogram::new();
-        h.observe(9);
-        b.counter("a.b", 1).histogram("a.h", &h);
-        let snap = b.build();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 }

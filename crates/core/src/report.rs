@@ -1,16 +1,11 @@
 //! Simulation reports: everything the paper's figures are derived from.
 
 use crate::accounting::{CauseBreakdown, CycleBreakdown, CycleClass, StallCause, StallProfile};
-use crate::metrics::{Histogram, MetricSource, MetricsBuilder, MetricsSnapshot};
+use crate::metrics::Histogram;
+use crate::runahead::RunaheadStats;
 use ff_mem::{AlatStats, HierarchyStats, MemLevel, MshrStats, StoreBufferStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Version of the serialized [`SimReport`] surface. Stored alongside
-/// archived reports (the `ff-bench` run warehouse, future `ff-serve`
-/// clients); bump whenever a field is added, removed, or changes
-/// meaning so readers can reject layouts they don't understand.
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
 
 /// Which back-end executed an instruction or initiated an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -257,10 +252,10 @@ pub struct SimReport {
     pub hierarchy: HierarchyStats,
     /// MSHR counters.
     pub mshr: MshrStats,
-    /// Two-pass-specific counters (`None` for the baseline).
+    /// Two-pass-specific counters (`None` for the other models).
     pub two_pass: Option<TwoPassStats>,
-    /// Flat export of every subsystem's metrics (see [`crate::metrics`]).
-    pub metrics: MetricsSnapshot,
+    /// Runahead-specific counters (`None` for the other models).
+    pub runahead: Option<RunaheadStats>,
 }
 
 impl SimReport {
@@ -329,77 +324,6 @@ impl SimReport {
             baseline.cycles as f64 / self.cycles as f64
         }
     }
-
-    /// (Re)builds [`SimReport::metrics`] from the typed stats fields,
-    /// giving every model's report one uniform flat namespace. Called
-    /// by each model's `into_report`; safe to call again after editing
-    /// the typed fields.
-    pub fn collect_metrics(&mut self) {
-        let mut b = MetricsBuilder::new();
-        b.counter("sim.cycles", self.cycles).counter("sim.retired", self.retired);
-        b.scope("cycles", &self.breakdown)
-            .scope("stall.cause", &self.breakdown2)
-            .scope("mem", &self.hierarchy)
-            .scope("mshr", &self.mshr)
-            .scope("branches", &self.branches)
-            .scope("access", &self.mem);
-        if let Some(tp) = &self.two_pass {
-            b.scope("two_pass", tp).scope("store_buffer", &tp.store_buffer).scope("alat", &tp.alat);
-        }
-        self.metrics = b.build();
-    }
-}
-
-impl MetricSource for BranchStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        m.counter("retired", self.retired);
-        m.counter("mispredicted", self.mispredicted);
-        m.counter("repaired_in_a", self.repaired_in_a);
-        m.counter("repaired_in_b", self.repaired_in_b);
-    }
-}
-
-impl MetricSource for MemAccessStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        for pipe in [Pipe::A, Pipe::B] {
-            for level in MemLevel::ALL {
-                m.counter(
-                    &format!(
-                        "{}_{}_loads",
-                        pipe.to_string().to_lowercase(),
-                        level.to_string().to_lowercase()
-                    ),
-                    self.loads[pipe.index()][level.index()],
-                );
-            }
-        }
-    }
-}
-
-impl MetricSource for TwoPassStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        m.counter("dispatched_a", self.dispatched_a);
-        m.counter("executed_in_a", self.executed_in_a);
-        m.counter("deferred", self.deferred);
-        m.counter("store_conflict_flushes", self.store_conflict_flushes);
-        m.counter("loads_past_deferred_store", self.loads_past_deferred_store);
-        m.counter(
-            "loads_past_deferred_store_conflicting",
-            self.loads_past_deferred_store_conflicting,
-        );
-        m.counter("stores_deferred", self.stores_deferred);
-        m.counter("stores_retired", self.stores_retired);
-        m.counter("fp_deferred", self.fp_deferred);
-        m.counter("fp_retired", self.fp_retired);
-        m.counter("queue_occupancy_sum", self.queue_occupancy_sum);
-        m.counter("queue_full_cycles", self.queue_full_cycles);
-        m.counter("throttled_cycles", self.throttled_cycles);
-        m.counter("regroup_merges", self.regroup_merges);
-        m.counter("feedback_applied", self.feedback_applied);
-        m.counter("feedback_stale", self.feedback_stale);
-        m.histogram("queue_depth", &self.queue_depth_hist);
-        m.histogram("slip", &self.slip_hist);
-    }
 }
 
 impl fmt::Display for SimReport {
@@ -452,7 +376,7 @@ mod tests {
             hierarchy: HierarchyStats::default(),
             mshr: MshrStats::default(),
             two_pass: None,
-            metrics: MetricsSnapshot::default(),
+            runahead: None,
         }
     }
 
@@ -517,26 +441,6 @@ mod tests {
         }
         assert!("2q".parse::<ModelKind>().is_err());
         assert!("".parse::<ModelKind>().is_err());
-    }
-
-    #[test]
-    fn collect_metrics_flattens_all_subsystems() {
-        let mut r = empty_report(ModelKind::TwoPass, 10, 20);
-        let mut tp = TwoPassStats { deferred: 4, ..TwoPassStats::default() };
-        tp.queue_depth_hist.observe(3);
-        r.two_pass = Some(tp);
-        r.collect_metrics();
-        assert_eq!(r.metrics.counter("sim.cycles"), Some(10));
-        assert_eq!(r.metrics.counter("two_pass.deferred"), Some(4));
-        assert_eq!(r.metrics.counter("cycles.unstalled"), Some(0));
-        assert_eq!(r.metrics.counter("stall.cause.issue"), Some(0));
-        assert_eq!(r.metrics.counter("stall.cause.load.mem"), Some(0));
-        assert_eq!(r.metrics.histogram("two_pass.queue_depth").unwrap().count(), 1);
-        // Baseline reports omit the two-pass scopes entirely.
-        let mut base = empty_report(ModelKind::Baseline, 5, 5);
-        base.collect_metrics();
-        assert_eq!(base.metrics.counter("two_pass.deferred"), None);
-        assert!(base.metrics.counter("mshr.allocations").is_some());
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::accounting::{CycleClass, StallAttr};
 use crate::baseline::BaselinePolicy;
 use crate::config::MachineConfig;
 use crate::engine::{Core, Engine, Policy, RegBits, Step};
-use crate::metrics::{MetricSource, MetricsBuilder};
 use crate::report::{ModelKind, Pipe, SimReport};
 use crate::sink::SinkHandle;
 use crate::trace::TraceEvent;
@@ -43,15 +42,6 @@ pub struct RunaheadStats {
     pub runahead_loads: u64,
     /// Runahead instructions whose results were discarded.
     pub discarded_instrs: u64,
-}
-
-impl MetricSource for RunaheadStats {
-    fn export_metrics(&self, m: &mut MetricsBuilder) {
-        m.counter("episodes", self.episodes)
-            .counter("cycles", self.runahead_cycles)
-            .counter("loads", self.runahead_loads)
-            .counter("discarded_instrs", self.discarded_instrs);
-    }
 }
 
 /// Cycles charged when leaving runahead mode (checkpoint restore).
@@ -368,8 +358,8 @@ impl Policy for RunaheadPolicy {
         self.episode.is_none() && self.base.drained(core)
     }
 
-    fn report(self, _report: &mut SimReport, extra: &mut MetricsBuilder) {
-        extra.scope("runahead", &self.stats);
+    fn report(self, report: &mut SimReport) {
+        report.runahead = Some(self.stats);
     }
 
     #[cfg(feature = "audit")]
@@ -502,11 +492,10 @@ mod tests {
     fn runahead_stats_populated() {
         let (program, mem) = stream_program(64);
         let report = Runahead::new(&program, mem, cfg()).run(1_000_000);
-        let counter = |name| report.metrics.counter(name).unwrap();
-        let episodes = counter("runahead.episodes");
-        assert!(episodes > 0);
-        assert!(counter("runahead.loads") > 0, "{}", report.metrics);
-        assert!(counter("runahead.cycles") >= episodes);
+        let stats = report.runahead.unwrap();
+        assert!(stats.episodes > 0);
+        assert!(stats.runahead_loads > 0, "{stats:?}");
+        assert!(stats.runahead_cycles >= stats.episodes);
     }
 
     #[test]
@@ -527,11 +516,12 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(enters, report.metrics.counter("runahead.episodes").unwrap());
+        let stats = report.runahead.unwrap();
+        assert_eq!(enters, stats.episodes);
         assert!(!exits.is_empty());
         assert_eq!(
             exits.iter().sum::<u64>(),
-            report.metrics.counter("runahead.discarded_instrs").unwrap(),
+            stats.discarded_instrs,
             "per-episode discard counts must sum to the total"
         );
         let retires =

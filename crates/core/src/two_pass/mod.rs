@@ -30,7 +30,6 @@ use crate::accounting::{StallAttr, StallCause};
 use crate::config::{FeedbackLatency, MachineConfig};
 use crate::engine::{Core, Engine, Policy, Step};
 use crate::frontend::FetchedInsn;
-use crate::metrics::MetricsBuilder;
 use crate::report::{ModelKind, Pipe, SimReport, TwoPassStats};
 use crate::sink::SinkHandle;
 use crate::trace::{FlushKind, TraceEvent};
@@ -214,7 +213,7 @@ impl Policy for TwoPassPolicy {
         core.frontend.is_drained() && self.cq.is_empty()
     }
 
-    fn report(mut self, report: &mut SimReport, _extra: &mut MetricsBuilder) {
+    fn report(mut self, report: &mut SimReport) {
         self.stats.store_buffer = self.store_buffer.stats();
         self.stats.alat = self.alat.stats();
         report.two_pass = Some(self.stats);

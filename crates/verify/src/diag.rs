@@ -12,7 +12,7 @@ use std::fmt;
 /// Version of the JSON layouts `ff_verify` emits (`lint`/`all`/`random`
 /// target reports and the `bounds`/`slack`/`explain` analysis tables).
 /// Bumped on any breaking field change so downstream tooling can reject
-/// foreign layouts, mirroring `REPORT_SCHEMA_VERSION` in `ff-core`.
+/// foreign layouts.
 pub const ANALYSIS_SCHEMA_VERSION: u32 = 1;
 
 /// How bad a finding is.

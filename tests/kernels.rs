@@ -169,10 +169,9 @@ fn golden_runahead_counters_are_pinned_for_every_kernel() {
             .iter()
             .find(|(k, _)| *k == w.name)
             .unwrap_or_else(|| panic!("no runahead golden row for {}", w.name));
-        for (name, want) in ["episodes", "cycles", "loads", "discarded_instrs"].iter().zip(golden) {
-            let got = r.metrics.counter(&format!("runahead.{name}"));
-            assert_eq!(got, Some(*want), "{}: runahead.{name} drifted", w.name);
-        }
+        let s = r.runahead.expect("a runahead run reports its counters");
+        let got = [s.episodes, s.runahead_cycles, s.runahead_loads, s.discarded_instrs];
+        assert_eq!(&got, golden, "{}: runahead counters drifted", w.name);
         checked += 1;
     }
     assert_eq!(checked, GOLDEN_RUNAHEAD_TINY.len(), "every runahead row must be exercised");
