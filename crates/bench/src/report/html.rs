@@ -242,9 +242,8 @@ fn class_legend() -> String {
 #[derive(Debug)]
 pub struct Golden {
     /// `kernel · model · scale`, then ` · params` if any.
-    pub label: String,
-    /// The captured report.
-    pub report: SimReport,
+    label: String,
+    report: SimReport,
 }
 
 /// Parses the golden records among `records`, in key order.
