@@ -75,7 +75,7 @@ impl BaselinePolicy {
         }
 
         // Structural: split oversubscribed groups; the prefix issues now.
-        let n = core.fitting_prefix((0..group_len).map(|i| fe.peek(i).pc));
+        let n = core.fit(|i| fe.peek(i).pc, group_len);
 
         // Conservative MSHR gate: a group containing a load needs room
         // for a possible fill.

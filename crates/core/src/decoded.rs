@@ -9,7 +9,8 @@
 //! dense array by pc instead of walking enum matches.
 
 use crate::accounting::StallCause;
-use crate::config::OpLatencies;
+use crate::config::MachineConfig;
+use crate::exec_common::fitting_prefix_classes;
 use ff_isa::{FuClass, Instruction, Program, RegList};
 
 /// Everything the engines need to know about one static instruction.
@@ -39,6 +40,12 @@ pub struct DecodedInsn {
     pub latency: u64,
     /// Refined stall cause charged to consumers of this producer.
     pub dep_cause: StallCause,
+    /// How many instructions from this pc onward fit one cycle's FU
+    /// slots and issue width ([`fitting_prefix_classes`] over the
+    /// pc-consecutive run to the end of the program). An issue group is
+    /// pc-consecutive, so the fitting prefix of a `len`-long group
+    /// starting here is `min(fit, len)`.
+    pub fit: u32,
 }
 
 /// The whole program, decoded once, indexed by pc.
@@ -48,19 +55,24 @@ pub struct DecodedProgram {
 }
 
 impl DecodedProgram {
-    /// Decodes `program` under the machine's operation latencies.
+    /// Decodes `program` for machine `cfg`.
     ///
     /// The static facts (operand walks, FU class, kind flags) come from
     /// the shared [`ff_isa::InsnFacts`] extraction — the same definition
     /// the `ff-verify` static checker analyzes — so this store only adds
-    /// the machine-specific annotations (latency, refined stall cause).
+    /// the machine-specific annotations (latency, refined stall cause,
+    /// slot fit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot fit exceeds `u32::MAX` (it is at most the
+    /// program length).
     #[must_use]
-    pub fn new(program: &Program, lat: &OpLatencies) -> Self {
-        let insns = program
+    pub fn new(program: &Program, cfg: &MachineConfig) -> Self {
+        let mut insns: Vec<DecodedInsn> = program
             .iter()
             .map(|insn| {
                 let f = insn.facts();
-                let latency = lat.for_class(f.lc, 0);
                 DecodedInsn {
                     insn: *insn,
                     srcs: f.srcs,
@@ -71,11 +83,17 @@ impl DecodedProgram {
                     is_store: f.is_store,
                     is_fp: f.is_fp,
                     is_halt: f.is_halt,
-                    latency,
+                    latency: cfg.latencies.for_class(f.lc, 0),
                     dep_cause: StallCause::dep(f.lc),
+                    fit: 0,
                 }
             })
             .collect();
+        for pc in 0..insns.len() {
+            let fus = insns[pc..].iter().map(|d| d.fu);
+            let fit = fitting_prefix_classes(fus, &cfg.fu_slots, cfg.issue_width);
+            insns[pc].fit = u32::try_from(fit).expect("a slot fit is at most the program length");
+        }
         DecodedProgram { insns }
     }
 
@@ -89,6 +107,16 @@ impl DecodedProgram {
     #[must_use]
     pub fn at(&self, pc: usize) -> &DecodedInsn {
         &self.insns[pc]
+    }
+
+    /// How many members of the pc-consecutive, `len`-long (`len >= 1`)
+    /// issue group starting at `pc` fit one cycle's issue slots: the
+    /// [`fitting_prefix_classes`] walk over the group, read off the
+    /// static slot-fit table.
+    #[inline]
+    #[must_use]
+    pub fn fit(&self, pc: usize, len: usize) -> usize {
+        (self.insns[pc].fit as usize).min(len)
     }
 }
 
@@ -111,8 +139,7 @@ mod tests {
         b.stop();
         b.halt();
         let program = b.build().unwrap();
-        let lat = OpLatencies::defaults();
-        let dec = DecodedProgram::new(&program, &lat);
+        let dec = DecodedProgram::new(&program, &MachineConfig::paper_table1());
         for (pc, insn) in program.iter().enumerate() {
             let d = dec.at(pc);
             assert_eq!(d.insn, *insn);

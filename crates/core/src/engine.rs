@@ -135,7 +135,7 @@ impl<'p> Core<'p> {
         };
         Core {
             frontend: Frontend::new(program, cfg.predictor.build(), fe_cfg),
-            code: DecodedProgram::new(program, &cfg.latencies),
+            code: DecodedProgram::new(program, &cfg),
             arch: Scoreboard::new(),
             mem_img: mem,
             hier: DataHierarchy::new(cfg.hierarchy).expect("valid hierarchy"),
@@ -153,7 +153,8 @@ impl<'p> Core<'p> {
     }
 
     /// How many of the instructions at `pcs` fit one cycle's issue
-    /// slots (always at least one).
+    /// slots (always at least one), by walking their FU classes. Only a
+    /// group that is not pc-consecutive needs this; see [`Core::fit`].
     #[inline]
     pub(crate) fn fitting_prefix(&self, pcs: impl Iterator<Item = usize>) -> usize {
         fitting_prefix_classes(
@@ -161,6 +162,33 @@ impl<'p> Core<'p> {
             &self.cfg.fu_slots,
             self.cfg.issue_width,
         )
+    }
+
+    /// How many members of the `len`-long (`len >= 1`) issue group whose
+    /// `i`-th pc is `pc_at(i)` fit one cycle's issue slots. Every issue
+    /// group is pc-consecutive — the front end ends a group at each
+    /// predicted-taken branch — so only `pc_at(0)` is read and the
+    /// answer comes from the static slot-fit table.
+    #[inline]
+    pub(crate) fn fit(&self, pc_at: impl Fn(usize) -> usize, len: usize) -> usize {
+        let first = pc_at(0);
+        let n = self.code.fit(first, len);
+        #[cfg(feature = "audit")]
+        {
+            for i in 1..len {
+                assert_eq!(
+                    pc_at(i),
+                    first + i,
+                    "audit: issue group from pc {first} is not pc-consecutive at member {i}",
+                );
+            }
+            assert_eq!(
+                n,
+                self.fitting_prefix((0..len).map(&pc_at)),
+                "audit: slot-fit table disagrees with the walk for the {len}-long group at pc {first}",
+            );
+        }
+        n
     }
 
     /// The front-end stall of a cycle with nothing to issue as of cycle

@@ -77,6 +77,16 @@ pub struct Frontend<'p> {
     buffer: VecDeque<FetchedInsn>,
     /// Cycle at which fetch may resume (redirect / I-miss penalty).
     resume_at: u64,
+    /// The I-cache line fetch probed last. Only fetch touches the
+    /// I-cache, so that line is resident (a miss fills at access) and
+    /// holds the newest LRU stamp in its set; probing it again changes
+    /// nothing the model reads, and fetch skips [`Cache::access`] while
+    /// it stays on the line.
+    last_line: Option<u64>,
+    /// The line of the last [`Cache::access`], kept apart from
+    /// `last_line` to check each skip against.
+    #[cfg(feature = "audit")]
+    audit_probed: Option<u64>,
     next_seq: u64,
     stats: FrontendStats,
 }
@@ -102,6 +112,9 @@ impl<'p> Frontend<'p> {
             fetch_pc: Some(0),
             buffer: VecDeque::new(),
             resume_at: 0,
+            last_line: None,
+            #[cfg(feature = "audit")]
+            audit_probed: None,
             next_seq: 0,
             stats: FrontendStats::default(),
         }
@@ -156,7 +169,6 @@ impl<'p> Frontend<'p> {
         if now < self.resume_at {
             return;
         }
-        let mut line_this_cycle: Option<u64> = None;
         for _ in 0..self.config.fetch_width {
             if self.buffer.len() >= self.config.buffer_capacity {
                 break;
@@ -169,15 +181,28 @@ impl<'p> Frontend<'p> {
             };
 
             // I-cache: charge a miss when fetch touches a non-resident
-            // line; sequential same-line fetches in one cycle are free.
-            let line = self.icache.geometry().line_of(pc as u64 * INSN_BYTES);
-            if line_this_cycle != Some(line) {
-                if !self.icache.access(pc as u64 * INSN_BYTES, false).hit {
+            // line; fetches that stay on the last line probed are free.
+            let addr = pc as u64 * INSN_BYTES;
+            let line = self.icache.geometry().line_of(addr);
+            if self.last_line == Some(line) {
+                #[cfg(feature = "audit")]
+                assert!(
+                    self.audit_probed == Some(line) && self.icache.probe(addr),
+                    "audit: fetch at pc {pc} skipped the I-cache probe of line {line:#x}, \
+                     but the last line probed was {:?}",
+                    self.audit_probed,
+                );
+            } else {
+                self.last_line = Some(line);
+                #[cfg(feature = "audit")]
+                {
+                    self.audit_probed = Some(line);
+                }
+                if !self.icache.access(addr, false).hit {
                     self.stats.icache_misses += 1;
                     self.resume_at = now + self.config.icache_miss_latency;
                     break;
                 }
-                line_this_cycle = Some(line);
             }
 
             let mut fetched = FetchedInsn {

@@ -235,7 +235,7 @@ impl RunaheadPolicy {
     /// Issues one group speculatively under INV semantics. Returns true
     /// when the group ran into a halt.
     fn ra_issue(&mut self, group_len: usize, core: &mut Core<'_>, sink: &mut SinkHandle) -> bool {
-        let n = core.fitting_prefix((0..group_len).map(|i| core.frontend.peek(i).pc));
+        let n = core.fit(|i| core.frontend.peek(i).pc, group_len);
         let mut issued = 0;
         let mut redirect: Option<usize> = None;
         let mut halted = false;

@@ -36,7 +36,7 @@ use crate::trace::{FlushKind, TraceEvent};
 use afile::{AFile, SourceState};
 use ff_isa::{evaluate, Effect, RegId, Writes};
 use ff_mem::{Alat, AlatCheck, ForwardResult, MemLevel, StoreBuffer};
-use queue::{BranchInfo, CouplingQueue, CqEntry, CqState, LoadInfo, StoreInfo};
+use queue::{BranchInfo, CouplingQueue, CqEntry, CqState, LoadInfo};
 use std::collections::VecDeque;
 
 /// A pending B→A committed-result update.
@@ -331,25 +331,42 @@ impl TwoPassPolicy {
         let find = |written: &[BundleWrite], idx: usize| {
             written.iter().rev().position(|w| w.reg == idx).map(|p| written.len() - 1 - p)
         };
+        let record_executed = |written: &mut Vec<BundleWrite>, e: &CqEntry| {
+            if let CqState::Executed { writes, .. } = e.state {
+                let cause = core.code.at(e.pc).dep_cause;
+                written.extend(writes.iter().map(|w| BundleWrite {
+                    reg: w.reg.index(),
+                    avail: true,
+                    pc: e.pc,
+                    cause,
+                }));
+            }
+        };
+        // Only deferred entries read `written`, so it starts at the first
+        // one, filled from the executed entries before it: an all-executed
+        // bundle checks `ready_at` alone.
+        let mut deferred_seen = false;
         for i in 0..len {
             let e = self.cq.get(i).expect("bundle in range");
-            let d = core.code.at(e.pc);
             match e.state {
-                CqState::Executed { ready_at, writes, load, .. } => {
+                CqState::Executed { ready_at, load, .. } => {
                     if ready_at > now {
-                        let cause = load.map_or(d.dep_cause, |li| StallCause::load(li.level));
+                        let cause = load
+                            .map_or(core.code.at(e.pc).dep_cause, |li| StallCause::load(li.level));
                         return Some((i, false, StallAttr::at(cause, e.pc), Some(ready_at)));
                     }
-                    for w in writes.iter() {
-                        written.push(BundleWrite {
-                            reg: w.reg.index(),
-                            avail: true,
-                            pc: e.pc,
-                            cause: d.dep_cause,
-                        });
+                    if deferred_seen {
+                        record_executed(written, e);
                     }
                 }
                 CqState::Deferred => {
+                    if !deferred_seen {
+                        deferred_seen = true;
+                        for j in 0..i {
+                            record_executed(written, self.cq.get(j).expect("bundle in range"));
+                        }
+                    }
+                    let d = core.code.at(e.pc);
                     for src in d.srcs.iter() {
                         let idx = src.index();
                         match find(written, idx) {
@@ -442,8 +459,8 @@ impl TwoPassPolicy {
         }
 
         let cq = &self.cq;
-        let queued_pcs = |n| (0..n).map(move |i| cq.get(i).unwrap().pc);
-        let mut bundle = core.fitting_prefix(queued_pcs(issue_len)).min(issue_len);
+        let queued_pc = |i| cq.get(i).expect("bundle in range").pc;
+        let mut bundle = core.fit(queued_pc, issue_len);
 
         // Instruction regrouping (2Pre): remove the stop bit after the
         // head group when pre-execution has made the next group
@@ -452,7 +469,14 @@ impl TwoPassPolicy {
         if core.cfg.two_pass.regroup && bundle == glen && issue_len == glen {
             if let Some(next_len) = self.cq.group_len_after(bundle, core.cycle) {
                 let cand = bundle + next_len;
-                let fits = core.fitting_prefix(queued_pcs(cand)) >= cand;
+                // The two groups are one pc-consecutive run unless the
+                // head group ended at a taken branch; only then walk.
+                let fit = if queued_pc(bundle) == queued_pc(bundle - 1) + 1 {
+                    core.fit(queued_pc, cand)
+                } else {
+                    core.fitting_prefix((0..cand).map(queued_pc))
+                };
+                let fits = fit >= cand;
                 // Any block — internal or external — vetoes the merge.
                 if fits && self.bundle_block(core, cand).is_none() {
                     bundle = cand;
@@ -521,7 +545,7 @@ impl TwoPassPolicy {
             was_deferred: entry.state.is_deferred(),
         });
         let d = core.code.at(entry.pc);
-        let (is_fp, is_halt, cause) = (d.is_fp, d.is_halt, d.dep_cause);
+        let (is_fp, is_halt, is_store, cause) = (d.is_fp, d.is_halt, d.is_store, d.dep_cause);
         if is_fp {
             self.stats.fp_retired += 1;
         }
@@ -537,7 +561,7 @@ impl TwoPassPolicy {
             );
         }
         match entry.state {
-            CqState::Executed { writes, load, store, branch, .. } => {
+            CqState::Executed { writes, load, branch, .. } => {
                 for w in writes.iter() {
                     core.arch.write(w.reg, w.bits, core.cycle, cause, entry.pc);
                     self.push_feedback(core, w.reg, entry.seq, w.bits, core.cycle);
@@ -548,10 +572,15 @@ impl TwoPassPolicy {
                         return false;
                     }
                 }
-                if let Some(si) = store {
-                    core.store(si.addr, si.size, si.bits);
-                    let _ = self.store_buffer.remove(entry.seq);
-                    self.stats.stores_retired += 1;
+                if is_store {
+                    // A pre-executed store waits in the store buffer; a
+                    // nullified one never entered it.
+                    #[cfg(feature = "audit")]
+                    audit_buffered_store(core, &self.store_buffer, entry);
+                    if let Some(st) = self.store_buffer.remove(entry.seq) {
+                        core.store(st.addr, st.size, st.bits);
+                        self.stats.stores_retired += 1;
+                    }
                 }
                 if let Some(bi) = branch.filter(|bi| bi.conditional) {
                     core.retire_branch(entry.pc, bi.taken, bi.mispredicted, Pipe::A);
@@ -764,7 +793,7 @@ impl TwoPassPolicy {
         let Some(glen) = core.frontend.complete_group_len() else {
             return Some(AIdle::NoGroup);
         };
-        let mut n = core.fitting_prefix((0..glen).map(|i| core.frontend.peek(i).pc)).min(glen);
+        let mut n = core.fit(|i| core.frontend.peek(i).pc, glen);
 
         // Dispatch only as much as the coupling queue can hold; pushing
         // nothing when the group doesn't fit whole would deadlock against
@@ -892,15 +921,14 @@ impl TwoPassPolicy {
         let d = core.code.at(f.pc);
         let lat = d.latency;
         let conditional = d.insn.qp.is_some();
-        let executed = |store, branch| CqState::Executed {
+        let executed = |branch| CqState::Executed {
             writes: Writes::default(),
             ready_at: now,
             load: None,
-            store,
             branch,
         };
         match evaluate(&d.insn, &self.afile) {
-            Effect::Nullified | Effect::Nop => (executed(None, None), false),
+            Effect::Nullified | Effect::Nop => (executed(None), false),
             Effect::Write(writes) => {
                 for w in writes.iter() {
                     self.afile.write_executed(w.reg, w.bits, f.seq, now + lat, d.is_fp);
@@ -915,7 +943,7 @@ impl TwoPassPolicy {
                     return (CqState::Deferred, false);
                 }
                 self.store_buffer.insert(f.seq, addr, size, bits).expect("checked capacity");
-                (executed(Some(StoreInfo { addr, size, bits }), None), false)
+                (executed(None), false)
             }
             Effect::Branch { taken, target } => {
                 let mispredicted = conditional && taken != f.predicted_taken;
@@ -926,11 +954,11 @@ impl TwoPassPolicy {
                 let bi = BranchInfo { taken, mispredicted, conditional };
                 // Stop on squash or on an actually-taken branch (the
                 // front end ended the group there if predicted taken).
-                (executed(None, Some(bi)), mispredicted || taken)
+                (executed(Some(bi)), mispredicted || taken)
             }
             Effect::Halt => {
                 self.a_halted = true;
-                (executed(None, None), true)
+                (executed(None), true)
             }
         }
     }
@@ -977,8 +1005,7 @@ impl TwoPassPolicy {
             CqState::Executed {
                 writes,
                 ready_at,
-                load: Some(LoadInfo { addr, size, risky, level }),
-                store: None,
+                load: Some(LoadInfo { risky, level }),
                 branch: None,
             },
             false,
@@ -1014,6 +1041,25 @@ fn audit_deferred_sources(core: &Core<'_>, pc: usize) {
             core.arch.ready_at[idx]
         );
     }
+}
+
+/// A store merging as pre-executed commits from the speculative store
+/// buffer, which must still hold it — exactly as the store re-evaluated
+/// on the architectural registers would write — unless the store was
+/// nullified, when the buffer must hold nothing under its `seq`.
+#[cfg(feature = "audit")]
+fn audit_buffered_store(core: &Core<'_>, sb: &StoreBuffer, entry: &CqEntry) {
+    let held = sb.get(entry.seq).map(|st| (st.addr, st.size, st.bits));
+    let want = match evaluate(&core.code.at(entry.pc).insn, &core.arch.regs) {
+        Effect::Store { addr, size, bits } => Some((addr, size, bits)),
+        _ => None,
+    };
+    assert_eq!(
+        held, want,
+        "audit: pre-executed store pc {} (seq {}) merges at cycle {} with buffered \
+         (addr, size, bits) {held:?}, architecturally {want:?}",
+        entry.pc, entry.seq, core.cycle,
+    );
 }
 
 /// Per-cycle invariant auditing (the `audit` cargo feature).

@@ -2,9 +2,11 @@
 //!
 //! Decoded instructions enter the queue in order as the A-pipe dispatches
 //! them; each entry carries either its pre-computed results (the CRS part
-//! — register writes, a buffered store, a resolved branch) or a
-//! *deferred* marker meaning the B-pipe must execute it. The queue is the
-//! only coupling between the pipes: there are no bypass paths.
+//! — register writes, a resolved branch) or a *deferred* marker meaning
+//! the B-pipe must execute it. A pre-executed store's value waits in the
+//! speculative store buffer, keyed by the entry's `seq`, until it merges.
+//! The queue is the only coupling between the pipes: there are no bypass
+//! paths.
 
 use ff_isa::Writes;
 use ff_mem::MemLevel;
@@ -13,10 +15,6 @@ use std::collections::VecDeque;
 /// Pre-computed load information for the merge-time ALAT check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadInfo {
-    /// Effective address.
-    pub addr: u64,
-    /// Access width in bytes.
-    pub size: u64,
     /// Whether an older deferred store was in the queue when this load
     /// pre-executed (the paper's "risky" load population).
     pub risky: bool,
@@ -24,17 +22,6 @@ pub struct LoadInfo {
     /// refined stall attribution (fill-clamped hits report the in-flight
     /// fill's level).
     pub level: MemLevel,
-}
-
-/// Pre-computed store information (value to commit at merge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreInfo {
-    /// Effective address.
-    pub addr: u64,
-    /// Access width in bytes.
-    pub size: u64,
-    /// Raw value image.
-    pub bits: u64,
 }
 
 /// A branch resolved in the A-pipe.
@@ -62,8 +49,6 @@ pub enum CqState {
         /// Set for pre-executed loads (ALAT check at merge; the entry's
         /// in-flight producer is then a load).
         load: Option<LoadInfo>,
-        /// Set for pre-executed stores (commit at merge).
-        store: Option<StoreInfo>,
         /// Set for branches resolved at A-DET.
         branch: Option<BranchInfo>,
     },
@@ -75,7 +60,7 @@ impl CqState {
     /// A pre-executed entry with no memory or control side effects.
     #[must_use]
     pub fn executed(writes: Writes, ready_at: u64) -> Self {
-        CqState::Executed { writes, ready_at, load: None, store: None, branch: None }
+        CqState::Executed { writes, ready_at, load: None, branch: None }
     }
 
     /// Whether this entry was deferred.

@@ -6,6 +6,8 @@
 use super::*;
 use crate::accounting::{CycleBreakdown, CycleClass};
 use crate::baseline::Baseline;
+use crate::report::SimReport;
+use crate::trace::{FlushKind, TraceEvent};
 use ff_isa::reg::{FpReg, IntReg, PredReg};
 use ff_isa::{ArchState, CmpKind, MemoryImage, Program, ProgramBuilder};
 
@@ -273,6 +275,113 @@ fn matches_interpreter_with_store_buffer_forwarding() {
     let tp = report.two_pass.unwrap();
     assert_eq!(tp.store_conflict_flushes, 0);
     assert!(tp.store_buffer.forwards >= 1, "{:?}", tp.store_buffer);
+}
+
+/// Runs `program` on 2P, checks it against the interpreter, and returns
+/// the report plus the pcs of the pre-executed (buffered) stores that a
+/// `kind` flush squashed.
+fn squashed_buffered_stores(
+    program: &Program,
+    mem: &MemoryImage,
+    config: MachineConfig,
+    kind: FlushKind,
+) -> (SimReport, Vec<usize>) {
+    assert_matches_interpreter(program, mem, config.clone());
+    let (report, trace) = TwoPass::new(program, mem.clone(), config).run_traced(10_000);
+    let mut buffered = std::collections::HashSet::new();
+    let mut squashed = Vec::new();
+    let mut in_flush = false;
+    for e in trace.events() {
+        match *e {
+            TraceEvent::AExec { seq, pc, .. } if program.get(pc).unwrap().op.is_store() => {
+                buffered.insert(seq);
+            }
+            TraceEvent::Flush { kind: k, .. } => in_flush = k == kind,
+            TraceEvent::Squash { seq, pc, .. } if in_flush && buffered.contains(&seq) => {
+                squashed.push(pc);
+            }
+            TraceEvent::Squash { .. } => {}
+            _ => in_flush = false,
+        }
+    }
+    (report, squashed)
+}
+
+#[test]
+fn buffered_stores_merge_across_store_conflict_and_bdet_flushes() {
+    // Store-conflict flush: a store older than the conflicting load
+    // merges before it; one younger is buffered, squashed with the
+    // flush, buffered again on the refetched path and merges from there.
+    let mut b = ProgramBuilder::new();
+    b.movi(r(1), 0x300000); // miss address
+    b.movi(r(3), 0x400000); // conflict address
+    b.movi(r(6), 0x500000); // buffered-store area
+    b.movi(r(7), 55);
+    b.stop();
+    b.st8(r(7), r(6), 0); // pre-executed, older than the flush
+    b.stop();
+    b.ld8(r(2), r(1), 0); // misses to memory
+    b.stop();
+    b.st8(r(2), r(3), 0); // data not ready -> deferred
+    b.stop();
+    b.ld8(r(4), r(3), 0); // pre-executes stale -> store-conflict flush
+    b.stop();
+    b.st8(r(7), r(6), 8); // pre-executed, younger: squashed, then again
+    b.stop();
+    b.addi(r(5), r(4), 7);
+    b.stop();
+    b.st8(r(5), r(6), 16);
+    b.stop();
+    b.halt();
+    let program = b.build().unwrap();
+    let mut mem = MemoryImage::new();
+    mem.write_u64(0x300000, 1234);
+    mem.write_u64(0x400000, 999);
+    let (report, squashed) =
+        squashed_buffered_stores(&program, &mem, cfg(), FlushKind::StoreConflict);
+    let tp = report.two_pass.unwrap();
+    assert_eq!(tp.store_conflict_flushes, 1, "{tp:?}");
+    assert_eq!(squashed, vec![8], "the younger buffered store is squashed");
+    assert_eq!(tp.stores_retired, 4, "each store commits exactly once");
+
+    // B-DET flush: a deferred branch, predicted not taken, is taken. The
+    // wrong path falls through both stores after the branch, buffering
+    // and then losing them; the store at the target is buffered again
+    // after the redirect and, like the one before the branch, merges
+    // from the buffer.
+    let mut b = ProgramBuilder::new();
+    b.movi(r(1), 0x300000);
+    b.movi(r(6), 0x500000);
+    b.movi(r(7), 11);
+    b.stop();
+    b.st8(r(7), r(6), 0); // pre-executed, older than the branch
+    b.stop();
+    b.ld8(r(4), r(1), 0); // misses: the branch condition waits on it
+    b.stop();
+    b.cmpi(CmpKind::Eq, p(1), p(2), r(4), 1);
+    b.stop();
+    let target = b.new_label();
+    b.br_cond(p(1), target); // deferred; taken, predicted not taken
+    b.stop();
+    b.st8(r(7), r(6), 8); // wrong path: buffered, then squashed
+    b.stop();
+    b.bind(target);
+    b.addi(r(8), r(7), 1);
+    b.stop();
+    b.st8(r(8), r(6), 16); // on both paths: squashed, then buffered again
+    b.stop();
+    b.halt();
+    let program = b.build().unwrap();
+    let mut mem = MemoryImage::new();
+    mem.write_u64(0x300000, 1);
+    let mut config = cfg();
+    config.predictor = ff_predict::PredictorConfig::StaticNotTaken;
+    let (report, squashed) =
+        squashed_buffered_stores(&program, &mem, config, FlushKind::BdetMispredict);
+    let tp = report.two_pass.unwrap();
+    assert_eq!(report.branches.repaired_in_b, 1, "{:?}", report.branches);
+    assert_eq!(squashed, vec![7, 9], "the wrong-path buffered stores are squashed");
+    assert_eq!(tp.stores_retired, 2, "only the correct-path stores commit");
 }
 
 // ---- qualitative paper behaviours --------------------------------------

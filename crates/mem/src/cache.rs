@@ -84,13 +84,25 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    /// LRU stamp: larger is more recent.
-    lru: u64,
+/// One way of a set as `(tag, state)`. `state` is 0 while the way holds
+/// no line, else `stamp << STAMP_SHIFT | DIRTY? | VALID`, where the LRU
+/// stamp is larger for more recent use. An empty way is all zeros, so a
+/// fresh tag array is a zeroed allocation. The tag keeps a word of its
+/// own: under a legal geometry (one set of 1-byte lines) it can take
+/// all 64 bits.
+type Way = (u64, u64);
+
+/// `state` bit set while the way holds a line.
+const VALID: u64 = 1;
+/// `state` bit set while the held line is dirty.
+const DIRTY: u64 = 2;
+/// The LRU stamp sits above the two flag bits of `state`.
+const STAMP_SHIFT: u32 = 2;
+
+/// Whether `way` holds the line tagged `tag`.
+#[inline]
+fn holds(way: &Way, tag: u64) -> bool {
+    way.1 & VALID != 0 && way.0 == tag
 }
 
 /// Result of a cache lookup-with-fill.
@@ -141,7 +153,7 @@ impl Cache {
             n_sets,
             n_ways: geometry.ways as usize,
             set_pow2,
-            sets: vec![Way::default(); n],
+            sets: vec![(0, 0); n],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -182,7 +194,7 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
         let base = set as usize * self.n_ways;
-        self.sets[base..base + self.n_ways].iter().any(|w| w.valid && w.tag == tag)
+        self.sets[base..base + self.n_ways].iter().any(|w| holds(w, tag))
     }
 
     /// Accesses `addr`, filling on miss, touching LRU, updating stats.
@@ -195,25 +207,27 @@ impl Cache {
         let base = set as usize * self.n_ways;
         let ways = &mut self.sets[base..base + self.n_ways];
 
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.clock;
-            way.dirty |= is_write;
+        let written = if is_write { DIRTY } else { 0 };
+        let stamp = self.clock << STAMP_SHIFT;
+        if let Some(way) = ways.iter_mut().find(|w| holds(w, tag)) {
+            way.1 = stamp | (way.1 & DIRTY) | written | VALID;
             self.hits += 1;
             return AccessResult { hit: true, writeback: None };
         }
         self.misses += 1;
 
         // Choose victim: first invalid way, else least-recently-used.
-        let victim = ways.iter().position(|w| !w.valid).unwrap_or_else(|| {
+        let victim = ways.iter().position(|w| w.1 & VALID == 0).unwrap_or_else(|| {
             ways.iter()
                 .enumerate()
-                .min_by_key(|(_, w)| w.lru)
+                .min_by_key(|(_, w)| w.1 >> STAMP_SHIFT)
                 .map(|(i, _)| i)
                 .expect("nonzero ways")
         });
         let w = &mut ways[victim];
-        let writeback = (w.valid && w.dirty).then(|| (w.tag * n_sets + set) << line_shift);
-        *w = Way { valid: true, dirty: is_write, tag, lru: self.clock };
+        let writeback =
+            (w.1 & (VALID | DIRTY) == VALID | DIRTY).then(|| (w.0 * n_sets + set) << line_shift);
+        *w = (tag, stamp | written | VALID);
         AccessResult { hit: false, writeback }
     }
 
@@ -223,8 +237,8 @@ impl Cache {
         let (set, tag) = self.locate(addr);
         let base = set as usize * self.n_ways;
         for w in &mut self.sets[base..base + self.n_ways] {
-            if w.valid && w.tag == tag {
-                w.valid = false;
+            if holds(w, tag) {
+                *w = (0, 0);
                 return true;
             }
         }
@@ -233,7 +247,7 @@ impl Cache {
 
     /// Clears all lines and statistics.
     pub fn reset(&mut self) {
-        self.sets.fill(Way::default());
+        self.sets.fill((0, 0));
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;
@@ -354,6 +368,28 @@ mod tests {
         assert!(!c.probe(a));
         assert!(c.probe(b));
         assert!(c.probe(d));
+    }
+
+    #[test]
+    fn tag_zero_line_in_set_zero_is_not_the_empty_way() {
+        // Address 0 has tag 0 in set 0: its way is (0, state) with only
+        // the state word telling it from an empty one.
+        let mut c = small();
+        assert!(!c.probe(0x0), "a fresh cache holds nothing at address 0");
+        let first = c.access(0x0, true);
+        assert!(!first.hit);
+        assert!(c.probe(0x3F));
+        assert!(c.access(0x0, false).hit);
+        // Two more lines of set 0 evict it dirty, at its own address.
+        c.access(0x0100, false);
+        let res = c.access(0x0200, false);
+        assert_eq!(res.writeback, Some(0x0));
+        assert!(!c.probe(0x0));
+        // Invalidated, the line is gone and its way is free again.
+        assert!(!c.access(0x0, false).hit);
+        assert!(c.invalidate(0x0));
+        assert!(!c.probe(0x0));
+        assert_eq!((c.hits(), c.misses()), (1, 4));
     }
 
     #[test]

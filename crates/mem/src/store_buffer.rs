@@ -190,6 +190,13 @@ impl StoreBuffer {
         ForwardResult::NoConflict
     }
 
+    /// The buffered store `seq`, if present.
+    #[must_use]
+    pub fn get(&self, seq: u64) -> Option<&BufferedStore> {
+        let pos = self.entries.binary_search_by_key(&seq, |e| e.seq).ok()?;
+        Some(&self.entries[pos])
+    }
+
     /// Removes the entry for store `seq` (it has reached the B-pipe and is
     /// committing architecturally). Returns the entry if present.
     pub fn remove(&mut self, seq: u64) -> Option<BufferedStore> {
@@ -273,8 +280,10 @@ mod tests {
         sb.insert(1, 0x0, 8, 10).unwrap();
         sb.insert(2, 0x8, 8, 20).unwrap();
         sb.insert(3, 0x10, 8, 30).unwrap();
+        assert_eq!(sb.get(2).map(|e| e.addr), Some(0x8));
         assert_eq!(sb.remove(1).unwrap().bits, 10);
         assert!(sb.remove(1).is_none());
+        assert!(sb.get(1).is_none());
         sb.flush_after(2);
         assert_eq!(sb.len(), 1);
         assert_eq!(sb.forward(9, 0x8, 8), ForwardResult::Forwarded(20));

@@ -25,9 +25,10 @@
 //! feature; building `ff-verify` with `--features audit` turns them on
 //! for every simulation the oracle runs.
 
-use ff_core::{run_model, MachineConfig, ModelKind, Trace, TraceEvent};
+use ff_core::{run_model, MachineConfig, ModelKind, TraceEvent, TraceSink};
 use ff_isa::{ArchState, MemoryImage, Program, RegId, TOTAL_REGS};
 use std::fmt;
+use std::ops::Range;
 
 /// One model's divergence from the golden interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,15 +168,19 @@ fn check_model(
     }
 }
 
-fn retire_pcs(trace: &Trace) -> Vec<(u64, usize)> {
-    trace
-        .events()
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::BRetire { seq, pc, .. } => Some((seq, pc)),
-            _ => None,
-        })
-        .collect()
+/// A trace sink keeping only the `(seq, pc)` of each `BRetire` event —
+/// all the retirement check reads. Occupancy samples are dropped
+/// unseen.
+struct RetireLog(Vec<(u64, usize)>);
+
+impl TraceSink for RetireLog {
+    fn emit(&mut self, e: TraceEvent) {
+        if let TraceEvent::BRetire { seq, pc, .. } = e {
+            self.0.push((seq, pc));
+        }
+    }
+
+    fn emit_samples(&mut self, _cycles: Range<u64>, _depth: u32, _mshr: u32) {}
 }
 
 /// Runs `program` through the interpreter and all pipeline models and
@@ -194,10 +199,12 @@ pub fn differential_oracle(
     let want = golden(program, mem, budget);
     let mut failures = Vec::new();
 
+    let mut log = RetireLog(Vec::new());
     for kind in ModelKind::ALL {
-        let mut t = Trace::new();
-        let (r, regs, m) = run_model(kind, program, mem.clone(), cfg.clone(), budget, Some(&mut t));
-        check_model(kind, r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
+        log.0.clear();
+        let (r, regs, m) =
+            run_model(kind, program, mem.clone(), cfg.clone(), budget, Some(&mut log));
+        check_model(kind, r.retired, &log.0, &regs, &m, &want, &mut failures);
     }
 
     OracleReport { instrs: want.instrs, halted: want.halted, failures }
