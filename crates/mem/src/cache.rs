@@ -7,6 +7,7 @@
 //! simulators of this class.
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Geometry of one cache level.
@@ -84,25 +85,56 @@ impl CacheGeometry {
     }
 }
 
-/// One way of a set as `(tag, state)`. `state` is 0 while the way holds
-/// no line, else `stamp << STAMP_SHIFT | DIRTY? | VALID`, where the LRU
-/// stamp is larger for more recent use. An empty way is all zeros, so a
-/// fresh tag array is a zeroed allocation. The tag keeps a word of its
-/// own: under a legal geometry (one set of 1-byte lines) it can take
-/// all 64 bits.
-type Way = (u64, u64);
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Way {
+    valid: bool,
+    dirty: bool,
+    tag: u64,
+    /// LRU stamp: larger is more recent.
+    lru: u64,
+}
 
-/// `state` bit set while the way holds a line.
-const VALID: u64 = 1;
-/// `state` bit set while the held line is dirty.
-const DIRTY: u64 = 2;
-/// The LRU stamp sits above the two flag bits of `state`.
-const STAMP_SHIFT: u32 = 2;
+/// Most spare tag arrays a thread keeps. Past it the oldest is freed.
+const SPARE_ARRAYS: usize = 4;
 
-/// Whether `way` holds the line tagged `tag`.
-#[inline]
-fn holds(way: &Way, tag: u64) -> bool {
-    way.1 & VALID != 0 && way.0 == tag
+/// Smallest tag array kept for reuse, in bytes: glibc's default mmap
+/// threshold. An array that large is mapped on its own (until a free
+/// raises the threshold), so keeping it pins nothing in the heap. At
+/// Table 1 only the L3's (288 KiB) qualifies. Smaller arrays come from
+/// the heap: keeping those pinned blocks between the large short-lived
+/// buffers of a traced run (its peak RSS read 52 rather than 45 MB,
+/// depending on the executable's path length), and allocating them
+/// afresh faults no pages in.
+const SPARE_MIN_BYTES: usize = 128 * 1024;
+
+thread_local! {
+    /// Reset tag arrays of dropped caches, for the next cache of the
+    /// same size this thread builds. The differential oracle and the
+    /// benchmark build a model per short run; allocating and freeing
+    /// the L3 array each time made a run's cost follow glibc's heap
+    /// (whether a free trimmed the heap top, so that the next
+    /// construction faulted its pages in again) more than the simulator.
+    static SPARE: RefCell<Vec<Vec<Way>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A tag array of `n` empty ways: a spare one of that length when the
+/// thread has one, else a new allocation.
+fn empty_ways(n: usize) -> Vec<Way> {
+    let spare = SPARE
+        .try_with(|s| {
+            let mut s = s.borrow_mut();
+            let i = s.iter().position(|v| v.len() == n)?;
+            Some(s.swap_remove(i))
+        })
+        .ok()
+        .flatten();
+    match spare {
+        Some(ways) => {
+            debug_assert!(ways.iter().all(|w| *w == Way::default()), "a spare array is reset");
+            ways
+        }
+        None => vec![Way::default(); n],
+    }
 }
 
 /// Result of a cache lookup-with-fill.
@@ -153,7 +185,7 @@ impl Cache {
             n_sets,
             n_ways: geometry.ways as usize,
             set_pow2,
-            sets: vec![(0, 0); n],
+            sets: empty_ways(n),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -194,7 +226,7 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
         let base = set as usize * self.n_ways;
-        self.sets[base..base + self.n_ways].iter().any(|w| holds(w, tag))
+        self.sets[base..base + self.n_ways].iter().any(|w| w.valid && w.tag == tag)
     }
 
     /// Accesses `addr`, filling on miss, touching LRU, updating stats.
@@ -207,27 +239,25 @@ impl Cache {
         let base = set as usize * self.n_ways;
         let ways = &mut self.sets[base..base + self.n_ways];
 
-        let written = if is_write { DIRTY } else { 0 };
-        let stamp = self.clock << STAMP_SHIFT;
-        if let Some(way) = ways.iter_mut().find(|w| holds(w, tag)) {
-            way.1 = stamp | (way.1 & DIRTY) | written | VALID;
+        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+            way.lru = self.clock;
+            way.dirty |= is_write;
             self.hits += 1;
             return AccessResult { hit: true, writeback: None };
         }
         self.misses += 1;
 
         // Choose victim: first invalid way, else least-recently-used.
-        let victim = ways.iter().position(|w| w.1 & VALID == 0).unwrap_or_else(|| {
+        let victim = ways.iter().position(|w| !w.valid).unwrap_or_else(|| {
             ways.iter()
                 .enumerate()
-                .min_by_key(|(_, w)| w.1 >> STAMP_SHIFT)
+                .min_by_key(|(_, w)| w.lru)
                 .map(|(i, _)| i)
                 .expect("nonzero ways")
         });
         let w = &mut ways[victim];
-        let writeback =
-            (w.1 & (VALID | DIRTY) == VALID | DIRTY).then(|| (w.0 * n_sets + set) << line_shift);
-        *w = (tag, stamp | written | VALID);
+        let writeback = (w.valid && w.dirty).then(|| (w.tag * n_sets + set) << line_shift);
+        *w = Way { valid: true, dirty: is_write, tag, lru: self.clock };
         AccessResult { hit: false, writeback }
     }
 
@@ -237,8 +267,8 @@ impl Cache {
         let (set, tag) = self.locate(addr);
         let base = set as usize * self.n_ways;
         for w in &mut self.sets[base..base + self.n_ways] {
-            if holds(w, tag) {
-                *w = (0, 0);
+            if w.valid && w.tag == tag {
+                w.valid = false;
                 return true;
             }
         }
@@ -247,10 +277,29 @@ impl Cache {
 
     /// Clears all lines and statistics.
     pub fn reset(&mut self) {
-        self.sets.fill((0, 0));
+        self.sets.fill(Way::default());
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;
+    }
+}
+
+impl Drop for Cache {
+    /// Resets a large tag array and keeps it for the thread's next cache.
+    fn drop(&mut self) {
+        if self.sets.len() * std::mem::size_of::<Way>() < SPARE_MIN_BYTES {
+            return;
+        }
+        let mut ways = std::mem::take(&mut self.sets);
+        ways.fill(Way::default());
+        // Past the thread's exit the array is simply freed.
+        let _ = SPARE.try_with(|s| {
+            let mut s = s.borrow_mut();
+            if s.len() == SPARE_ARRAYS {
+                s.remove(0);
+            }
+            s.push(ways);
+        });
     }
 }
 
@@ -372,8 +421,8 @@ mod tests {
 
     #[test]
     fn tag_zero_line_in_set_zero_is_not_the_empty_way() {
-        // Address 0 has tag 0 in set 0: its way is (0, state) with only
-        // the state word telling it from an empty one.
+        // Address 0 has tag 0 in set 0, the tag an empty way carries too:
+        // only `valid` tells the two apart.
         let mut c = small();
         assert!(!c.probe(0x0), "a fresh cache holds nothing at address 0");
         let first = c.access(0x0, true);
@@ -390,6 +439,30 @@ mod tests {
         assert!(c.invalidate(0x0));
         assert!(!c.probe(0x0));
         assert_eq!((c.hits(), c.misses()), (1, 4));
+    }
+
+    #[test]
+    fn a_cache_built_after_a_drop_starts_empty() {
+        // 8192 ways: large enough that the dropped cache's tag array is
+        // handed on, and it must come back with no valid, dirty or stale
+        // way.
+        let geometry = CacheGeometry::new(512 * 1024, 8, 64);
+        let bytes = (geometry.sets() * geometry.ways) as usize * std::mem::size_of::<Way>();
+        assert!(bytes >= SPARE_MIN_BYTES);
+        let mut c = Cache::new(geometry).unwrap();
+        for addr in (0..1 << 20).step_by(64) {
+            c.access(addr, true);
+        }
+        assert!(c.invalidate((1 << 20) - 64), "an invalid way with stale fields");
+        drop(c);
+        let mut d = Cache::new(geometry).unwrap();
+        assert!((0..1 << 20).step_by(64).all(|addr| !d.probe(addr)));
+        // One capacity's worth of new lines fills every way without a
+        // hit or a writeback.
+        for addr in ((1 << 24)..(1 << 24) + (512 << 10)).step_by(64) {
+            assert_eq!(d.access(addr, false), AccessResult { hit: false, writeback: None });
+        }
+        assert_eq!((d.hits(), d.misses()), (0, 8192));
     }
 
     #[test]
