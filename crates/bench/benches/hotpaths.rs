@@ -61,12 +61,12 @@ fn bench_cache_access(c: &mut Criterion) {
     group.bench_function("l1_hit_stream", |b| {
         let mut cache = Cache::new(CacheGeometry::new(16 * 1024, 4, 64)).unwrap();
         for i in 0..64u64 {
-            cache.access(i * 64, false);
+            cache.access(i * 64);
         }
         b.iter(|| {
             let mut hits = 0u64;
             for i in 0..64u64 {
-                hits += u64::from(cache.access(black_box(i * 64), false).hit);
+                hits += u64::from(cache.access(black_box(i * 64)));
             }
             hits
         })
@@ -77,7 +77,7 @@ fn bench_cache_access(c: &mut Criterion) {
             let mut misses = 0u64;
             // 8 lines per set with 4 ways: every access evicts.
             for i in 0..512u64 {
-                misses += u64::from(!cache.access(black_box(i * 4096), true).hit);
+                misses += u64::from(!cache.access(black_box(i * 4096)));
             }
             misses
         })

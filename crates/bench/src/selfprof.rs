@@ -11,11 +11,6 @@
 //! `BENCH_<date>.json`; [`PerfSnapshot::compare`] diffs two snapshots
 //! under a relative threshold so CI can report (non-blocking) when
 //! the trajectory slips.
-//!
-//! All self-profiling metric names live under the `selfprof.*`
-//! namespace: `selfprof.<section>.seconds` for wall time and
-//! `selfprof.<section>.ips` for simulated-instructions-per-second
-//! throughput sections (see `EXPERIMENTS.md`).
 
 use serde::{Deserialize, Serialize};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -99,20 +94,6 @@ impl SelfProfiler {
     #[must_use]
     pub fn sections(&self) -> &[Section] {
         &self.sections
-    }
-
-    /// Flat `selfprof.*` metric rows: `selfprof.<name>.seconds` for
-    /// every section plus `selfprof.<name>.ips` for throughput ones.
-    #[must_use]
-    pub fn metric_rows(&self) -> Vec<(String, f64)> {
-        let mut rows = Vec::new();
-        for s in &self.sections {
-            rows.push((format!("selfprof.{}.seconds", s.name), s.seconds));
-            if let Some(ips) = s.instrs_per_sec() {
-                rows.push((format!("selfprof.{}.ips", s.name), ips));
-            }
-        }
-        rows
     }
 
     /// One profiler per repeated measurement folded into one: each
@@ -327,10 +308,6 @@ mod tests {
         assert_eq!(p.sections().len(), 2);
         assert!(p.sections()[0].seconds > 0.0);
         assert_eq!(p.sections()[1].instrs, 1000);
-        let rows = p.metric_rows();
-        assert!(rows.iter().any(|(n, _)| n == "selfprof.a.seconds"));
-        assert!(rows.iter().any(|(n, _)| n == "selfprof.sim.ips"));
-        assert!(!rows.iter().any(|(n, _)| n == "selfprof.a.ips"));
     }
 
     #[test]

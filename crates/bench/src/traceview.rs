@@ -11,7 +11,7 @@
 //! one [`FlightReplay`].
 
 use crate::fmt::{pct, ratio, Table};
-use ff_core::{CauseBreakdown, CycleClass, Histogram, Pipe, StallCause, StallProfile, TraceEvent};
+use ff_core::{CauseBreakdown, CycleClass, Pipe, StallCause, StallProfile, TraceEvent};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -51,6 +51,100 @@ pub fn load_events(mut reader: impl BufRead) -> Result<Vec<TraceEvent>, String> 
 #[must_use]
 pub fn end_cycle(events: &[TraceEvent]) -> u64 {
     events.iter().map(TraceEvent::cycle).max().map_or(0, |c| c + 1)
+}
+
+// ---- histogram ---------------------------------------------------------
+
+/// Number of power-of-two histogram buckets: bucket 0 holds the value 0
+/// and bucket `i` the values whose bit length is `i`. 65 buckets cover
+/// the full `u64` range.
+const HIST_BUCKETS: usize = 65;
+
+/// A fixed-size power-of-two-bucket histogram of `u64` samples.
+///
+/// Constant-size and `Copy`, so the views can keep one per distribution
+/// without allocation; precise count/sum/max ride along for exact means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Histogram {
+    buckets: [u64; HIST_BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self { buckets: [0; HIST_BUCKETS], count: 0, sum: 0, max: 0 }
+    }
+}
+
+impl Histogram {
+    /// Records one sample. The running sum saturates at `u64::MAX`.
+    pub fn observe(&mut self, v: u64) {
+        self.buckets[(u64::BITS - v.leading_zeros()) as usize] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Number of samples recorded.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all samples.
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Largest sample, 0 if empty.
+    #[must_use]
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Exact mean of the samples, 0.0 if empty.
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Non-empty buckets as `(lower_bound_inclusive, upper_bound_inclusive, count)`.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| {
+            let (lo, hi) = if i == 0 {
+                (0, 0)
+            } else {
+                (1u64 << (i - 1), (1u64 << (i - 1)) - 1 + (1u64 << (i - 1)))
+            };
+            (lo, hi, n)
+        })
+    }
+
+    /// Smallest upper bound `b` such that at least `q` (0..=1) of the
+    /// samples fall in buckets bounded by `b`. A bucket-resolution
+    /// quantile: exact for small values, power-of-two-coarse above.
+    #[must_use]
+    pub fn quantile_bound(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
+        let mut seen = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if n > 0 && seen >= target {
+                return if i == 0 { 0 } else { ((1u128 << i) - 1) as u64 };
+            }
+        }
+        self.max
+    }
 }
 
 // ---- summary -----------------------------------------------------------
@@ -1282,18 +1376,15 @@ mod tests {
         let tp = report.two_pass.unwrap();
         let o = occupancy(&events);
         assert_eq!(o.depth_hist.count(), report.cycles);
-        assert_eq!(o.depth_hist.sum(), tp.queue_depth_hist.sum());
+        assert_eq!(o.depth_hist.sum(), tp.queue_occupancy_sum);
         let s = slip_stats(&events);
         assert_eq!(s.slip.count(), report.retired);
-        assert_eq!(s.slip.sum(), tp.slip_hist.sum());
         // `deferred` increments exactly once per deferred dispatch, and
         // every deferred dispatch lands in exactly one run.
         assert_eq!(s.deferral_runs.sum(), tp.deferred);
         // Dequeue happens at merge and enqueue at dispatch, so the
-        // exact residency distribution *is* the slip distribution and
-        // must also equal the simulator's always-on slip histogram.
+        // exact residency distribution *is* the slip distribution.
         assert_eq!(s.residency, s.slip, "CQ residency must equal A->B slip");
-        assert_eq!(s.residency, tp.slip_hist, "replayed residency disagrees with report");
         // Little's law tie-out: the per-cycle occupancy integral equals
         // per-instruction residency (incl. squashed/leftover partials).
         assert_eq!(o.depth_hist.sum(), s.accounted_queue_cycles());
@@ -1584,6 +1675,66 @@ mod tests {
         let text = "{\"QueueSample\":{\"cycle\":2,\"depth\":4294967296,\"mshr\":0}}";
         let err = load_events(BufReader::new(text.as_bytes())).unwrap_err();
         assert_eq!(err, "line 1: field `depth` in QueueSample: expected u32, found 4294967296");
+    }
+
+    #[test]
+    fn histogram_buckets_by_power_of_two() {
+        let mut h = Histogram::default();
+        for v in [0, 1, 2, 3, 4, 7, 8, 1024] {
+            h.observe(v);
+        }
+        assert_eq!(h.count(), 8);
+        assert_eq!(h.sum(), 1049);
+        assert_eq!(h.max(), 1024);
+        let buckets: Vec<(u64, u64, u64)> = h.buckets().collect();
+        // 0 -> [0,0]; 1 -> [1,1]; 2,3 -> [2,3]; 4,7 -> [4,7]; 8 -> [8,15]; 1024 -> [1024,2047]
+        assert_eq!(
+            buckets,
+            vec![(0, 0, 1), (1, 1, 1), (2, 3, 2), (4, 7, 2), (8, 15, 1), (1024, 2047, 1)]
+        );
+        assert!((h.mean() - 1049.0 / 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantile_bound_is_monotone() {
+        let mut h = Histogram::default();
+        for v in 0..100u64 {
+            h.observe(v);
+        }
+        let p50 = h.quantile_bound(0.5);
+        let p99 = h.quantile_bound(0.99);
+        assert!(p50 <= p99);
+        assert!(p50 >= 49, "median of 0..100 is ~50, bound {p50}");
+        assert_eq!(h.quantile_bound(0.0), 0);
+    }
+
+    #[test]
+    fn empty_histogram_quantiles_are_zero() {
+        let h = Histogram::default();
+        assert_eq!(h.count(), 0);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile_bound(q), 0, "q={q} of an empty histogram");
+        }
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.max(), 0);
+        assert_eq!(h.buckets().count(), 0);
+    }
+
+    #[test]
+    fn single_sample_quantiles_bound_the_sample() {
+        for v in [0u64, 1, 7, 1000] {
+            let mut h = Histogram::default();
+            h.observe(v);
+            for q in [0.0, 0.5, 1.0] {
+                let bound = h.quantile_bound(q);
+                assert!(bound >= v, "q={q}: bound {bound} must cover the only sample {v}");
+            }
+            // Bucket resolution: the bound never overshoots past the
+            // sample's own bucket.
+            let (_, hi, _) = h.buckets().next().unwrap();
+            assert!(h.quantile_bound(1.0) <= hi.max(v));
+            assert_eq!(h.mean(), v as f64);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use ff_bench::report::{
 };
 use ff_bench::selfprof::{HostInfo, PerfSnapshot, Section};
 use ff_bench::sweep::{run_sweep, Cell, Run, RunStore, SweepOpts};
-use ff_core::{SimReport, StallCause};
+use ff_core::{ModelKind, SimReport, StallCause};
 use ff_workloads::Scale;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -68,6 +68,62 @@ fn sweep_rows() -> Value {
             ("retired", Value::UInt(1000)),
         ]),
     ])
+}
+
+/// Key names of a serialized object, in order; none for `null`.
+fn keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        Value::Null => Vec::new(),
+        other => panic!("expected an object or null, found {other:?}"),
+    }
+}
+
+#[test]
+fn a_stored_report_is_exactly_its_typed_fields() {
+    const TOP: [&str; 12] = [
+        "model",
+        "cycles",
+        "retired",
+        "breakdown",
+        "breakdown2",
+        "stall_profile",
+        "mem",
+        "branches",
+        "hierarchy",
+        "mshr",
+        "two_pass",
+        "runahead",
+    ];
+    const TWO_PASS: [&str; 13] = [
+        "dispatched_a",
+        "deferred",
+        "store_conflict_flushes",
+        "loads_past_deferred_store",
+        "loads_past_deferred_store_conflicting",
+        "stores_retired",
+        "fp_deferred",
+        "fp_retired",
+        "queue_occupancy_sum",
+        "queue_full_cycles",
+        "throttled_cycles",
+        "regroup_merges",
+        "feedback_applied",
+    ];
+    const RUNAHEAD: [&str; 4] =
+        ["episodes", "runahead_cycles", "runahead_loads", "discarded_instrs"];
+    for kind in ModelKind::ALL {
+        let v = tiny_report("mcf-like", &kind.to_string()).to_value();
+        let field = |name| v.field(name).expect("a top-level key");
+        assert_eq!(keys(&v), TOP, "{kind}");
+        assert_eq!(keys(field("hierarchy")), ["load_hits"], "{kind}");
+        assert_eq!(keys(field("mshr")), ["full_stall_cycles"], "{kind}");
+        let two_pass = matches!(kind, ModelKind::TwoPass | ModelKind::TwoPassRegroup);
+        let want: &[&str] = if two_pass { &TWO_PASS } else { &[] };
+        assert_eq!(keys(field("two_pass")), want, "{kind}");
+        let want: &[&str] = if kind == ModelKind::Runahead { &RUNAHEAD } else { &[] };
+        assert_eq!(keys(field("runahead")), want, "{kind}");
+    }
 }
 
 #[test]

@@ -187,8 +187,9 @@ pub const N_CAUSES: usize = 15;
 /// structurally zero today — a full store buffer or coupling queue shows
 /// up as A-pipe deferral or idling rather than an architectural-pipe
 /// stall, and functional-unit oversubscription splits issue groups
-/// instead of stalling them — but they keep the `stall.cause.*` metric
-/// namespace stable as the models grow.
+/// instead of stalling them — but they keep [`CauseBreakdown`] 15 wide,
+/// the width that the `causes` arrays in `benchmark/expected/*.json` and
+/// every stored report pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum StallCause {
     /// [`CycleClass::Unstalled`]: at least one instruction issued.

@@ -1,8 +1,10 @@
 //! Machine configuration (the paper's Table 1, plus two-pass knobs).
 
+use ff_isa::FuClass;
 use ff_mem::{AlatConfig, CacheGeometry, HierarchyConfig};
 use ff_predict::PredictorConfig;
 use serde::{Deserialize, Serialize};
+use std::ops::Index;
 
 /// The paper's L1 instruction cache (Table 1 L1I: 16 KB, 4-way, 64-byte
 /// lines), which every model's front end uses.
@@ -27,6 +29,20 @@ impl FuSlots {
     #[must_use]
     pub fn paper_table1() -> Self {
         FuSlots { alu: 5, mem: 3, fp: 3, branch: 3 }
+    }
+}
+
+/// The slots of one functional-unit class.
+impl Index<FuClass> for FuSlots {
+    type Output = usize;
+
+    fn index(&self, class: FuClass) -> &usize {
+        match class {
+            FuClass::Alu => &self.alu,
+            FuClass::Mem => &self.mem,
+            FuClass::Fp => &self.fp,
+            FuClass::Branch => &self.branch,
+        }
     }
 }
 

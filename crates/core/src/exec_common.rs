@@ -11,20 +11,14 @@ pub fn fitting_prefix_classes<I>(classes: I, slots: &FuSlots, issue_width: usize
 where
     I: IntoIterator<Item = FuClass>,
 {
-    // Slots taken so far per class: ALU, memory, FP, branch.
+    // Slots taken so far per class, by `FuClass::index`.
     let mut used = [0usize; 4];
     let mut n = 0;
     for fu in classes {
-        let (class, cap) = match fu {
-            FuClass::Alu => (0, slots.alu),
-            FuClass::Mem => (1, slots.mem),
-            FuClass::Fp => (2, slots.fp),
-            FuClass::Branch => (3, slots.branch),
-        };
-        if n >= issue_width || used[class] >= cap {
+        if n >= issue_width || used[fu.index()] >= slots[fu] {
             break;
         }
-        used[class] += 1;
+        used[fu.index()] += 1;
         n += 1;
     }
     n.max(1)

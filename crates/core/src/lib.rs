@@ -32,7 +32,6 @@ pub mod engine;
 pub mod exec_common;
 pub mod frontend;
 mod jsonl;
-pub mod metrics;
 pub mod report;
 pub mod runahead;
 pub mod sink;
@@ -49,7 +48,6 @@ pub use config::{
     L1I_GEOMETRY,
 };
 pub use engine::run_model;
-pub use metrics::Histogram;
 pub use report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport, TwoPassStats};
 pub use runahead::{Runahead, RunaheadStats};
 pub use sink::{parse_jsonl_line, JsonlSink, RingSink, SinkHandle, TraceSink};

@@ -1,9 +1,8 @@
 //! Simulation reports: everything the paper's figures are derived from.
 
 use crate::accounting::{CauseBreakdown, CycleBreakdown, CycleClass, StallCause, StallProfile};
-use crate::metrics::Histogram;
 use crate::runahead::RunaheadStats;
-use ff_mem::{AlatStats, HierarchyStats, MemLevel, MshrStats, StoreBufferStats};
+use ff_mem::{HierarchyStats, MemLevel, MshrStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -159,9 +158,8 @@ impl BranchStats {
 pub struct TwoPassStats {
     /// Instructions dispatched into the A-pipe (includes wrong path).
     pub dispatched_a: u64,
-    /// Instructions the A-pipe executed (not deferred).
-    pub executed_in_a: u64,
-    /// Instructions deferred to the B-pipe.
+    /// Instructions deferred to the B-pipe; the A-pipe executed the
+    /// other `dispatched_a - deferred`.
     pub deferred: u64,
     /// Store-conflict flushes (ALAT misses at merge).
     pub store_conflict_flushes: u64,
@@ -170,8 +168,6 @@ pub struct TwoPassStats {
     pub loads_past_deferred_store: u64,
     /// The subset of those that later suffered a conflict flush.
     pub loads_past_deferred_store_conflicting: u64,
-    /// Stores deferred to the B-pipe.
-    pub stores_deferred: u64,
     /// Stores retired.
     pub stores_retired: u64,
     /// FP-unit operations deferred to the B-pipe.
@@ -189,18 +185,6 @@ pub struct TwoPassStats {
     pub regroup_merges: u64,
     /// B→A feedback updates that found a matching DynID and were applied.
     pub feedback_applied: u64,
-    /// Feedback updates dropped because the A-file entry had been
-    /// overwritten by a younger instruction.
-    pub feedback_stale: u64,
-    /// Speculative store buffer statistics.
-    pub store_buffer: StoreBufferStats,
-    /// ALAT statistics.
-    pub alat: AlatStats,
-    /// Coupling-queue depth, sampled once per cycle.
-    pub queue_depth_hist: Histogram,
-    /// A-to-B slip: cycles each merged entry spent in the coupling
-    /// queue (retire cycle minus enqueue cycle).
-    pub slip_hist: Histogram,
 }
 
 impl TwoPassStats {
@@ -305,16 +289,6 @@ impl SimReport {
         }
     }
 
-    /// Cycles normalized to a baseline run of the same workload.
-    #[must_use]
-    pub fn normalized_cycles(&self, baseline: &SimReport) -> f64 {
-        if baseline.cycles == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / baseline.cycles as f64
-        }
-    }
-
     /// Speedup over a baseline run of the same workload.
     #[must_use]
     pub fn speedup_over(&self, baseline: &SimReport) -> f64 {
@@ -381,11 +355,10 @@ mod tests {
     }
 
     #[test]
-    fn ipc_and_normalization() {
+    fn ipc_and_speedup() {
         let base = empty_report(ModelKind::Baseline, 1000, 2000);
         let tp = empty_report(ModelKind::TwoPass, 800, 2000);
         assert_eq!(base.ipc(), 2.0);
-        assert!((tp.normalized_cycles(&base) - 0.8).abs() < 1e-12);
         assert!((tp.speedup_over(&base) - 1.25).abs() < 1e-12);
     }
 

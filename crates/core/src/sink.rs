@@ -98,16 +98,6 @@ impl RingSink {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Drains the retained window into an owned [`Trace`].
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        let mut t = Trace::new();
-        for e in self.buf {
-            t.push(e);
-        }
-        t
-    }
 }
 
 impl TraceSink for RingSink {
@@ -346,9 +336,6 @@ mod tests {
         assert_eq!(ring.dropped(), 2);
         let cycles: Vec<u64> = ring.events().map(TraceEvent::cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4], "must retain the most recent window in order");
-        let trace = ring.into_trace();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.events()[0].cycle(), 2);
     }
 
     #[test]
@@ -371,8 +358,6 @@ mod tests {
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.dropped(), 999);
         assert_eq!(ring.events().next().unwrap().cycle(), 999);
-        let trace = ring.into_trace();
-        assert_eq!(trace.len(), 1);
     }
 
     #[test]

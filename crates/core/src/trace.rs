@@ -19,7 +19,6 @@ use crate::accounting::{CycleClass, StallCause};
 use crate::report::Pipe;
 use ff_mem::MemLevel;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Why speculative state was flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -275,93 +274,8 @@ impl TraceEvent {
     }
 }
 
-impl fmt::Display for TraceEvent {
-    /// Compact single-line rendering: cycle first, fixed-width kind tag,
-    /// then event-specific fields.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:>8}] ", self.cycle())?;
-        match *self {
-            TraceEvent::Fetch { seq, pc, .. } => {
-                write!(f, "{:<12} seq={seq} pc={pc}", "fetch")
-            }
-            TraceEvent::AExec { seq, pc, ready_at, .. } => {
-                write!(f, "{:<12} seq={seq} pc={pc} ready={ready_at}", "A.exec")
-            }
-            TraceEvent::Defer { seq, pc, .. } => {
-                write!(f, "{:<12} seq={seq} pc={pc}", "A.defer")
-            }
-            TraceEvent::CqEnqueue { seq, pc, depth, .. } => {
-                write!(f, "{:<12} seq={seq} pc={pc} depth={depth}", "cq.enqueue")
-            }
-            TraceEvent::CqDequeue { seq, pc, resident, .. } => {
-                write!(f, "{:<12} seq={seq} pc={pc} resident={resident}", "cq.dequeue")
-            }
-            TraceEvent::BExec { seq, pc, .. } => {
-                write!(f, "{:<12} seq={seq} pc={pc}", "B.exec")
-            }
-            TraceEvent::Squash { seq, pc, .. } => {
-                write!(f, "{:<12} seq={seq} pc={pc}", "squash")
-            }
-            TraceEvent::ADispatch { seq, pc, deferred, .. } => {
-                write!(
-                    f,
-                    "{:<12} seq={seq} pc={pc} {}",
-                    "A.dispatch",
-                    if deferred { "deferred" } else { "executed" }
-                )
-            }
-            TraceEvent::BRetire { seq, pc, was_deferred, .. } => {
-                write!(
-                    f,
-                    "{:<12} seq={seq} pc={pc} {}",
-                    "B.retire",
-                    if was_deferred { "b-executed" } else { "merged" }
-                )
-            }
-            TraceEvent::Flush { kind, boundary_seq, .. } => {
-                write!(f, "{:<12} {} boundary={boundary_seq}", "flush", kind.label())
-            }
-            TraceEvent::ARedirect { pc, .. } => {
-                write!(f, "{:<12} pc={pc}", "A.redirect")
-            }
-            TraceEvent::GroupDispatch { pipe, head_seq, len, .. } => {
-                write!(f, "{:<12} pipe={pipe} head={head_seq} len={len}", "group")
-            }
-            TraceEvent::ClassTransition { from, to, .. } => {
-                write!(f, "{:<12} {} -> {}", "class", from.label(), to.label())
-            }
-            TraceEvent::CauseTransition { cause, pc, .. } => {
-                write!(f, "{:<12} {}", "cause", cause.label())?;
-                if let Some(pc) = pc {
-                    write!(f, " pc={pc}")?;
-                }
-                Ok(())
-            }
-            TraceEvent::MissBegin { pipe, level, addr, fill_at, .. } => {
-                write!(
-                    f,
-                    "{:<12} pipe={pipe} {level:?} addr={addr:#x} fill={fill_at}",
-                    "miss.begin"
-                )
-            }
-            TraceEvent::MissEnd { addr, level, .. } => {
-                write!(f, "{:<12} {level:?} addr={addr:#x}", "miss.end")
-            }
-            TraceEvent::QueueSample { depth, mshr, .. } => {
-                write!(f, "{:<12} cq={depth} mshr={mshr}", "sample")
-            }
-            TraceEvent::RunaheadEnter { pc, .. } => {
-                write!(f, "{:<12} pc={pc}", "ra.enter")
-            }
-            TraceEvent::RunaheadExit { pc, discarded, .. } => {
-                write!(f, "{:<12} pc={pc} discarded={discarded}", "ra.exit")
-            }
-        }
-    }
-}
-
 /// An in-memory event log.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
@@ -397,41 +311,9 @@ impl Trace {
     }
 }
 
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for e in &self.events {
-            writeln!(f, "{e}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_is_cycle_first_single_line() {
-        let e = TraceEvent::ADispatch { cycle: 17, seq: 3, pc: 4, deferred: true };
-        let s = e.to_string();
-        assert!(s.starts_with("[      17]"), "{s}");
-        assert!(s.contains("A.dispatch") && s.contains("deferred"), "{s}");
-        assert!(!s.contains('\n'));
-
-        let e = TraceEvent::MissBegin {
-            cycle: 9,
-            pipe: Pipe::A,
-            level: MemLevel::L2,
-            addr: 0x1000,
-            fill_at: 14,
-        };
-        let s = e.to_string();
-        assert!(s.contains("miss.begin") && s.contains("0x1000") && s.contains("fill=14"), "{s}");
-
-        let mut t = Trace::new();
-        t.push(e);
-        assert!(t.to_string().contains("miss.begin"), "Trace Display must use the compact form");
-    }
 
     #[test]
     fn cycle_accessor_covers_every_variant() {

@@ -151,12 +151,6 @@ impl AFile {
         }
         repaired
     }
-
-    /// Number of speculative (S-marked) entries.
-    #[must_use]
-    pub fn speculative_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.s).count()
-    }
 }
 
 /// `RegRead` view over the A-file's raw bits (used by `evaluate`).
@@ -181,7 +175,7 @@ mod tests {
         let f = AFile::new();
         assert_eq!(f.source_state(reg(5), 0), SourceState::Ready);
         assert_eq!(f.entry(reg(5)).dyn_id, ARCH_DYN_ID);
-        assert_eq!(f.speculative_count(), 0);
+        assert!(!f.entry(reg(5)).s);
     }
 
     #[test]
@@ -217,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn younger_a_write_makes_feedback_stale() {
+    fn younger_a_write_turns_feedback_away() {
         let mut f = AFile::new();
         f.mark_deferred(reg(4), 20);
         f.write_executed(reg(4), 99, 25, 0, false);
@@ -241,7 +235,7 @@ mod tests {
         assert_eq!(f.read(reg(2)), 222);
         assert_eq!(f.source_state(reg(2), 50), SourceState::Ready);
         assert_eq!(f.entry(reg(3)).bits, 0);
-        assert_eq!(f.speculative_count(), 0);
+        assert_eq!(f.repair_from(&b, 50), 0, "no speculative entry is left");
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Policy for TwoPassPolicy {
         // that advance with the clock; a throttle or full queue can only
         // be released by B-pipe progress, a missing group only by fetch
         // progress — and must stop at the next feedback arrival, which
-        // updates the A-file (and the applied/stale counters) on time.
+        // updates the A-file (and the applied counter) on time.
         let wake = match self.a_idle {
             Some(idle) if idle != AIdle::FpBlock => b_wake,
             _ => None,
@@ -194,13 +194,14 @@ impl Policy for TwoPassPolicy {
         self.cq.len()
     }
 
-    /// Charges the queue occupancy and the A-pipe's idle reason for
-    /// `span` cycles (one per step, or a whole fast-forwarded span).
+    /// Charges the queue-occupancy integral and the A-pipe's idle reason
+    /// for `span` cycles (one per step, or a whole fast-forwarded span).
+    /// The per-cycle depth itself is only in the trace's occupancy
+    /// samples.
     #[inline]
     fn charge_span(&mut self, span: u64) {
         let depth = self.cq.len() as u64;
         self.stats.queue_occupancy_sum += depth * span;
-        self.stats.queue_depth_hist.observe_n(depth, span);
         match self.a_idle {
             Some(AIdle::Throttled) => self.stats.throttled_cycles += span,
             Some(AIdle::QueueFull) => self.stats.queue_full_cycles += span,
@@ -213,9 +214,7 @@ impl Policy for TwoPassPolicy {
         core.frontend.is_drained() && self.cq.is_empty()
     }
 
-    fn report(mut self, report: &mut SimReport) {
-        self.stats.store_buffer = self.store_buffer.stats();
-        self.stats.alat = self.alat.stats();
+    fn report(self, report: &mut SimReport) {
         report.two_pass = Some(self.stats);
     }
 
@@ -286,8 +285,6 @@ impl TwoPassPolicy {
                 let m = self.feedback.swap_remove(i);
                 if self.afile.feedback_update(m.reg, m.seq, m.bits, now) {
                     self.stats.feedback_applied += 1;
-                } else {
-                    self.stats.feedback_stale += 1;
                 }
             } else {
                 i += 1;
@@ -524,7 +521,6 @@ impl TwoPassPolicy {
     ) -> bool {
         core.retired += 1;
         let resident = core.cycle.saturating_sub(entry.enq_cycle);
-        self.stats.slip_hist.observe(resident);
         sink.emit_with(|| TraceEvent::CqDequeue {
             cycle: core.cycle,
             seq: entry.seq,
@@ -837,7 +833,6 @@ impl TwoPassPolicy {
                 let d = core.code.at(f.pc);
                 self.stats.deferred += 1;
                 if d.is_store {
-                    self.stats.stores_deferred += 1;
                     self.deferred_stores_in_cq += 1;
                 }
                 if d.is_fp {
@@ -846,8 +841,6 @@ impl TwoPassPolicy {
                 for dst in d.dests.iter() {
                     self.afile.mark_deferred(dst, f.seq);
                 }
-            } else {
-                self.stats.executed_in_a += 1;
             }
 
             match state {

@@ -271,10 +271,20 @@ fn matches_interpreter_with_store_buffer_forwarding() {
     let mem = MemoryImage::new();
     assert_matches_interpreter(&program, &mem, cfg());
 
-    let report = TwoPass::new(&program, MemoryImage::new(), cfg()).run(1_000);
-    let tp = report.two_pass.unwrap();
-    assert_eq!(tp.store_conflict_flushes, 0);
-    assert!(tp.store_buffer.forwards >= 1, "{:?}", tp.store_buffer);
+    let (report, trace) = TwoPass::new(&program, MemoryImage::new(), cfg()).run_traced(1_000);
+    assert_eq!(report.two_pass.unwrap().store_conflict_flushes, 0);
+    // The load (pc 5) pre-executes at L1 speed although its line is
+    // cold: the store buffer, not the hierarchy, supplied the value.
+    let l1 = cfg().hierarchy.l1_latency;
+    let pre_executed = trace.events().iter().any(|e| {
+        matches!(*e, TraceEvent::AExec { cycle, pc: 5, ready_at, .. } if ready_at == cycle + l1)
+    });
+    assert!(pre_executed, "the load was not forwarded in the A-pipe");
+    let a_miss = trace
+        .events()
+        .iter()
+        .any(|e| matches!(*e, TraceEvent::MissBegin { pipe: Pipe::A, addr: 0x700000, .. }));
+    assert!(!a_miss, "a forwarded load books no fill");
 }
 
 /// Runs `program` on 2P, checks it against the interpreter, and returns
@@ -697,16 +707,26 @@ fn class_transitions_reconstruct_the_cycle_breakdown() {
 }
 
 #[test]
-fn slip_and_queue_depth_histograms_are_consistent() {
+fn queue_samples_and_dequeues_match_the_report() {
     let (program, mem) = stream(32, 4096);
-    let report = TwoPass::new(&program, mem, cfg()).run(100_000);
+    let (report, trace) = TwoPass::new(&program, mem, cfg()).run_traced(100_000);
     let tp = report.two_pass.unwrap();
-    // One slip sample per retired instruction.
-    assert_eq!(tp.slip_hist.count(), report.retired);
-    // One queue-depth sample per cycle, and the exact per-cycle sum is
-    // shared with the legacy occupancy counter.
-    assert_eq!(tp.queue_depth_hist.count(), report.cycles);
-    assert_eq!(tp.queue_depth_hist.sum(), tp.queue_occupancy_sum);
+    let (mut samples, mut depth_sum, mut dequeues) = (0, 0, 0);
+    for e in trace.events() {
+        match *e {
+            TraceEvent::QueueSample { depth, .. } => {
+                samples += 1;
+                depth_sum += u64::from(depth);
+            }
+            TraceEvent::CqDequeue { .. } => dequeues += 1,
+            _ => {}
+        }
+    }
+    // One depth sample per cycle, summing to the occupancy counter, and
+    // one dequeue (slip sample) per retired instruction.
+    assert_eq!(samples, report.cycles);
+    assert_eq!(depth_sum, tp.queue_occupancy_sum);
+    assert_eq!(dequeues, report.retired);
 }
 
 #[test]

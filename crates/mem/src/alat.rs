@@ -52,21 +52,6 @@ pub enum AlatCheck {
     Conflict,
 }
 
-/// Statistics kept by the ALAT.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AlatStats {
-    /// Entries allocated by A-pipe loads.
-    pub allocations: u64,
-    /// Entries deleted by overlapping B-pipe stores.
-    pub store_invalidations: u64,
-    /// Entries evicted by capacity pressure (finite config only).
-    pub capacity_evictions: u64,
-    /// Checks that found the entry intact.
-    pub clean_checks: u64,
-    /// Checks that found the entry missing (flush required).
-    pub conflict_checks: u64,
-}
-
 fn overlaps(a_addr: u64, a_size: u64, b_addr: u64, b_size: u64) -> bool {
     a_addr < b_addr.wrapping_add(b_size) && b_addr < a_addr.wrapping_add(a_size)
 }
@@ -90,26 +75,19 @@ fn overlaps(a_addr: u64, a_size: u64, b_addr: u64, b_size: u64) -> bool {
 pub struct Alat {
     config: AlatConfig,
     entries: VecDeque<AlatEntry>,
-    stats: AlatStats,
 }
 
 impl Alat {
     /// Creates an empty table.
     #[must_use]
     pub fn new(config: AlatConfig) -> Self {
-        Alat { config, entries: VecDeque::new(), stats: AlatStats::default() }
+        Alat { config, entries: VecDeque::new() }
     }
 
     /// The configured capacity model.
     #[must_use]
     pub fn config(&self) -> AlatConfig {
         self.config
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> AlatStats {
-        self.stats
     }
 
     /// Number of live entries.
@@ -129,11 +107,9 @@ impl Alat {
         if let AlatConfig::Finite { entries } = self.config {
             while self.entries.len() >= entries {
                 self.entries.pop_front();
-                self.stats.capacity_evictions += 1;
             }
         }
         self.entries.push_back(AlatEntry { dyn_id, addr, size });
-        self.stats.allocations += 1;
     }
 
     /// Deletes entries overlapping a store committed by the B-pipe.
@@ -141,9 +117,7 @@ impl Alat {
     pub fn store_invalidate(&mut self, addr: u64, size: u64) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| !overlaps(e.addr, e.size, addr, size));
-        let removed = before - self.entries.len();
-        self.stats.store_invalidations += removed as u64;
-        removed
+        before - self.entries.len()
     }
 
     /// Checks whether the entry for `dyn_id` survived, consuming it.
@@ -153,10 +127,8 @@ impl Alat {
     pub fn check_and_remove(&mut self, dyn_id: u64) -> AlatCheck {
         if let Some(pos) = self.entries.iter().position(|e| e.dyn_id == dyn_id) {
             self.entries.remove(pos);
-            self.stats.clean_checks += 1;
             AlatCheck::Clean
         } else {
-            self.stats.conflict_checks += 1;
             AlatCheck::Conflict
         }
     }
@@ -184,7 +156,7 @@ mod tests {
         alat.allocate(1, 0x100, 8);
         assert_eq!(alat.store_invalidate(0x104, 4), 1);
         assert_eq!(alat.check_and_remove(1), AlatCheck::Conflict);
-        assert_eq!(alat.stats().conflict_checks, 1);
+        assert!(alat.is_empty());
     }
 
     #[test]
@@ -210,7 +182,7 @@ mod tests {
             alat.allocate(i, i * 8, 8);
         }
         assert_eq!(alat.len(), 10_000);
-        assert_eq!(alat.stats().capacity_evictions, 0);
+        assert_eq!(alat.check_and_remove(0), AlatCheck::Clean, "the oldest entry survives");
     }
 
     #[test]
@@ -219,7 +191,7 @@ mod tests {
         alat.allocate(1, 0x0, 8);
         alat.allocate(2, 0x8, 8);
         alat.allocate(3, 0x10, 8); // evicts dyn_id 1
-        assert_eq!(alat.stats().capacity_evictions, 1);
+        assert_eq!(alat.len(), 2);
         assert_eq!(alat.check_and_remove(1), AlatCheck::Conflict, "false positive");
         assert_eq!(alat.check_and_remove(2), AlatCheck::Clean);
     }

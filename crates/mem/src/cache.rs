@@ -1,10 +1,11 @@
 //! Set-associative cache tag arrays.
 //!
-//! The simulator tracks hit/miss behaviour and dirty-line eviction; data
-//! itself lives in the functional `ff_isa::MemoryImage`. Tags update at
-//! access time ("fill on access") while the latency of a miss is charged
-//! by the pipeline's timing model — the standard split for cycle-level
-//! simulators of this class.
+//! The simulator tracks hit/miss behaviour only: data itself lives in
+//! the functional `ff_isa::MemoryImage`, and this timing model charges
+//! nothing for evicting a written line, so lines carry no dirty bit.
+//! Tags update at access time ("fill on access") while the latency of a
+//! miss is charged by the pipeline's timing model — the standard split
+//! for cycle-level simulators of this class.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -88,7 +89,6 @@ impl CacheGeometry {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Way {
     valid: bool,
-    dirty: bool,
     tag: u64,
     /// LRU stamp: larger is more recent.
     lru: u64,
@@ -137,17 +137,8 @@ fn empty_ways(n: usize) -> Vec<Way> {
     }
 }
 
-/// Result of a cache lookup-with-fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessResult {
-    /// Whether the line was present.
-    pub hit: bool,
-    /// Line-aligned address of a dirty line evicted by the fill, if any.
-    pub writeback: Option<u64>,
-}
-
-/// One level of set-associative, write-back, write-allocate cache with
-/// LRU replacement (tag state only).
+/// One level of set-associative, write-allocate cache with LRU
+/// replacement (tag state only).
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
@@ -164,8 +155,6 @@ pub struct Cache {
     set_pow2: Option<(u64, u32)>,
     sets: Vec<Way>,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -187,8 +176,6 @@ impl Cache {
             set_pow2,
             sets: empty_ways(n),
             clock: 0,
-            hits: 0,
-            misses: 0,
         })
     }
 
@@ -196,18 +183,6 @@ impl Cache {
     #[must_use]
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
-    }
-
-    /// Lookup hits recorded so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses recorded so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Splits `addr` into `(set, tag)` — shifts and masks on the hot
@@ -221,7 +196,7 @@ impl Cache {
         }
     }
 
-    /// Probes for `addr` without modifying state or statistics.
+    /// Probes for `addr` without modifying state.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
@@ -229,23 +204,18 @@ impl Cache {
         self.sets[base..base + self.n_ways].iter().any(|w| w.valid && w.tag == tag)
     }
 
-    /// Accesses `addr`, filling on miss, touching LRU, updating stats.
-    ///
-    /// `is_write` marks the (present-after-access) line dirty.
-    pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
+    /// Accesses `addr`, filling on miss and touching LRU. Returns whether
+    /// the line was present.
+    pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
         let (set, tag) = self.locate(addr);
-        let (n_sets, line_shift) = (self.n_sets, self.line_shift);
         let base = set as usize * self.n_ways;
         let ways = &mut self.sets[base..base + self.n_ways];
 
         if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.lru = self.clock;
-            way.dirty |= is_write;
-            self.hits += 1;
-            return AccessResult { hit: true, writeback: None };
+            return true;
         }
-        self.misses += 1;
 
         // Choose victim: first invalid way, else least-recently-used.
         let victim = ways.iter().position(|w| !w.valid).unwrap_or_else(|| {
@@ -255,10 +225,8 @@ impl Cache {
                 .map(|(i, _)| i)
                 .expect("nonzero ways")
         });
-        let w = &mut ways[victim];
-        let writeback = (w.valid && w.dirty).then(|| (w.tag * n_sets + set) << line_shift);
-        *w = Way { valid: true, dirty: is_write, tag, lru: self.clock };
-        AccessResult { hit: false, writeback }
+        ways[victim] = Way { valid: true, tag, lru: self.clock };
+        false
     }
 
     /// Invalidates the line containing `addr` if present. Returns whether
@@ -273,14 +241,6 @@ impl Cache {
             }
         }
         false
-    }
-
-    /// Clears all lines and statistics.
-    pub fn reset(&mut self) {
-        self.sets.fill(Way::default());
-        self.clock = 0;
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -331,12 +291,10 @@ mod tests {
     #[test]
     fn first_access_misses_then_hits() {
         let mut c = small();
-        assert!(!c.access(0x1000, false).hit);
-        assert!(c.access(0x1000, false).hit);
-        assert!(c.access(0x103F, false).hit, "same 64B line");
-        assert!(!c.access(0x1040, false).hit, "next line");
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
+        assert!(!c.access(0x1000));
+        assert!(c.access(0x1000));
+        assert!(c.access(0x103F), "same 64B line");
+        assert!(!c.access(0x1040), "next line");
     }
 
     #[test]
@@ -344,48 +302,19 @@ mod tests {
         let mut c = small();
         // Three lines mapping to the same set (set stride = 4 lines * 64B = 256B).
         let (a, b, d) = (0x0000, 0x0100, 0x0200);
-        c.access(a, false);
-        c.access(b, false);
-        c.access(a, false); // refresh a
-        c.access(d, false); // evicts b
+        c.access(a);
+        c.access(b);
+        c.access(a); // refresh a
+        c.access(d); // evicts b
         assert!(c.probe(a));
         assert!(!c.probe(b));
         assert!(c.probe(d));
     }
 
     #[test]
-    fn dirty_eviction_reports_writeback_address() {
-        let mut c = small();
-        let (a, b, d) = (0x0000u64, 0x0100, 0x0200);
-        c.access(a, true); // dirty
-        c.access(b, false);
-        let res = c.access(d, false); // evicts a (LRU)
-        assert_eq!(res.writeback, Some(a));
-    }
-
-    #[test]
-    fn clean_eviction_has_no_writeback() {
-        let mut c = small();
-        c.access(0x0000, false);
-        c.access(0x0100, false);
-        let res = c.access(0x0200, false);
-        assert_eq!(res.writeback, None);
-    }
-
-    #[test]
-    fn write_hit_marks_dirty_for_later_eviction() {
-        let mut c = small();
-        c.access(0x0000, false);
-        c.access(0x0000, true); // now dirty
-        c.access(0x0100, false);
-        let res = c.access(0x0200, false);
-        assert_eq!(res.writeback, Some(0x0000));
-    }
-
-    #[test]
     fn invalidate_removes_line() {
         let mut c = small();
-        c.access(0x80, false);
+        c.access(0x80);
         assert!(c.invalidate(0x80));
         assert!(!c.probe(0x80));
         assert!(!c.invalidate(0x80));
@@ -394,12 +323,16 @@ mod tests {
     #[test]
     fn probe_does_not_disturb_state() {
         let mut c = small();
-        c.access(0x0, false);
-        let h = c.hits();
-        let m = c.misses();
-        assert!(c.probe(0x0));
+        let (a, b, d) = (0x0000, 0x0100, 0x0200);
+        c.access(a);
+        c.access(b);
+        // A probe neither refreshes `a`'s LRU stamp nor fills a line.
+        assert!(c.probe(a));
         assert!(!c.probe(0x4000));
-        assert_eq!((c.hits(), c.misses()), (h, m));
+        c.access(d); // evicts a, still the least recent
+        assert!(!c.probe(a));
+        assert!(c.probe(b));
+        assert!(!c.access(0x4000), "the probed line was not filled");
     }
 
     #[test]
@@ -410,13 +343,15 @@ mod tests {
         assert_eq!(c.geometry().sets(), 6);
         // Set stride = 6 lines * 64B = 384B; three lines mapping to set 0.
         let (a, b, d) = (0u64, 384, 768);
-        c.access(a, true); // dirty
-        c.access(b, false);
-        let res = c.access(d, false); // evicts a (LRU)
-        assert_eq!(res.writeback, Some(a), "writeback address reconstructs via division");
+        c.access(a);
+        c.access(b);
+        assert!(!c.access(d)); // evicts a (LRU)
         assert!(!c.probe(a));
         assert!(c.probe(b));
         assert!(c.probe(d));
+        // The neighbouring line is in set 1 and evicts nothing of set 0.
+        assert!(!c.access(64));
+        assert!(c.probe(b) && c.probe(d));
     }
 
     #[test]
@@ -425,52 +360,39 @@ mod tests {
         // only `valid` tells the two apart.
         let mut c = small();
         assert!(!c.probe(0x0), "a fresh cache holds nothing at address 0");
-        let first = c.access(0x0, true);
-        assert!(!first.hit);
+        assert!(!c.access(0x0));
         assert!(c.probe(0x3F));
-        assert!(c.access(0x0, false).hit);
-        // Two more lines of set 0 evict it dirty, at its own address.
-        c.access(0x0100, false);
-        let res = c.access(0x0200, false);
-        assert_eq!(res.writeback, Some(0x0));
+        assert!(c.access(0x0));
+        // Two more lines of set 0 evict it.
+        assert!(!c.access(0x0100));
+        assert!(!c.access(0x0200));
         assert!(!c.probe(0x0));
         // Invalidated, the line is gone and its way is free again.
-        assert!(!c.access(0x0, false).hit);
+        assert!(!c.access(0x0));
         assert!(c.invalidate(0x0));
         assert!(!c.probe(0x0));
-        assert_eq!((c.hits(), c.misses()), (1, 4));
+        assert!(c.probe(0x0200), "invalidating 0 leaves its set-mate resident");
     }
 
     #[test]
     fn a_cache_built_after_a_drop_starts_empty() {
         // 8192 ways: large enough that the dropped cache's tag array is
-        // handed on, and it must come back with no valid, dirty or stale
-        // way.
+        // handed on, and it must come back with no valid or stale way.
         let geometry = CacheGeometry::new(512 * 1024, 8, 64);
         let bytes = (geometry.sets() * geometry.ways) as usize * std::mem::size_of::<Way>();
         assert!(bytes >= SPARE_MIN_BYTES);
         let mut c = Cache::new(geometry).unwrap();
         for addr in (0..1 << 20).step_by(64) {
-            c.access(addr, true);
+            c.access(addr);
         }
         assert!(c.invalidate((1 << 20) - 64), "an invalid way with stale fields");
         drop(c);
         let mut d = Cache::new(geometry).unwrap();
         assert!((0..1 << 20).step_by(64).all(|addr| !d.probe(addr)));
-        // One capacity's worth of new lines fills every way without a
-        // hit or a writeback.
-        for addr in ((1 << 24)..(1 << 24) + (512 << 10)).step_by(64) {
-            assert_eq!(d.access(addr, false), AccessResult { hit: false, writeback: None });
-        }
-        assert_eq!((d.hits(), d.misses()), (0, 8192));
-    }
-
-    #[test]
-    fn reset_clears_contents() {
-        let mut c = small();
-        c.access(0x0, true);
-        c.reset();
-        assert!(!c.probe(0x0));
-        assert_eq!(c.misses(), 0);
+        // One capacity's worth of new lines misses 8192 times and fills
+        // every way.
+        let mut lines = ((1 << 24)..(1 << 24) + (512 << 10)).step_by(64);
+        assert_eq!(lines.clone().filter(|&addr| !d.access(addr)).count(), 8192);
+        assert!(lines.all(|addr| d.probe(addr)), "every new line is resident");
     }
 }

@@ -125,10 +125,6 @@ pub struct AccessOutcome {
 pub struct HierarchyStats {
     /// Loads serviced per level (indexed by [`MemLevel::index`]).
     pub load_hits: [u64; 4],
-    /// Stores whose line was found at each level.
-    pub store_hits: [u64; 4],
-    /// Dirty-line writebacks out of each cache level (L1, L2, L3).
-    pub writebacks: [u64; 3],
 }
 
 impl HierarchyStats {
@@ -136,12 +132,6 @@ impl HierarchyStats {
     #[must_use]
     pub fn total_loads(&self) -> u64 {
         self.load_hits.iter().sum()
-    }
-
-    /// Total stores routed through the hierarchy.
-    #[must_use]
-    pub fn total_stores(&self) -> u64 {
-        self.store_hits.iter().sum()
     }
 
     /// Fraction of all loads serviced at `level` (`None` when no loads
@@ -212,47 +202,32 @@ impl DataHierarchy {
         &self.stats
     }
 
-    fn route(&mut self, addr: u64, is_write: bool) -> MemLevel {
-        let r1 = self.l1.access(addr, is_write);
-        if r1.writeback.is_some() {
-            self.stats.writebacks[0] += 1;
+    fn route(&mut self, addr: u64) -> MemLevel {
+        // Each miss fills the level it missed (inclusive hierarchy).
+        if self.l1.access(addr) {
+            MemLevel::L1
+        } else if self.l2.access(addr) {
+            MemLevel::L2
+        } else if self.l3.access(addr) {
+            MemLevel::L3
+        } else {
+            MemLevel::Mem
         }
-        if r1.hit {
-            return MemLevel::L1;
-        }
-        // L1 fill also marks lower levels (inclusive hierarchy); the write
-        // dirtiness settles in L1, lower levels see a clean fill.
-        let r2 = self.l2.access(addr, false);
-        if r2.writeback.is_some() {
-            self.stats.writebacks[1] += 1;
-        }
-        if r2.hit {
-            return MemLevel::L2;
-        }
-        let r3 = self.l3.access(addr, false);
-        if r3.writeback.is_some() {
-            self.stats.writebacks[2] += 1;
-        }
-        if r3.hit {
-            return MemLevel::L3;
-        }
-        MemLevel::Mem
     }
 
     /// Routes a load through the hierarchy, filling lines on the way.
     pub fn load(&mut self, addr: u64) -> AccessOutcome {
-        let level = self.route(addr, false);
+        let level = self.route(addr);
         self.stats.load_hits[level.index()] += 1;
         AccessOutcome { level, latency: self.config.latency(level) }
     }
 
-    /// Routes a store through the hierarchy (write-allocate, write-back).
+    /// Routes a store through the hierarchy (write-allocate).
     ///
     /// The returned latency is informational — the pipelines assume a
     /// write buffer absorbs store latency, so stores do not stall retire.
     pub fn store(&mut self, addr: u64) -> AccessOutcome {
-        let level = self.route(addr, true);
-        self.stats.store_hits[level.index()] += 1;
+        let level = self.route(addr);
         AccessOutcome { level, latency: self.config.latency(level) }
     }
 
@@ -268,14 +243,6 @@ impl DataHierarchy {
         } else {
             MemLevel::Mem
         }
-    }
-
-    /// Clears all cache contents and statistics.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.l3.reset();
-        self.stats = HierarchyStats::default();
     }
 }
 
@@ -323,24 +290,13 @@ mod tests {
     }
 
     #[test]
-    fn stores_count_separately_from_loads() {
+    fn stores_allocate_and_are_not_counted_as_loads() {
         let mut h = hierarchy();
-        h.store(0x100);
-        h.store(0x100);
-        assert_eq!(h.stats().total_stores(), 2);
+        assert_eq!(h.store(0x100).level, MemLevel::Mem);
+        let again = h.store(0x100);
+        assert_eq!((again.level, again.latency), (MemLevel::L1, 2));
         assert_eq!(h.stats().total_loads(), 0);
-        assert_eq!(h.stats().store_hits[MemLevel::Mem.index()], 1);
-        assert_eq!(h.stats().store_hits[MemLevel::L1.index()], 1);
-    }
-
-    #[test]
-    fn dirty_l1_eviction_counts_writeback() {
-        let mut h = hierarchy();
-        h.store(0x0);
-        for i in 1..=4u64 {
-            h.load(i * 4096);
-        }
-        assert!(h.stats().writebacks[0] >= 1);
+        assert_eq!(h.load(0x108).level, MemLevel::L1, "the store filled the line");
     }
 
     #[test]
@@ -351,14 +307,6 @@ mod tests {
         assert_eq!(h.probe(0x9000), MemLevel::L1);
         // probing did not create an extra load stat
         assert_eq!(h.stats().total_loads(), 1);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut h = hierarchy();
-        h.load(0x40);
-        h.reset();
-        assert_eq!(h.load(0x40).level, MemLevel::Mem);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The memory hierarchy the flea-flicker reproduction runs against,
 //! built from scratch:
 //!
-//! * [`cache`] — set-associative, LRU, write-back tag arrays
+//! * [`cache`] — set-associative, LRU tag arrays
 //! * [`hierarchy`] — the paper's Table 1 L1D/L2/L3/memory stack with
 //!   per-level effective latencies
 //! * [`mshr`] — the 16-outstanding-loads limiter with fill merging
@@ -27,10 +27,8 @@ pub mod hierarchy;
 pub mod mshr;
 pub mod store_buffer;
 
-pub use alat::{Alat, AlatCheck, AlatConfig, AlatStats};
-pub use cache::{AccessResult, Cache, CacheGeometry, GeometryError};
+pub use alat::{Alat, AlatCheck, AlatConfig};
+pub use cache::{Cache, CacheGeometry, GeometryError};
 pub use hierarchy::{AccessOutcome, DataHierarchy, HierarchyConfig, HierarchyStats, MemLevel};
 pub use mshr::{MshrFile, MshrStats};
-pub use store_buffer::{
-    BufferedStore, ForwardResult, StoreBuffer, StoreBufferFullError, StoreBufferStats,
-};
+pub use store_buffer::{BufferedStore, ForwardResult, StoreBuffer, StoreBufferFullError};

@@ -18,23 +18,10 @@ struct Entry {
 }
 
 /// Statistics kept by the MSHR file.
-///
-/// A full file that keeps rejecting the same retried request every cycle
-/// produces two distinct signals: `full_stall_cycles` counts every rejected
-/// [`MshrFile::request`] call (i.e. cycles spent stalled, if the caller
-/// retries once per cycle), while `full_reject_events` counts *distinct*
-/// rejection episodes — a back-to-back retry of the same line on the next
-/// cycle is a continuation of the same event, not a new one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MshrStats {
-    /// Fills allocated.
-    pub allocations: u64,
-    /// Requests merged into an existing in-flight fill.
-    pub merges: u64,
-    /// Distinct full-file rejection episodes (consecutive-cycle retries of
-    /// the same line count once).
-    pub full_reject_events: u64,
-    /// Rejected `request` calls in total — one per stalled attempt.
+    /// Rejected [`MshrFile::request`] calls — one per stalled attempt,
+    /// so cycles spent stalled when the caller retries once per cycle.
     pub full_stall_cycles: u64,
 }
 
@@ -62,9 +49,6 @@ pub struct MshrFile {
     capacity: usize,
     entries: Vec<Entry>,
     stats: MshrStats,
-    /// `(cycle, line)` of the most recent rejection, used to distinguish a
-    /// fresh rejection event from a per-cycle retry of the same request.
-    last_reject: Option<(u64, u64)>,
     /// Earliest `done_at` among buffered entries (`u64::MAX` when empty):
     /// expiry is a no-op until the clock reaches it, so the common
     /// nothing-completed-yet request skips the retain scan entirely.
@@ -84,7 +68,6 @@ impl MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
             stats: MshrStats::default(),
-            last_reject: None,
             earliest_done: u64::MAX,
         }
     }
@@ -146,29 +129,18 @@ impl MshrFile {
     /// the existing completion time (the merged requester inherits the
     /// in-flight fill's level, observable via [`MshrFile::pending_fill`]).
     ///
-    /// Each rejected call bumps [`MshrStats::full_stall_cycles`];
-    /// [`MshrStats::full_reject_events`] is bumped only when the rejection
-    /// is not a consecutive-cycle retry of the same line.
+    /// Each rejected call bumps [`MshrStats::full_stall_cycles`].
     pub fn request(&mut self, now: u64, line: u64, done_at: u64, level: MemLevel) -> Option<u64> {
         self.expire(now);
         if let Some(e) = self.entries.iter().find(|e| e.line == line) {
-            self.stats.merges += 1;
             return Some(e.done_at);
         }
         if self.entries.len() >= self.capacity {
             self.stats.full_stall_cycles += 1;
-            let continuation = self
-                .last_reject
-                .is_some_and(|(cycle, l)| l == line && now <= cycle.saturating_add(1));
-            if !continuation {
-                self.stats.full_reject_events += 1;
-            }
-            self.last_reject = Some((now, line));
             return None;
         }
         self.entries.push(Entry { line, done_at, level });
         self.earliest_done = self.earliest_done.min(done_at);
-        self.stats.allocations += 1;
         Some(done_at)
     }
 
@@ -202,15 +174,6 @@ impl MshrFile {
             .find(|e| e.line == line && e.done_at > now)
             .map(|e| (e.done_at, e.level))
     }
-
-    /// Drops all in-flight entries (used on machine reset, not on pipeline
-    /// flush: memory fills continue regardless of squashes).
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.stats = MshrStats::default();
-        self.last_reject = None;
-        self.earliest_done = u64::MAX;
-    }
 }
 
 #[cfg(test)]
@@ -222,8 +185,7 @@ mod tests {
         let mut m = MshrFile::new(4);
         assert_eq!(m.request(0, 0x100, 50, MemLevel::L2), Some(50));
         assert_eq!(m.request(10, 0x100, 60, MemLevel::L2), Some(50));
-        assert_eq!(m.stats().merges, 1);
-        assert_eq!(m.stats().allocations, 1);
+        assert_eq!(m.outstanding(10), 1, "a merge allocates no entry");
     }
 
     #[test]
@@ -231,28 +193,23 @@ mod tests {
         let mut m = MshrFile::new(1);
         assert!(m.request(0, 0x40, 100, MemLevel::L2).is_some());
         assert!(m.request(1, 0x80, 101, MemLevel::L2).is_none());
-        assert_eq!(m.stats().full_reject_events, 1);
         assert_eq!(m.stats().full_stall_cycles, 1);
+        assert_eq!(m.pending(1, 0x80), None, "a rejected line is not in flight");
         // merging is still allowed when full
         assert_eq!(m.request(2, 0x40, 102, MemLevel::L2), Some(100));
+        assert_eq!(m.outstanding(2), 1);
     }
 
     #[test]
-    fn per_cycle_retries_count_one_reject_event() {
+    fn every_rejected_retry_counts_a_stall_cycle() {
         let mut m = MshrFile::new(1);
         assert!(m.request(0, 0x40, 100, MemLevel::L2).is_some());
-        // The same line retried every cycle is one stall episode...
         for now in 1..=5 {
             assert!(m.request(now, 0x80, 100 + now, MemLevel::L2).is_none());
         }
         assert_eq!(m.stats().full_stall_cycles, 5);
-        assert_eq!(m.stats().full_reject_events, 1);
-        // ...but a different line, or a gap of more than one cycle,
-        // starts a new event.
-        assert!(m.request(6, 0xC0, 106, MemLevel::L2).is_none());
         assert!(m.request(9, 0xC0, 109, MemLevel::L2).is_none());
-        assert_eq!(m.stats().full_stall_cycles, 7);
-        assert_eq!(m.stats().full_reject_events, 3);
+        assert_eq!(m.stats().full_stall_cycles, 6);
     }
 
     #[test]
@@ -326,14 +283,5 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_panics() {
         let _ = MshrFile::new(0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = MshrFile::new(2);
-        m.request(0, 0x40, 100, MemLevel::L2);
-        m.reset();
-        assert!(m.has_room(0));
-        assert_eq!(m.stats().allocations, 0);
     }
 }

@@ -60,19 +60,6 @@ pub enum ForwardResult {
     Partial,
 }
 
-/// Statistics kept by the store buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoreBufferStats {
-    /// Stores inserted.
-    pub inserts: u64,
-    /// Loads fully forwarded from the buffer.
-    pub forwards: u64,
-    /// Loads deferred because of partial overlap.
-    pub partial_conflicts: u64,
-    /// Insertions rejected because the buffer was full.
-    pub full_rejections: u64,
-}
-
 /// A finite FIFO speculative store buffer with forwarding.
 ///
 /// # Examples
@@ -90,7 +77,6 @@ pub struct StoreBufferStats {
 pub struct StoreBuffer {
     capacity: usize,
     entries: Vec<BufferedStore>,
-    stats: StoreBufferStats,
 }
 
 /// Error returned when inserting into a full [`StoreBuffer`].
@@ -114,7 +100,7 @@ impl StoreBuffer {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "store buffer capacity must be nonzero");
-        StoreBuffer { capacity, entries: Vec::new(), stats: StoreBufferStats::default() }
+        StoreBuffer { capacity, entries: Vec::new() }
     }
 
     /// Number of buffered stores.
@@ -135,12 +121,6 @@ impl StoreBuffer {
         self.entries.len() >= self.capacity
     }
 
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> StoreBufferStats {
-        self.stats
-    }
-
     /// Buffers a store executed speculatively in the A-pipe.
     ///
     /// # Errors
@@ -154,7 +134,6 @@ impl StoreBuffer {
         bits: u64,
     ) -> Result<(), StoreBufferFullError> {
         if self.is_full() {
-            self.stats.full_rejections += 1;
             return Err(StoreBufferFullError);
         }
         debug_assert!(
@@ -162,7 +141,6 @@ impl StoreBuffer {
             "stores must be inserted in ascending dynamic order"
         );
         self.entries.push(BufferedStore { seq, addr, size, bits });
-        self.stats.inserts += 1;
         Ok(())
     }
 
@@ -177,13 +155,11 @@ impl StoreBuffer {
         for e in self.entries[..older].iter().rev() {
             if overlaps(e.addr, e.size, addr, size) {
                 if covers(e, addr, size) {
-                    self.stats.forwards += 1;
                     let shift = 8 * (addr - e.addr);
                     let raw = e.bits >> shift;
                     let masked = if size == 8 { raw } else { raw & ((1 << (8 * size)) - 1) };
                     return ForwardResult::Forwarded(masked);
                 }
-                self.stats.partial_conflicts += 1;
                 return ForwardResult::Partial;
             }
         }
@@ -254,7 +230,6 @@ mod tests {
         // 8-byte load at 0x100 overlaps the store's [0x104,0x108) range
         // but is not covered by it.
         assert_eq!(sb.forward(2, 0x100, 8), ForwardResult::Partial);
-        assert_eq!(sb.stats().partial_conflicts, 1);
     }
 
     #[test]
@@ -271,7 +246,8 @@ mod tests {
         sb.insert(1, 0x0, 8, 0).unwrap();
         assert!(sb.is_full());
         assert_eq!(sb.insert(2, 0x8, 8, 0), Err(StoreBufferFullError));
-        assert_eq!(sb.stats().full_rejections, 1);
+        assert_eq!(sb.len(), 1, "a rejected store is not buffered");
+        assert_eq!(sb.forward(3, 0x8, 8), ForwardResult::NoConflict);
     }
 
     #[test]

@@ -7,10 +7,11 @@ use ff_mem::{Cache, CacheGeometry, ForwardResult, StoreBuffer};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// Naive LRU set-associative cache: per-set vector ordered by recency.
+/// Naive LRU set-associative cache: per-set vector of tags ordered by
+/// recency.
 struct RefCache {
     geometry: CacheGeometry,
-    sets: Vec<Vec<(u64, bool)>>, // (tag, dirty), most recent first
+    sets: Vec<Vec<u64>>, // tags, most recent first
 }
 
 impl RefCache {
@@ -23,26 +24,20 @@ impl RefCache {
         ((line % self.geometry.sets()) as usize, line / self.geometry.sets())
     }
 
-    /// Returns (hit, writeback_line_addr).
-    fn access(&mut self, addr: u64, is_write: bool) -> (bool, Option<u64>) {
+    /// Returns whether the line was present.
+    fn access(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let ways = self.geometry.ways as usize;
         let entries = &mut self.sets[set];
-        if let Some(pos) = entries.iter().position(|&(t, _)| t == tag) {
-            let (t, dirty) = entries.remove(pos);
-            entries.insert(0, (t, dirty || is_write));
-            return (true, None);
-        }
-        entries.insert(0, (tag, is_write));
-        let mut writeback = None;
-        if entries.len() > ways {
-            let (victim_tag, dirty) = entries.pop().expect("overfull set");
-            if dirty {
-                let line = victim_tag * self.geometry.sets() + set as u64;
-                writeback = Some(line * self.geometry.line_bytes);
-            }
-        }
-        (false, writeback)
+        let hit = if let Some(pos) = entries.iter().position(|&t| t == tag) {
+            entries.remove(pos);
+            true
+        } else {
+            false
+        };
+        entries.insert(0, tag);
+        entries.truncate(ways);
+        hit
     }
 }
 
@@ -61,15 +56,12 @@ proptest! {
     #[test]
     fn cache_matches_reference_model(
         geometry in geometry_strategy(),
-        accesses in prop::collection::vec((0u64..0x4000, any::<bool>()), 1..400),
+        accesses in prop::collection::vec(0u64..0x4000, 1..400),
     ) {
         let mut cache = Cache::new(geometry).expect("valid geometry");
         let mut reference = RefCache::new(geometry);
-        for (i, &(addr, is_write)) in accesses.iter().enumerate() {
-            let got = cache.access(addr, is_write);
-            let (want_hit, want_wb) = reference.access(addr, is_write);
-            prop_assert_eq!(got.hit, want_hit, "access {} addr {:#x}", i, addr);
-            prop_assert_eq!(got.writeback, want_wb, "access {} addr {:#x}", i, addr);
+        for (i, &addr) in accesses.iter().enumerate() {
+            prop_assert_eq!(cache.access(addr), reference.access(addr), "access {} addr {:#x}", i, addr);
         }
     }
 

@@ -213,15 +213,10 @@ pub fn cycle_bounds(
 
     let retired = st.instr_count();
     let width = cfg.issue_width.max(1) as u64;
-    let slots = [
-        cfg.fu_slots.alu.max(1),
-        cfg.fu_slots.mem.max(1),
-        cfg.fu_slots.fp.max(1),
-        cfg.fu_slots.branch.max(1),
-    ];
     let mut fu_bounds = [0u64; 4];
-    for i in 0..4 {
-        fu_bounds[i] = class_counts[i].div_ceil(slots[i] as u64);
+    for fu in FuClass::ALL {
+        let i = fu.index();
+        fu_bounds[i] = class_counts[i].div_ceil(cfg.fu_slots[fu].max(1) as u64);
     }
     CycleBounds {
         retired,

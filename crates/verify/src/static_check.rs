@@ -566,10 +566,8 @@ fn check_resources(
         for insn in &instrs[pc..=end] {
             counts[insn.op.fu_class().index()] += 1;
         }
-        let avail_slots =
-            [cfg.fu_slots.alu, cfg.fu_slots.mem, cfg.fu_slots.fp, cfg.fu_slots.branch];
         for fu in FuClass::ALL {
-            let (have, avail, label) = (counts[fu.index()], avail_slots[fu.index()], fu.label());
+            let (have, avail, label) = (counts[fu.index()], cfg.fu_slots[fu], fu.label());
             if have > avail {
                 report.diagnostics.push(Diagnostic::at(
                     Check::FuOversubscribed,

@@ -5,7 +5,7 @@
 //! latency, it defers the whole chain — the paper measures "98% of its
 //! long-latency floating point instructions, in chains" deferred — and
 //! the deferred chains then serialize in the B-pipe, with store-conflict
-//! flushes from cost writebacks read back soon after. The kernel builds
+//! flushes from stored costs read back soon after. The kernel builds
 //! a serial FP accumulation over an L2-resident net array, writes the
 //! running cost to a history slot, and re-reads the previous slot while
 //! the writing store is often still deferred.
