@@ -50,6 +50,24 @@ fn bench_mem_image(c: &mut Criterion) {
             acc
         })
     });
+
+    // A 16 MiB initial image, as a miss-bound kernel's: a clone shares
+    // its pages, so it costs the page index, not the bytes.
+    let mut big = MemoryImage::new();
+    big.write_u64s(0, (0..4096 * 512).map(|i: u64| i));
+    group.bench_function("clone_4096_pages", |b| b.iter(|| black_box(&big).clone()));
+    // The first write to each page of a fresh clone copies that page.
+    let mut small = MemoryImage::new();
+    small.write_u64s(0, (0..64 * 512).map(|i: u64| i));
+    group.bench_function("first_write_after_clone", |b| {
+        b.iter(|| {
+            let mut copy = small.clone();
+            for page in 0..64u64 {
+                copy.write(black_box(page << 12), 8, page);
+            }
+            copy
+        })
+    });
     group.finish();
 }
 

@@ -235,7 +235,7 @@ mod tests {
             Instruction::new(Opcode::Halt),
         ]);
         let mut mem = MemoryImage::new();
-        mem.write_u64s(0x1000, &[10, 20, 30, 40]);
+        mem.write_u64s(0x1000, [10, 20, 30, 40]);
         let mut st = ArchState::new(&program, mem);
         let summary = st.run(10_000);
         assert_eq!(summary.stop, StopReason::Halted);

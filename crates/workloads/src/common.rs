@@ -58,18 +58,19 @@ pub fn shuffled_chain(mem: &mut MemoryImage, base: u64, count: u64, stride: u64,
 /// Fills `count` 8-byte words starting at `base` with PRNG data.
 pub fn fill_random_words(mem: &mut MemoryImage, base: u64, count: u64, seed: u64) {
     let mut rng = XorShift64::new(seed);
-    for i in 0..count {
-        mem.write_u64(base + i * 8, rng.next_u64());
-    }
+    mem.write_u64s(base, (0..count).map(|_| rng.next_u64()));
 }
 
 /// Fills `count` doubles starting at `base` with values in (-1, 1).
 pub fn fill_random_f64(mem: &mut MemoryImage, base: u64, count: u64, seed: u64) {
     let mut rng = XorShift64::new(seed);
-    for i in 0..count {
-        let v = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        mem.write_f64(base + i * 8, 2.0 * v - 1.0);
-    }
+    mem.write_f64s(
+        base,
+        (0..count).map(|_| {
+            let v = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            2.0 * v - 1.0
+        }),
+    );
 }
 
 #[cfg(test)]
