@@ -9,7 +9,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ff_core::{
-    parse_jsonl_line, run_model, JsonlSink, MachineConfig, ModelKind, Trace, TraceSink, TwoPass,
+    parse_jsonl_line, run_model, JsonlSink, MachineConfig, ModelKind, Trace, TraceEvent, TraceSink,
+    TwoPass,
 };
 use ff_isa::MemoryImage;
 use ff_mem::{Cache, CacheGeometry};
@@ -103,11 +104,9 @@ fn bench_cache_access(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_trace_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hotpaths/trace");
-
-    // A captured tiny mcf-like 2P trace; one iteration handles one
-    // event, so ns/iter reads as ns per event.
+/// The events of a tiny mcf-like 2P run and the JSONL text the sink
+/// writes for them.
+fn mcf_2p_trace() -> (Vec<TraceEvent>, String) {
     let w = benchmark_by_name("mcf-like", Scale::Tiny).expect("built-in benchmark");
     let mut trace = Trace::new();
     let cfg = MachineConfig::paper_table1();
@@ -119,15 +118,22 @@ fn bench_trace_codec(c: &mut Criterion) {
         w.budget,
         Some(&mut trace),
     );
-    let events = trace.events();
+    let events = trace.events().to_vec();
     let mut sink = JsonlSink::new(Vec::new());
-    for &e in events {
+    for &e in &events {
         sink.emit(e);
     }
     let text = String::from_utf8(sink.into_inner().expect("in-memory writer")).expect("UTF-8");
-    let lines: Vec<&str> = text.lines().collect();
-    group.sample_size(events.len());
+    (events, text)
+}
 
+fn bench_trace_codec(c: &mut Criterion) {
+    // One iteration handles one event or line, so ns/iter reads as ns
+    // per event; every sample pass covers the whole trace once.
+    let (events, text) = mcf_2p_trace();
+
+    let mut group = c.benchmark_group("hotpaths/trace");
+    group.sample_size(events.len());
     group.bench_function("encode_per_event", |b| {
         let mut sink = JsonlSink::new(std::io::sink());
         let mut i = 0;
@@ -136,7 +142,14 @@ fn bench_trace_codec(c: &mut Criterion) {
             i += 1;
         })
     });
-    group.bench_function("parse_per_event", |b| {
+    group.finish();
+
+    // The reader on the writer's own lines, as `load_events` hands them
+    // over (newline cut): the fast path generated from the codec table.
+    let lines: Vec<&str> = text.lines().collect();
+    let mut group = c.benchmark_group("hotpaths/jsonl");
+    group.sample_size(lines.len());
+    group.bench_function("parse_line", |b| {
         let mut i = 0;
         b.iter(|| {
             i += 1;

@@ -31,6 +31,7 @@ use ff_bench::report::{
 };
 use ff_bench::selfprof::{HostInfo, PerfSnapshot, SelfProfiler};
 use ff_bench::sweep::{RunStore, SweepOpts, DEFAULT_CACHE_DIR};
+use ff_bench::traceview;
 use ff_core::{run_model, MachineConfig, ModelKind, StallCause, TwoPass};
 use ff_workloads::{paper_benchmarks, Scale};
 use serde::{Deserialize, Value};
@@ -341,9 +342,10 @@ fn cmd_drift(args: &Parsed) -> Result<ExitCode, String> {
 }
 
 /// Measures every component into a profiler: workload construction,
-/// all four machine models end to end over the paper grid, and the
-/// JSONL trace-sink overhead on one representative run.
-fn measure(scale: Scale) -> SelfProfiler {
+/// all four machine models end to end over the paper grid, the JSONL
+/// trace-sink overhead on two representative runs and the read-back of
+/// their traces. Also returns the number of trace events read back.
+fn measure(scale: Scale) -> (SelfProfiler, u64) {
     let mut p = SelfProfiler::new();
     let workloads = p.time("workload.build", || paper_benchmarks(scale));
 
@@ -376,6 +378,21 @@ fn measure(scale: Scale) -> SelfProfiler {
         });
     }
 
+    // Trace read-back: the same two 2P traces, recorded into memory
+    // outside the timed span, then parsed by `traceview::load_events`.
+    // One trace is held at a time; at ref scale mcf-like's is ~330 MB.
+    let mut events_read = 0;
+    for w in traced.iter().filter_map(|&(_, w)| w) {
+        let mut sink = ff_core::JsonlSink::new(Vec::new());
+        let _ = TwoPass::new(&w.program, w.memory.clone(), cfg.clone())
+            .run_with_sink(w.budget, &mut sink);
+        let written = sink.written();
+        let bytes = sink.into_inner().expect("an in-memory writer cannot fail");
+        let events = p.time("trace.jsonl_read", || traceview::load_events(bytes.as_slice()));
+        assert_eq!(events.map(|e| e.len() as u64), Ok(written), "{}: trace read back", w.name);
+        events_read += written;
+    }
+
     // Event-driven fast-forward effectiveness: the most miss-dominated
     // paper kernel (the one with the most skippable stall cycles) with
     // the event layer on and off, on the single-pipe baseline and the
@@ -397,7 +414,7 @@ fn measure(scale: Scale) -> SelfProfiler {
             }
         }
     }
-    p
+    (p, events_read)
 }
 
 /// Fast-forward speedups per model: `(model, ff.on/ff.off throughput)`
@@ -443,7 +460,8 @@ fn cmd_perf(args: &Parsed) -> Result<ExitCode, String> {
     if repeat == 0 {
         return Err("--repeat must be at least 1".to_string());
     }
-    let runs: Vec<SelfProfiler> = (0..repeat).map(|_| measure(scale)).collect();
+    let (runs, events_read): (Vec<SelfProfiler>, Vec<u64>) =
+        (0..repeat).map(|_| measure(scale)).unzip();
     let profiler = SelfProfiler::median(&runs);
     if repeat == 1 {
         println!("perf snapshot ({} scale)", scale.label());
@@ -473,6 +491,13 @@ fn cmd_perf(args: &Parsed) -> Result<ExitCode, String> {
     if !speedups.is_empty() {
         let rendered: Vec<String> = speedups.iter().map(|(m, r)| format!("{m} {r:.1}x")).collect();
         println!("\nfast-forward speedup on mcf-like (ff.on / ff.off): {}", rendered.join(", "));
+    }
+    let read = profiler.sections().iter().find(|s| s.name == "trace.jsonl_read");
+    if let (Some(read), Some(&events)) = (read, events_read.first()) {
+        println!(
+            "trace.jsonl_read: {:.1} ns per event ({events} events, 2P go-like + mcf-like)",
+            read.seconds * 1e9 / events as f64
+        );
     }
 
     let mut snapshot = profiler.into_snapshot(scale.label());

@@ -9,11 +9,23 @@
 //! variant name and `None` as `null`. The derive stays on the type only
 //! as the oracle the tests pin this codec to.
 //!
-//! The reader accepts that output in any key order and with any
-//! insignificant whitespace. Elsewhere it is stricter than `serde_json`:
-//! it rejects unknown and repeated fields, string escapes, and numbers
-//! written with a sign, a fraction or an exponent. Narrow fields are
-//! range-checked (`u32` for `depth`, `mshr` and `len`; `usize` for `pc`).
+//! The reader takes each line down one of two paths. A line exactly as
+//! [`encode`] writes it (no whitespace, fields in declaration order,
+//! integers as digit runs with no leading zero, the newline already
+//! cut) is read by a fast path generated from the same `codec!` table,
+//! which gives up at its first byte that the writer would not have
+//! written there. Every other line, and every line the fast path gives
+//! up on, goes to the general reader unchanged, so both paths accept the
+//! same lines, read the same events and report the same errors. Under
+//! `ff-core/audit` every line the fast path reads is read again by the
+//! general reader and the two events are asserted equal.
+//!
+//! The general reader accepts the writer's output in any key order and
+//! with any insignificant whitespace. Elsewhere it is stricter than
+//! `serde_json`: it rejects unknown and repeated fields, string escapes,
+//! and numbers written with a sign, a fraction or an exponent. Narrow
+//! fields are range-checked (`u32` for `depth`, `mshr` and `len`;
+//! `usize` for `pc`).
 
 use crate::accounting::{CycleClass, StallCause};
 use crate::report::Pipe;
@@ -34,12 +46,17 @@ enum Val<'a> {
 }
 
 /// One field type of a [`TraceEvent`] variant: how it is written and
-/// how it is read back from a scanned value.
+/// how it is read back, from the writer's own text or from a scanned
+/// value.
 trait Field: Sized {
     /// The type as named in error messages.
     const WHAT: &'static str;
     /// Writes the value at `line[pos..]`; returns the position after it.
     fn put(self, line: &mut Line, pos: usize) -> usize;
+    /// Reads the value at `line[pos..]` as `put` writes it; returns it
+    /// and the position after it, or `None` if `put` would not have
+    /// written these bytes.
+    fn get(line: &[u8], pos: usize) -> Option<(Self, usize)>;
     fn take(v: Val<'_>) -> Option<Self>;
 }
 
@@ -101,10 +118,38 @@ fn put_u64(line: &mut Line, pos: usize, mut n: u64) -> usize {
     end
 }
 
+/// `Some(pos + lit.len())` if `line[pos..]` starts with `lit`.
+#[inline(always)]
+fn get_lit(line: &[u8], pos: usize, lit: &[u8]) -> Option<usize> {
+    let end = pos + lit.len();
+    (line.get(pos..end)? == lit).then_some(end)
+}
+
+/// Reads a digit run at `line[pos..]` as [`put_u64`] writes it: at
+/// least one digit, a leading zero only in `0` itself, and a value that
+/// fits a `u64`. Returns the value and the position after it.
+#[inline]
+fn get_u64(line: &[u8], mut pos: usize) -> Option<(u64, usize)> {
+    let start = pos;
+    let mut n = 0u64;
+    while let Some(d) = line.get(pos).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+        n = n.checked_mul(10)?.checked_add(u64::from(d))?;
+        pos += 1;
+    }
+    match line[start..pos] {
+        [] | [b'0', _, ..] => None,
+        _ => Some((n, pos)),
+    }
+}
+
 impl Field for u64 {
     const WHAT: &'static str = "u64";
     fn put(self, line: &mut Line, pos: usize) -> usize {
         put_u64(line, pos, self)
+    }
+    #[inline]
+    fn get(line: &[u8], pos: usize) -> Option<(Self, usize)> {
+        get_u64(line, pos)
     }
     fn take(v: Val<'_>) -> Option<Self> {
         match v {
@@ -120,6 +165,11 @@ macro_rules! narrow_int {
             const WHAT: &'static str = stringify!($t);
             fn put(self, line: &mut Line, pos: usize) -> usize {
                 put_u64(line, pos, self as u64)
+            }
+            #[inline]
+            fn get(line: &[u8], pos: usize) -> Option<(Self, usize)> {
+                let (n, end) = get_u64(line, pos)?;
+                Some(($t::try_from(n).ok()?, end))
             }
             fn take(v: Val<'_>) -> Option<Self> {
                 u64::take(v).and_then(|n| $t::try_from(n).ok())
@@ -138,6 +188,13 @@ impl Field for bool {
             put_lit(line, pos, b"false")
         }
     }
+    #[inline]
+    fn get(line: &[u8], pos: usize) -> Option<(Self, usize)> {
+        match get_lit(line, pos, b"true") {
+            Some(end) => Some((true, end)),
+            None => Some((false, get_lit(line, pos, b"false")?)),
+        }
+    }
     fn take(v: Val<'_>) -> Option<Self> {
         match v {
             Val::Bool(b) => Some(b),
@@ -152,6 +209,13 @@ impl Field for Option<u64> {
         match self {
             Some(n) => put_u64(line, pos, n),
             None => put_lit(line, pos, b"null"),
+        }
+    }
+    #[inline]
+    fn get(line: &[u8], pos: usize) -> Option<(Self, usize)> {
+        match get_lit(line, pos, b"null") {
+            Some(end) => Some((None, end)),
+            None => get_u64(line, pos).map(|(n, end)| (Some(n), end)),
         }
     }
     fn take(v: Val<'_>) -> Option<Self> {
@@ -171,6 +235,13 @@ macro_rules! unit_enum {
                 match self {
                     $($t::$v => put_lit(line, pos, concat!("\"", stringify!($v), "\"").as_bytes()),)*
                 }
+            }
+            #[inline]
+            fn get(line: &[u8], pos: usize) -> Option<(Self, usize)> {
+                $(if let Some(end) = get_lit(line, pos, concat!("\"", stringify!($v), "\"").as_bytes()) {
+                    return Some(($t::$v, end));
+                })*
+                None
             }
             fn take(v: Val<'_>) -> Option<Self> {
                 let Val::Str(s) = v else { return None };
@@ -275,6 +346,29 @@ macro_rules! codec {
                 })*
             };
             put_lit(line, pos, b"}}\n")
+        }
+
+        /// Reads `line` if it is exactly as [`encode`] writes it, without
+        /// its newline; `None` at the first byte that `encode` would not
+        /// have written there.
+        #[inline]
+        fn decode_canonical(line: &str) -> Option<TraceEvent> {
+            let bytes = line.as_bytes();
+            let rest = bytes.strip_prefix(b"{\"")?;
+            let tag_end = 2 + rest.iter().position(|&b| b == b'"')?;
+            let (e, pos) = match &line[2..tag_end] {
+                $(stringify!($v) => {
+                    let pos = get_lit(bytes, tag_end, b"\":{\"cycle\":")?;
+                    let (cycle, pos) = get_u64(bytes, pos)?;
+                    $(
+                        let pos = get_lit(bytes, pos, concat!(",\"", stringify!($f), "\":").as_bytes())?;
+                        let ($f, pos) = Field::get(bytes, pos)?;
+                    )*
+                    (TraceEvent::$v { cycle $(, $f)* }, pos)
+                })*
+                _ => return None,
+            };
+            (get_lit(bytes, pos, b"}}")? == bytes.len()).then_some(e)
         }
 
         /// Builds the event named by `fields.tag`.
@@ -444,8 +538,32 @@ impl<'a> Scanner<'a> {
 }
 
 /// Parses one line written by [`encode`]; whitespace around it is
-/// ignored.
+/// ignored. The writer's own lines take the fast path, every other line
+/// the general reader.
 pub(crate) fn decode(line: &str) -> Result<TraceEvent, String> {
+    match decode_canonical(line) {
+        Some(e) => {
+            #[cfg(feature = "audit")]
+            audit_canonical(line, e);
+            Ok(e)
+        }
+        None => decode_general(line),
+    }
+}
+
+/// Audit probe: the general reader reads every line the fast path read
+/// as the same event.
+#[cfg(feature = "audit")]
+fn audit_canonical(line: &str, e: TraceEvent) {
+    assert_eq!(
+        decode_general(line),
+        Ok(e),
+        "audit: the fast and the general JSONL readers disagree on {line:?}"
+    );
+}
+
+/// The general reader: any key order, any insignificant whitespace.
+fn decode_general(line: &str) -> Result<TraceEvent, String> {
     let mut s = Scanner { line, pos: 0 };
     s.expect(b'{')?;
     let tag = s.string()?;
@@ -545,7 +663,8 @@ mod tests {
         for e in &events {
             let line = encoded(e);
             assert_eq!(line, serde_json::to_string(e).unwrap() + "\n", "{e:?}");
-            assert_eq!(decode(line.trim_end()), Ok(*e), "{line}");
+            assert_eq!(decode_canonical(line.trim_end()), Some(*e), "{line}");
+            assert_eq!(decode_general(line.trim_end()), Ok(*e), "{line}");
         }
         let kinds: std::collections::HashSet<_> =
             events.iter().map(std::mem::discriminant).collect();
@@ -647,6 +766,151 @@ mod tests {
         ];
         for (line, want) in cases {
             assert_eq!(decode(line), Err(want.to_string()), "{line}");
+        }
+    }
+
+    /// One event of variant `variant % 19`, its fields drawn from `vals`
+    /// and its enums and flag from `pick`.
+    fn any_event(variant: u8, vals: [u64; 4], pick: usize) -> TraceEvent {
+        let [a, b, c, d] = vals;
+        let (pc, narrow, flag) = (b as usize, c as u32, pick % 2 == 1);
+        let pipe = if flag { Pipe::A } else { Pipe::B };
+        let level = MemLevel::ALL[pick % MemLevel::ALL.len()];
+        let class = |x: usize| CycleClass::ALL[x % CycleClass::ALL.len()];
+        match variant % 19 {
+            0 => TraceEvent::Fetch { cycle: a, seq: d, pc },
+            1 => TraceEvent::AExec { cycle: a, seq: d, pc, ready_at: c },
+            2 => TraceEvent::Defer { cycle: a, seq: d, pc },
+            3 => TraceEvent::CqEnqueue { cycle: a, seq: d, pc, depth: narrow },
+            4 => TraceEvent::CqDequeue { cycle: a, seq: d, pc, resident: c },
+            5 => TraceEvent::BExec { cycle: a, seq: d, pc },
+            6 => TraceEvent::Squash { cycle: a, seq: d, pc },
+            7 => TraceEvent::ADispatch { cycle: a, seq: d, pc, deferred: flag },
+            8 => TraceEvent::BRetire { cycle: a, seq: d, pc, was_deferred: flag },
+            9 => TraceEvent::Flush {
+                cycle: a,
+                kind: if flag { FlushKind::StoreConflict } else { FlushKind::BdetMispredict },
+                boundary_seq: d,
+            },
+            10 => TraceEvent::ARedirect { cycle: a, pc },
+            11 => TraceEvent::GroupDispatch { cycle: a, pipe, head_seq: d, len: narrow },
+            12 => TraceEvent::ClassTransition { cycle: a, from: class(pick), to: class(pick / 7) },
+            13 => TraceEvent::CauseTransition {
+                cycle: a,
+                cause: StallCause::ALL[pick % StallCause::ALL.len()],
+                pc: flag.then_some(d),
+            },
+            14 => TraceEvent::MissBegin { cycle: a, pipe, level, addr: b, fill_at: c },
+            15 => TraceEvent::MissEnd { cycle: a, addr: b, level },
+            16 => TraceEvent::QueueSample { cycle: a, depth: narrow, mshr: d as u32 },
+            17 => TraceEvent::RunaheadEnter { cycle: a, pc },
+            _ => TraceEvent::RunaheadExit { cycle: a, pc, discarded: c },
+        }
+    }
+
+    /// Spreads a random draw over every magnitude: zero, the `u32` and
+    /// `u64` edges, and every digit count between.
+    fn magnitude(raw: u64) -> u64 {
+        match raw % 8 {
+            0 => 0,
+            1 => u64::MAX,
+            2 => u64::from(u32::MAX),
+            _ => raw >> (raw % 64),
+        }
+    }
+
+    /// Each way of changing the canonical `line` of `e` that the general
+    /// reader must judge, paired with the event it must read, if the
+    /// change keeps the line's meaning.
+    fn mutations(line: &str, e: TraceEvent) -> Vec<(String, Option<TraceEvent>)> {
+        let splice = |at: usize, text: &str| format!("{}{text}{}", &line[..at], &line[at..]);
+        let mut out = Vec::new();
+        // Whitespace at every token boundary.
+        let punct = |b: Option<&u8>| matches!(b, Some(b'{' | b'}' | b':' | b','));
+        let bytes = line.as_bytes();
+        for at in 0..=line.len() {
+            if at == 0 || at == line.len() || punct(bytes.get(at - 1)) || punct(bytes.get(at)) {
+                for ws in [" ", "\t", "\n", "\r"] {
+                    out.push((splice(at, ws), Some(e)));
+                }
+            }
+        }
+        // Every rotation of the fields, and their reverse.
+        let open = line[1..].find('{').unwrap() + 2;
+        let (head, inner) = (&line[..open], &line[open..line.len() - 2]);
+        let fields: Vec<&str> = inner.split(',').collect();
+        for k in 0..fields.len() {
+            let rotated = [&fields[k..], &fields[..k]].concat();
+            out.push((format!("{head}{}}}}}", rotated.join(",")), Some(e)));
+        }
+        let reversed: Vec<&str> = fields.iter().rev().copied().collect();
+        out.push((format!("{head}{}}}}}", reversed.join(",")), Some(e)));
+        // A leading zero on, or an edge value for, every integer.
+        let runs = (1..line.len())
+            .filter(|&i| bytes[i].is_ascii_digit() && bytes[i - 1] == b':')
+            .map(|i| (i, i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count()));
+        for (start, end) in runs {
+            out.push((splice(start, "0"), Some(e)));
+            out.push((splice(start, "00"), Some(e)));
+            for edge in ["0", "00", "4294967295", "4294967296", "18446744073709551615"]
+                .into_iter()
+                .chain(["18446744073709551616", "99999999999999999999", "184467440737095516150"])
+            {
+                out.push((format!("{}{edge}{}", &line[..start], &line[end..]), None));
+            }
+        }
+        // Truncation at every byte.
+        out.extend((0..line.len()).map(|at| (line[..at].to_string(), None)));
+        // Another tag, known or not.
+        let tag_end = line[2..].find('"').unwrap() + 2;
+        for tag in ["Fetch", "QueueSample", "MissBegin", "Fetched", "fetch", "", "Fetch\\u0041"] {
+            out.push((format!("{{\"{tag}{}", &line[tag_end..]), None));
+        }
+        // A repeated field, and an extra one at either end.
+        let close = line.len() - 2;
+        for field in &fields {
+            out.push((splice(close, &format!(",{field}")), None));
+        }
+        out.push((splice(close, ",\"x\":0"), None));
+        out.push((splice(open, "\"x\":0,"), None));
+        // Trailing bytes.
+        for tail in ["\n", " ", "\r\n", "}", ",", "x", "\u{e9}", "{}", "0"] {
+            out.push((format!("{line}{tail}"), None));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1500))]
+
+        /// Every line the writer writes takes the fast path and reads
+        /// back as its event. Of its mutations, the fast path reads only
+        /// those that are themselves the writer's line for what it read,
+        /// and on each `decode` returns exactly what the general reader
+        /// alone returns, error text included.
+        #[test]
+        fn fast_path_reads_the_writer_and_agrees_with_the_general_reader(
+            pick in (0u8..19, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(),
+                proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            enums in 0usize..10_000,
+        ) {
+            let (variant, a, b, c, d) = pick;
+            let e = any_event(variant, [a, b, c, d].map(magnitude), enums);
+            let line = encoded(&e);
+            let line = line.trim_end();
+            proptest::prop_assert_eq!(decode_canonical(line), Some(e), "{}", line);
+            proptest::prop_assert_eq!(decode(line), Ok(e));
+            for (mutant, keeps) in mutations(line, e) {
+                if let Some(read) = decode_canonical(&mutant) {
+                    let written = encoded(&read);
+                    proptest::prop_assert_eq!(written.trim_end(), mutant.as_str(), "not canonical");
+                }
+                let general = decode_general(&mutant);
+                proptest::prop_assert_eq!(decode(&mutant), general.clone(), "{:?}", mutant);
+                if let Some(e) = keeps {
+                    proptest::prop_assert_eq!(general, Ok(e), "{:?}", mutant);
+                }
+            }
         }
     }
 }
